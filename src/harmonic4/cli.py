@@ -137,6 +137,8 @@ def _suite_witnesses(config: RunConfig):
 
 
 def cmd_verify(args, config: RunConfig) -> int:
+    if args.suite in ("isotropy", "all") and config.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {config.trials}")
     runners = {
         "identity": lambda: _suite_identity(),
         "parity": lambda: _suite_parity(),

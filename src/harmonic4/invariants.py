@@ -17,10 +17,12 @@ and the invariants, with their homogeneity degrees in D:
 Two evaluators are provided.  :func:`invariants` exploits full index
 symmetry: sums run over canonical sorted index tuples with multinomial
 arrangement weights (15 quadruples, 10 triples, 6 pairs instead of 81/27/9
-raw entries), and float-backend tensors take a numpy fast path.
-:func:`invariants_oracle` is the deliberately naive check: unweighted full
-loops over every raw index combination.  The two must agree exactly on
-exact-backend input.
+raw entries).  Float-backend tensors go through the batched float engine
+instead: :func:`invariants_float` evaluates a whole ``(N, 81)`` stack at
+once from the 9x9 matrix view D_(ij),(kl), and one tensor is the N = 1
+case.  :func:`invariants_oracle` is the deliberately naive check:
+unweighted full loops over every raw index combination.  The two must
+agree exactly on exact-backend input.
 """
 
 from __future__ import annotations
@@ -200,28 +202,37 @@ def _invariants_generic(d: Harmonic4) -> InvariantVector:
     )
 
 
+def invariants_float(entries) -> np.ndarray:
+    """The ten invariants of an (N, 81) stack of row-major entries, as (N, 10).
+
+    Columns follow :data:`INVARIANT_NAMES`.  With D the (N, 9, 9) matrix
+    view D_(ij),(kl) and D3 the (N, 3, 27) view, B = D3 D3^T, C = D D^T
+    and B2 = B B.  J2 = tr C and J3 = C:D; every other invariant is a
+    9-vector quadratic form in b = vec B and b2 = vec B2 with the
+    identity (J4, K6), D (J5, J7, J9) or C (J6, J8, J10) in the middle.
+    """
+    a = np.asarray(entries, dtype=float)
+    n = a.shape[0]
+    d = a.reshape(n, 9, 9)
+    d3 = a.reshape(n, 3, 27)
+    b = d3 @ d3.transpose(0, 2, 1)
+    c = d @ d.transpose(0, 2, 1)
+    v = np.empty((n, 9, 2))
+    v[:, :, 0] = b.reshape(n, 9)
+    v[:, :, 1] = (b @ b).reshape(n, 9)
+    vt = v.transpose(0, 2, 1)
+    plain, dv, cv = vt @ v, vt @ d @ v, vt @ c @ v
+    out = np.empty((n, 10))
+    out[:, 0] = c.reshape(n, 81)[:, ::10].sum(axis=1)
+    out[:, 1] = (c * d).sum(axis=(1, 2))
+    out[:, 2], out[:, 5] = plain[:, 0, 0], plain[:, 1, 0]
+    out[:, 3], out[:, 6], out[:, 8] = dv[:, 0, 0], dv[:, 1, 0], dv[:, 1, 1]
+    out[:, 4], out[:, 7], out[:, 9] = cv[:, 0, 0], cv[:, 1, 0], cv[:, 1, 1]
+    return out
+
+
 def _invariants_float(d: Harmonic4) -> InvariantVector:
-    a = d.to_array()
-    b = np.tensordot(a, a, axes=([1, 2, 3], [1, 2, 3]))
-    b2 = b @ b
-    c = np.tensordot(a, a, axes=([2, 3], [2, 3]))
-    a_dot_b = np.tensordot(a, b, axes=([2, 3], [0, 1]))
-    c_dot_b = np.tensordot(c, b, axes=([2, 3], [0, 1]))
-    a_dot_b2 = np.tensordot(a, b2, axes=([2, 3], [0, 1]))
-    c_dot_b2 = np.tensordot(c, b2, axes=([2, 3], [0, 1]))
-    flat = a.ravel()
-    return InvariantVector(
-        j2=float(flat @ flat),
-        j3=float(c.ravel() @ flat),
-        j4=float(np.trace(b2)),
-        j5=float(np.tensordot(b, a_dot_b)),
-        j6=float(np.tensordot(b, c_dot_b)),
-        k6=float(np.trace(b2 @ b)),
-        j7=float(np.tensordot(b2, a_dot_b)),
-        j8=float(np.tensordot(b2, c_dot_b)),
-        j9=float(np.tensordot(b2, a_dot_b2)),
-        j10=float(np.tensordot(b2, c_dot_b2)),
-    )
+    return InvariantVector(*invariants_float(d.to_array().reshape(1, 81))[0].tolist())
 
 
 def invariants(d: Harmonic4) -> InvariantVector:

@@ -9,6 +9,14 @@ for every orthogonal Q -- reflections included, so sampling covers all of
 O(3), not just the rotation subgroup.  :func:`isotropy_check` hammers a
 tensor with Haar-random orthogonal matrices and reports the worst
 relative drift of each invariant.
+
+Float tensors are rotated by the batched float engine: with D the 9x9
+matrix view D_(ij),(kl), a stack of matrices acts as (Q x Q) D (Q x Q)^T
+(:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
+per trial seed.  :func:`isotropy_check` samples, rotates and evaluates
+its trials in blocks of :data:`ISOTROPY_BLOCK` through that engine;
+:func:`rotate` and :func:`random_rotation` are the N = 1 case.  Exact
+and symbolic tensors take the generic loop in :func:`rotate`.
 """
 
 from __future__ import annotations
@@ -18,11 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .invariants import INVARIANT_DEGREES, INVARIANT_NAMES, invariants
-from .tensor import FLOAT, Harmonic4
+from .invariants import INVARIANT_DEGREES, INVARIANT_NAMES, invariants, invariants_float
+from .tensor import FLOAT, Harmonic4, expand_float, independent_float
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
 ORTHO_TOL = 1e-12
+
+#: Trials evaluated together by :func:`isotropy_check`; bounds its memory
+#: to a few megabytes whatever the number of trials.
+ISOTROPY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -122,18 +134,8 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     """
     _require_orthogonal(q)
     if d.backend == FLOAT and q.is_float():
-        arr = d.to_array()
-        qm = q.to_array()
-        for _ in range(4):
-            arr = np.tensordot(arr, qm, axes=([0], [1]))
-        out = tc.from_array(arr)
-        if __debug__:
-            scale = max(1.0, float(np.max(np.abs(arr))))
-            for slot, value in out._full.items():
-                got = arr[slot[0] - 1, slot[1] - 1, slot[2] - 1, slot[3] - 1]
-                assert abs(got - value) <= 1e-10 * scale, \
-                    f"rotated tensor lost tracelessness at {slot}"
-        return out
+        rotated = rotate_float(np.array([d.indep]), q.to_array()[None])
+        return Harmonic4(tuple(rotated[0].tolist()))
 
     full = d._full
     transformed = {}
@@ -158,12 +160,52 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     return out
 
 
+def rotate_float(components, matrices) -> np.ndarray:
+    """Rotate a stack of float tensors: (N, 9) components by (N, 3, 3) matrices.
+
+    A single tensor, shape (1, 9), is rotated by every matrix of the
+    stack.  Returns the (N, 9) components of (Q x Q) D (Q x Q)^T, read
+    back from the independent slots; in debug builds the dependent slots
+    of the transform are checked against their trace completion.
+    """
+    q = np.asarray(matrices, dtype=float)
+    n = q.shape[0]
+    kron = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(n, 9, 9)
+    d = expand_float(components).reshape(-1, 9, 9)
+    entries = (kron @ d @ kron.transpose(0, 2, 1)).reshape(n, 81)
+    if __debug__:
+        _assert_traceless(entries)
+    return independent_float(entries)
+
+
+def _assert_traceless(entries):
+    """Check each dependent slot of (N, 81) entries against its completion.
+
+    The bound is 1e-10 * max(1, largest |entry|) per tensor, so only a
+    broken contraction trips it, never rounding.
+    """
+    completed = expand_float(independent_float(entries))[:, tc.DEPENDENT_FLAT]
+    scale = np.maximum(1.0, np.abs(entries).max(axis=1))
+    bad = np.abs(entries[:, tc.DEPENDENT_FLAT] - completed) > 1e-10 * scale[:, None]
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise AssertionError(f"rotated tensor {row} lost tracelessness at "
+                             f"{tc.DEPENDENT_SLOTS[col]}")
+
+
 def _quaternion_matrix(w, x, y, z):
     return (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
+
+
+def _haar_draw(seed: int) -> tuple:
+    """Unit quaternion and reflection coin flip of one seed's generator."""
+    rng = np.random.default_rng(seed)
+    quat = rng.standard_normal(4)
+    return quat / np.linalg.norm(quat), rng.random() < 0.5
 
 
 def random_rotation(seed: int) -> Orthogonal3:
@@ -173,13 +215,26 @@ def random_rotation(seed: int) -> Orthogonal3:
     with the reflection diag(1,1,-1) on a fair coin flip extends the
     distribution to all of O(3).
     """
-    rng = np.random.default_rng(seed)
-    quat = rng.standard_normal(4)
-    quat /= np.linalg.norm(quat)
-    rows = _quaternion_matrix(*(float(v) for v in quat))
-    if rng.random() < 0.5:
+    quat, flip = _haar_draw(seed)
+    rows = _quaternion_matrix(*quat.tolist())
+    if flip:
         rows = tuple((r[0], r[1], -r[2]) for r in rows)
     return Orthogonal3(rows)
+
+
+def haar_matrices(seeds) -> np.ndarray:
+    """(N, 3, 3) stack whose row n is ``random_rotation(seeds[n])``, bit for bit.
+
+    The per-seed draws are the same; the quaternion formula and the
+    reflection run as column arithmetic over the whole stack.
+    """
+    draws = [_haar_draw(seed) for seed in seeds]
+    quats = np.array([quat for quat, _ in draws]).reshape(-1, 4)
+    flips = np.array([flip for _, flip in draws], dtype=bool)
+    out = np.empty((3, 3, len(draws)))
+    out[...] = _quaternion_matrix(*quats.T)
+    out[:, 2, flips] = -out[:, 2, flips]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -244,27 +299,33 @@ def isotropy_check(d: Harmonic4, trials: int, seed: int, tol: float = 1e-7) -> I
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    base = invariants(d)
-    norm = float(base.j2) ** 0.5 if float(base.j2) > 0 else 0.0
-    scales = {name: max(abs(float(base[name])), norm ** INVARIANT_DEGREES[name])
-              for name in INVARIANT_NAMES}
-    worst = dict.fromkeys(INVARIANT_NAMES, 0.0)
+    base_vec = invariants(d)
+    base = np.array([float(base_vec[name]) for name in INVARIANT_NAMES])
+    norm = float(base[0]) ** 0.5 if base[0] > 0 else 0.0
+    scales = np.maximum(np.abs(base),
+                        norm ** np.array([INVARIANT_DEGREES[n] for n in INVARIANT_NAMES]))
+    components = np.array([d.indep], dtype=float)
+    seeds = trial_seeds(seed, trials)
+    worst = np.zeros(len(INVARIANT_NAMES))
     worst_seed = -1
     worst_dev = -1.0
-    for s in trial_seeds(seed, trials):
-        rotated = invariants(rotate(d, random_rotation(s)))
-        for name in INVARIANT_NAMES:
-            delta = abs(float(rotated[name]) - float(base[name]))
-            dev = 0.0 if delta == 0.0 else delta / scales[name]
-            if dev > worst[name]:
-                worst[name] = dev
-            if dev > worst_dev:
-                worst_dev = dev
-                worst_seed = s
+    for start in range(0, trials, ISOTROPY_BLOCK):
+        block = seeds[start:start + ISOTROPY_BLOCK]
+        rotated = rotate_float(components, haar_matrices(block))
+        delta = np.abs(invariants_float(expand_float(rotated)) - base)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.where(delta == 0.0, 0.0, delta / scales)
+        worst = np.maximum(worst, dev.max(axis=0))
+        per_trial = dev.max(axis=1)
+        first = int(np.argmax(per_trial))
+        if per_trial[first] > worst_dev:
+            worst_dev = float(per_trial[first])
+            worst_seed = block[first]
+    deviations = dict(zip(INVARIANT_NAMES, worst.tolist()))
     return IsotropyReport(
         trials=trials,
         tol=tol,
-        deviations=worst,
+        deviations=deviations,
         worst_seed=worst_seed,
-        passed=all(v <= tol for v in worst.values()),
+        passed=all(v <= tol for v in deviations.values()),
     )

@@ -21,6 +21,14 @@ Two scalar backends are supported and never mixed inside one tensor:
 (binary64).  The algebra below is written generically, so components may
 also be elements of any commutative ring (the symbolic layer exploits
 this by feeding sparse polynomials through the same code path).
+
+Float tensors also have a batched form, the first layer of the float
+engine: :func:`expand_float` takes an ``(N, 9)`` stack of components,
+completes the six dependent slots with the same trace rules as column
+arithmetic, and gathers the ``(N, 81)`` row-major entries D_ijkl with one
+constant index array; :func:`independent_float` gathers the nine
+independent entries back.  :meth:`Harmonic4.to_array` and
+:func:`from_array` are the N = 1 case.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -51,6 +59,34 @@ COMPONENT_NAMES = (
 
 #: All 15 canonical (sorted) index 4-tuples of a fully symmetric tensor.
 ALL_SLOTS = tuple(combinations_with_replacement((1, 2, 3), 4))
+
+#: The six slots fixed by the trace conditions, in the order of :func:`_dependents`.
+DEPENDENT_SLOTS = ((1, 1, 3, 3), (2, 2, 3, 3), (3, 3, 3, 3),
+                   (1, 3, 3, 3), (2, 3, 3, 3), (1, 2, 3, 3))
+
+
+def _dependents(d1111, d1112, d1113, d1122, d1123, d1222, d1223, d2222, d2223):
+    """The six dependent slots, in :data:`DEPENDENT_SLOTS` order.
+
+    Written for any ring: scalars give one tensor's slots, numpy columns
+    a whole stack's.
+    """
+    return (
+        -d1111 - d1122,
+        -d1122 - d2222,
+        d1111 + 2 * d1122 + d2222,
+        -d1113 - d1223,
+        -d1123 - d2223,
+        -d1112 - d1222,
+    )
+
+
+_SLOT_ROW = {slot: n for n, slot in enumerate(INDEPENDENT_SLOTS + DEPENDENT_SLOTS)}
+#: Row of the 15-slot array (independent, then dependent) behind each of the 81 entries.
+_ENTRY_ROWS = np.array([_SLOT_ROW[tuple(sorted(ix))] for ix in product((1, 2, 3), repeat=4)])
+#: Row-major positions of the independent and of the dependent slots among the 81 entries.
+INDEPENDENT_FLAT = np.ravel_multi_index(np.array(INDEPENDENT_SLOTS).T - 1, (3, 3, 3, 3))
+DEPENDENT_FLAT = np.ravel_multi_index(np.array(DEPENDENT_SLOTS).T - 1, (3, 3, 3, 3))
 
 
 def canonical_index(i: int, j: int, k: int, l: int) -> tuple:
@@ -110,13 +146,7 @@ class Harmonic4:
     @cached_property
     def _full(self) -> dict:
         d = dict(zip(INDEPENDENT_SLOTS, self.indep))
-        d1111, d1112, d1113, d1122, d1123, d1222, d1223, d2222, d2223 = self.indep
-        d[(1, 1, 3, 3)] = -d1111 - d1122
-        d[(2, 2, 3, 3)] = -d1122 - d2222
-        d[(3, 3, 3, 3)] = d1111 + 2 * d1122 + d2222
-        d[(1, 3, 3, 3)] = -d1113 - d1223
-        d[(2, 3, 3, 3)] = -d1123 - d2223
-        d[(1, 2, 3, 3)] = -d1112 - d1222
+        d.update(zip(DEPENDENT_SLOTS, _dependents(*self.indep)))
         return d
 
     def expand(self) -> dict:
@@ -147,19 +177,38 @@ class Harmonic4:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        arr = np.empty((3, 3, 3, 3))
-        full = self._full
-        for i in range(1, 4):
-            for j in range(1, 4):
-                for k in range(1, 4):
-                    for l in range(1, 4):
-                        arr[i - 1, j - 1, k - 1, l - 1] = full[tuple(sorted((i, j, k, l)))]
+        arr = expand_float(np.array([self.indep], dtype=float)).reshape(3, 3, 3, 3)
         arr.flags.writeable = False
         return arr
 
     def to_array(self) -> np.ndarray:
-        """Read-only float (3,3,3,3) view of the full tensor (float backend)."""
+        """Read-only float (3,3,3,3) view of the full tensor (float backend).
+
+        Other backends are rounded to binary64 component by component
+        before the dependent slots are completed.
+        """
         return self._array
+
+
+def expand_float(components) -> np.ndarray:
+    """(N, 9) float components to the (N, 81) row-major entries D_ijkl.
+
+    The dependent slots are completed column by column with the same
+    expressions as the scalar path, so each entry is the binary64 value
+    :meth:`Harmonic4.expand` gives, signed zeros included.  The gather
+    copies values, never multiplies them, so infinities and -0.0 pass
+    through unchanged.
+    """
+    rows = np.asarray(components, dtype=float).T
+    slots = np.empty((15, rows.shape[1]))
+    slots[:9] = rows
+    slots[9:] = _dependents(*rows)
+    return np.ascontiguousarray(slots[_ENTRY_ROWS].T)
+
+
+def independent_float(entries) -> np.ndarray:
+    """(N, 81) row-major entries to the (N, 9) independent components."""
+    return np.asarray(entries, dtype=float)[:, INDEPENDENT_FLAT]
 
 
 def _coerce_exact(value):
@@ -209,8 +258,7 @@ def from_array(arr) -> Harmonic4:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3,3,3,3), got {arr.shape}")
-    return Harmonic4(tuple(float(arr[s[0] - 1, s[1] - 1, s[2] - 1, s[3] - 1])
-                           for s in INDEPENDENT_SLOTS))
+    return Harmonic4(tuple(independent_float(arr.reshape(1, 81))[0].tolist()))
 
 
 def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:

@@ -33,8 +33,9 @@ from .invariants import (
     INVARIANT_NAMES,
     ODD_INVARIANTS,
     invariants,
+    invariants_float,
 )
-from .tensor import EXACT, FLOAT, Harmonic4, from_independent
+from .tensor import EXACT, FLOAT, Harmonic4, expand_float, from_independent
 
 SMITH_BAO_BASIS = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 MIXED_BASIS = ("J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -390,9 +391,11 @@ def j8_family(t: float) -> WitnessPair:
 # D1223 = -1/4 + delta vs -1/4 - delta; four residuals, three unknowns,
 # consistent at the separating solution.
 
+#: Printed solution digits, keyed by the set of matched invariants: the
+#: order of the equations does not change the solution.
 _PAPER_GUESS = {
-    ("J2", "J4", "J8", "J10"): (-0.406303, 0.672665 + 0.25, 1.12318),
-    ("J2", "K6", "J8", "J10"): (-0.405381, 0.67075 + 0.25, 1.12345),
+    frozenset(("J2", "J4", "J8", "J10")): (-0.406303, 0.672665 + 0.25, 1.12318),
+    frozenset(("J2", "K6", "J8", "J10")): (-0.405381, 0.67075 + 0.25, 1.12345),
 }
 
 #: Solutions with |delta| below this are treated as collapses onto the
@@ -401,20 +404,33 @@ _PAPER_GUESS = {
 _DELTA_FLOOR = 1e-3
 
 
+def _mirror_components(points) -> np.ndarray:
+    """(2, P, 9) components of the left and right tensors at (P, 3) points x."""
+    b, delta, d = np.asarray(points, dtype=float).T
+    comps = np.zeros((2, len(b), 9))
+    comps[:, :, 2] = 1.0
+    comps[:, :, 4] = b
+    comps[0, :, 6] = -0.25 + delta
+    comps[1, :, 6] = -0.25 - delta
+    comps[:, :, 8] = d
+    return comps
+
+
 def _mirror_pair(x) -> tuple:
-    b, delta, d = (float(v) for v in x)
-    return (odd_vanishing_tensor(b, -0.25 + delta, d),
-            odd_vanishing_tensor(b, -0.25 - delta, d))
+    left, right = _mirror_components([x])[:, 0]
+    return Harmonic4(tuple(left.tolist())), Harmonic4(tuple(right.tolist()))
 
 
-def _system_residuals(x, matched) -> np.ndarray:
-    left, right = _mirror_pair(x)
-    lv, rv = invariants(left), invariants(right)
-    out = np.empty(len(matched))
-    for i, name in enumerate(matched):
-        a, b = float(lv[name]), float(rv[name])
-        out[i] = (a - b) / max(1.0, abs(a), abs(b))
-    return out
+def _system_residuals(points, matched) -> np.ndarray:
+    """Normalized residuals of the mirror pairs at (P, 3) points, as (P, len(matched)).
+
+    All 2P tensors go through the float engine in one call.
+    """
+    comps = _mirror_components(points)
+    values = invariants_float(expand_float(comps.reshape(-1, 9))).reshape(2, comps.shape[1], -1)
+    cols = [INVARIANT_NAMES.index(name) for name in matched]
+    left, right = values[0][:, cols], values[1][:, cols]
+    return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
 
 
 def solve_agreement_system(matched, guess=None, tol: float = 1e-12,
@@ -431,8 +447,8 @@ def solve_agreement_system(matched, guess=None, tol: float = 1e-12,
     matched = tuple(matched)
     if guess is not None:
         candidates = [tuple(float(v) for v in guess)]
-    elif matched in _PAPER_GUESS:
-        candidates = [_PAPER_GUESS[matched]]
+    elif frozenset(matched) in _PAPER_GUESS:
+        candidates = [_PAPER_GUESS[frozenset(matched)]]
     else:
         candidates = _grid_seeds(matched)
     result = None
@@ -446,33 +462,23 @@ def solve_agreement_system(matched, guess=None, tol: float = 1e-12,
 def _grid_seeds(matched, count: int = 8) -> list:
     """Best Newton seeds from a coarse (D1123, delta, D2223) grid in [-1.5, 1.5]^3."""
     grid = np.linspace(-1.5, 1.5, 7)
-    scored = []
-    for b in grid:
-        for delta in grid:
-            if abs(delta) < 0.25:
-                continue
-            for d in grid:
-                point = (float(b), float(delta), float(d))
-                scored.append((float(np.linalg.norm(_system_residuals(point, matched))),
-                               point))
-    scored.sort(key=lambda item: item[0])
-    return [point for _, point in scored[:count]]
+    points = np.array([(b, delta, d) for b in grid for delta in grid if abs(delta) >= 0.25
+                       for d in grid])
+    norms = np.linalg.norm(_system_residuals(points, matched), axis=1)
+    best = np.argsort(norms, kind="stable")[:count]
+    return [tuple(points[i].tolist()) for i in best]
 
 
 def _gauss_newton(x, matched, tol, max_iter) -> SolveResult:
     fd_step = 1e-7
-    r = _system_residuals(x, matched)
+    bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
+    r = _system_residuals(x[None], matched)[0]
     r_norm = float(np.linalg.norm(r))
     iterations = 0
     message = ""
     while r_norm > tol and iterations < max_iter:
-        jac = np.empty((len(matched), 3))
-        for j in range(3):
-            bumped = x.copy()
-            bumped[j] += fd_step
-            r_plus = _system_residuals(bumped, matched)
-            bumped[j] -= 2 * fd_step
-            jac[:, j] = (r_plus - _system_residuals(bumped, matched)) / (2 * fd_step)
+        r_bumped = _system_residuals(x + bumps, matched)
+        jac = ((r_bumped[:3] - r_bumped[3:]) / (2 * fd_step)).T
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             message = "singular Jacobian"
@@ -480,7 +486,7 @@ def _gauss_newton(x, matched, tol, max_iter) -> SolveResult:
         accepted = False
         for _ in range(30):
             candidate = x + step
-            r_new = _system_residuals(candidate, matched)
+            r_new = _system_residuals(candidate[None], matched)[0]
             r_new_norm = float(np.linalg.norm(r_new))
             if r_new_norm < r_norm:
                 x, r, r_norm = candidate, r_new, r_new_norm

@@ -158,6 +158,16 @@ class TestVerifyCommand:
         summary = json.loads(out)
         assert summary["suites"]["isotropy"]["trials"] == 25
 
+    @pytest.mark.parametrize("suite", ["isotropy", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_exit_2(self, suite, trials, capsys):
+        code = main(["verify", suite, "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_all_suites(self, capsys):
         code, out = run(["verify", "all", "--trials", "25"], capsys)
         assert code == 0

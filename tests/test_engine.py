@@ -1,0 +1,186 @@
+"""The batched float engine against the per-tensor loops it replaced.
+
+The loops below are the former single-tensor float paths, kept here as
+references: the 81-entry fill of ``Harmonic4.to_array``, a naive
+four-index rotation, and the per-trial isotropy loop.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from harmonic4 import (
+    EXACT,
+    FLOAT,
+    INVARIANT_DEGREES,
+    INVARIANT_NAMES,
+    Harmonic4,
+    from_array,
+    from_independent,
+    invariants,
+    invariants_oracle,
+    isotropy_check,
+    random_harmonic,
+    random_rotation,
+    rotate,
+)
+from harmonic4 import rotations
+from harmonic4.invariants import invariants_float
+from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
+from harmonic4.tensor import DEPENDENT_FLAT, expand_float, independent_float
+
+#: Relative tolerance of the float engine against the exact oracle, measured
+#: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
+ORACLE_RTOL = 1e-12
+#: Rotation against the naive einsum reference, relative to the largest |D_ijkl|
+#: (every term of a rotated entry is at most that large; 81 terms, 5 factors).
+ROTATE_RTOL = 1e-14
+
+
+def loop_array(d: Harmonic4) -> np.ndarray:
+    """The former ``Harmonic4._array``: one Python assignment per entry."""
+    arr = np.empty((3, 3, 3, 3))
+    full = d.expand()
+    for i in range(1, 4):
+        for j in range(1, 4):
+            for k in range(1, 4):
+                for l in range(1, 4):
+                    arr[i - 1, j - 1, k - 1, l - 1] = full[tuple(sorted((i, j, k, l)))]
+    return arr
+
+
+def natural_scale(vec, name):
+    """max(|J|, ||D||_F^k): the size of the terms J is summed from."""
+    j2 = float(vec["J2"])
+    return max(abs(float(vec[name])), j2 ** (INVARIANT_DEGREES[name] / 2))
+
+
+class TestArrayView:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_loop(self, seed):
+        d = random_harmonic(seed, backend=FLOAT)
+        assert d.to_array().tobytes() == loop_array(d).tobytes()
+
+    def test_signed_zeros_survive(self):
+        d = Harmonic4((-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0))
+        got, want = d.to_array(), loop_array(d)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got).any()
+
+    def test_infinity_does_not_spread_nan(self):
+        d = Harmonic4((math.inf, 0.0, -0.0, 1.0, 0.0, -0.0, -0.0, -0.0, -0.0))
+        assert d.to_array().tobytes() == loop_array(d).tobytes()
+
+    def test_read_only(self):
+        arr = random_harmonic(3, backend=FLOAT).to_array()
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 1.0
+
+    def test_stack_rows_match_single_tensors(self):
+        tensors = [random_harmonic(s, backend=FLOAT) for s in range(5)]
+        stack = expand_float([d.indep for d in tensors])
+        for row, d in zip(stack, tensors):
+            assert row.tobytes() == d.to_array().tobytes()
+
+    def test_independent_gather_inverts_expand(self):
+        comps = np.random.default_rng(4).standard_normal((6, 9))
+        assert np.array_equal(independent_float(expand_float(comps)), comps)
+        d = random_harmonic(11, backend=FLOAT)
+        assert from_array(loop_array(d)) == d
+
+
+class TestBatchedInvariants:
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_matches_oracle(self, n):
+        exact = [random_harmonic(100 + s, backend=EXACT) for s in range(n)]
+        values = invariants_float(expand_float([[float(v) for v in d.indep] for d in exact]))
+        assert values.shape == (n, len(INVARIANT_NAMES))
+        for row, d in zip(values, exact):
+            want = invariants_oracle(d)
+            for col, name in enumerate(INVARIANT_NAMES):
+                err = abs(row[col] - float(want[name]))
+                assert err <= ORACLE_RTOL * natural_scale(want, name), name
+
+    def test_single_tensor_path_is_the_n1_case(self):
+        tensors = [random_harmonic(s, backend=FLOAT) for s in range(7)]
+        stack = invariants_float(expand_float([d.indep for d in tensors]))
+        for row, d in zip(stack, tensors):
+            vec = invariants(d)
+            assert row.tolist() == [vec[name] for name in INVARIANT_NAMES]
+
+
+class TestHaarStack:
+    def test_rows_equal_random_rotation(self):
+        seeds = list(range(40)) + trial_seeds(42, 60)
+        stack = haar_matrices(seeds)
+        assert stack.shape == (len(seeds), 3, 3)
+        for q, s in zip(stack, seeds):
+            assert np.array_equal(q, random_rotation(s).to_array())
+
+    def test_reflections_present(self):
+        dets = np.linalg.det(haar_matrices(range(40)))
+        assert set(np.round(dets).astype(int)) == {-1, 1}
+
+
+class TestBatchedRotation:
+    def test_matches_naive_einsum(self):
+        tensors = [random_harmonic(s, backend=FLOAT) for s in range(6)]
+        qs = haar_matrices(range(6))
+        rotated = rotate_float([d.indep for d in tensors], qs)
+        for comps, d, q in zip(rotated, tensors, qs):
+            want = np.einsum("ai,bj,ck,dl,ijkl->abcd", q, q, q, q, d.to_array())
+            got = expand_float(comps[None]).reshape(3, 3, 3, 3)
+            assert np.abs(got - want).max() <= ROTATE_RTOL * np.abs(d.to_array()).max()
+
+    def test_one_tensor_broadcasts_over_matrices(self):
+        d = random_harmonic(8, backend=FLOAT)
+        qs = haar_matrices(range(5))
+        stack = rotate_float([d.indep], qs)
+        for comps, s in zip(stack, range(5)):
+            assert tuple(comps.tolist()) == rotate(d, random_rotation(s)).indep
+
+    @pytest.mark.skipif(not __debug__, reason="the check runs in debug builds only")
+    @pytest.mark.parametrize("slot", range(6))
+    def test_debug_check_catches_broken_completion(self, slot):
+        entries = expand_float(np.random.default_rng(slot).standard_normal((3, 9)))
+        rotations._assert_traceless(entries)
+        entries[1, DEPENDENT_FLAT[slot]] += 1e-6
+        with pytest.raises(AssertionError):
+            rotations._assert_traceless(entries)
+
+
+def loop_isotropy(d, trials, seed):
+    """The former per-trial loop of ``isotropy_check``: deviations and worst seed."""
+    base = invariants(d)
+    norm = float(base.j2) ** 0.5
+    scales = {name: max(abs(float(base[name])), norm ** INVARIANT_DEGREES[name])
+              for name in INVARIANT_NAMES}
+    worst = dict.fromkeys(INVARIANT_NAMES, 0.0)
+    worst_seed, worst_dev = -1, -1.0
+    for s in trial_seeds(seed, trials):
+        rotated = invariants(rotate(d, random_rotation(s)))
+        for name in INVARIANT_NAMES:
+            delta = abs(float(rotated[name]) - float(base[name]))
+            dev = 0.0 if delta == 0.0 else delta / scales[name]
+            worst[name] = max(worst[name], dev)
+            if dev > worst_dev:
+                worst_dev, worst_seed = dev, s
+    return worst, worst_seed
+
+
+class TestBlockedIsotropy:
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_matches_per_trial_loop(self, monkeypatch, block):
+        monkeypatch.setattr(rotations, "ISOTROPY_BLOCK", block)
+        d = random_harmonic(21, backend=FLOAT)
+        d = d.scale(1.0 / float(d.frobenius_norm_sq()) ** 0.5)
+        report = isotropy_check(d, trials=30, seed=5)
+        worst, worst_seed = loop_isotropy(d, 30, 5)
+        assert report.deviations == worst
+        assert report.worst_seed == worst_seed
+
+    def test_zero_deviation_keeps_first_trial(self):
+        zero = from_independent([0.0] * 9, backend=FLOAT)
+        report = isotropy_check(zero, trials=3, seed=9)
+        assert report.worst_seed == trial_seeds(9, 3)[0]

@@ -221,10 +221,23 @@ class TestAgreementSystems:
             assert relative_gap(left[name], right[name]) <= 1e-11
 
     def test_grid_seed_discovers_solution_without_guess(self):
-        # drop the canned guess by asking for an equivalent permuted system
-        result = solve_agreement_system(("J4", "J2", "J10", "J8"))
+        # no printed guess exists for this system, so the grid seeds the solve
+        result = solve_agreement_system(("J2", "J4", "J6", "J10"))
         assert result.converged
         assert abs(result.solution["D1223"] + 0.25) > 1e-3
+
+    @pytest.mark.parametrize("which,order", [
+        ("smith_bao", ("J4", "J2", "J8", "J10")),
+        ("smith_bao", ("J10", "J8", "J4", "J2")),
+        ("mixed", ("K6", "J10", "J2", "J8")),
+    ])
+    def test_printed_guess_ignores_equation_order(self, which, order):
+        canonical = solve_agreement_system(J6_SYSTEMS[which])
+        reordered = solve_agreement_system(order)
+        assert reordered.converged
+        assert reordered.iterations <= 3
+        for key, value in canonical.solution.items():
+            assert reordered.solution[key] == pytest.approx(value, abs=1e-12)
 
 
 class TestJ6Separation:
