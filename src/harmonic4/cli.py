@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 
 from . import polynomial, witnesses
 from .invariants import INVARIANT_NAMES, InvariantVector, invariants
 from .rotations import Orthogonal3, isotropy_suite, rotate
-from .tensor import EXACT, FLOAT, from_independent, from_json_dict, to_json_dict
+from .tensor import (EXACT, FLOAT, _coerce_exact, _coerce_float, from_independent,
+                     from_json_dict, to_json_dict)
 from .witnesses import bisect_root, h_eval, verify_j6_separation, verify_j8_separation
 
 
@@ -92,10 +95,12 @@ def cmd_invariants(args, config: RunConfig) -> int:
 
 def cmd_rotate(args, config: RunConfig) -> int:
     tensor = _load_tensor(args, config)
-    rows = tuple(tuple(args.matrix[3 * i:3 * i + 3]) for i in range(3))
+    coerce = _coerce_exact if config.backend == EXACT else _coerce_float
     try:
+        entries = [coerce(v) for v in args.matrix]
+        rows = tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3))
         rotated = rotate(tensor, Orthogonal3(rows))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     _emit(json.dumps(to_json_dict(rotated), indent=2), config)
     return 0
@@ -129,7 +134,7 @@ def _suite_isotropy(config: RunConfig):
 
 
 def _suite_witnesses(config: RunConfig):
-    reports = witnesses.verify_witnesses(rel_tol=config.tol or 1e-9)
+    reports = witnesses.verify_witnesses(rel_tol=1e-9 if config.tol is None else config.tol)
     return {
         "passed": all(r.passed for r in reports),
         "checks": {r.label: r.passed for r in reports},
@@ -158,16 +163,27 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 def cmd_solve(args, config: RunConfig) -> int:
     if args.which == "j8-root":
-        result = bisect_root(h_eval, 0.15, 0.2, config.tol or 1e-14)
+        result = bisect_root(h_eval, 0.15, 0.2, 1e-14 if config.tol is None else config.tol)
         report = verify_j8_separation()
         payload = {"solve": result.to_json_dict(), "report": report.to_json_dict()}
         _emit(json.dumps(payload, indent=2), config)
         return 0 if result.converged and report.passed else 1
     which = {"smith-bao-j6": "smith_bao", "mixed-j6": "mixed"}[args.which]
-    report = verify_j6_separation(which, tol=config.tol or 1e-9)
+    report = verify_j6_separation(which, tol=1e-9 if config.tol is None else config.tol)
     payload = {"solve": report.notes.get("solver", {}), "report": report.to_json_dict()}
     _emit(json.dumps(payload, indent=2), config)
     return 0 if report.passed else 1
+
+
+def _tolerance(text: str) -> float:
+    """Parse a --tol value: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,6 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, backend=True):
+        # argparse takes only plain negative numbers as values; let "-4/5" and
+        # "-1e-3" through too.  No option of harmonic4 starts with "-<digit>".
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         if backend:
             p.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT,
                            help="scalar backend; exact accepts 'p/q' strings and "
@@ -185,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                        default="json", help="output format (default: json)")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override (defaults: 1e-9 relative agreement, "
-                            "1e-14 root bracket, 1e-12 solver residual)")
+        p.add_argument("--tol", type=_tolerance, default=None,
+                       help="positive finite tolerance override (defaults: 1e-9 "
+                            "relative agreement, 1e-14 root bracket)")
 
     p_inv = sub.add_parser("invariants", help="compute the ten invariants of a tensor")
     p_inv.add_argument("--input", help='tensor JSON file: {"components": [9 values]}')
@@ -212,8 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rot.add_argument("--input", help="tensor JSON file")
     p_rot.add_argument("-c", "--component", action="append", default=[],
                        help="inline component (nine occurrences)")
-    p_rot.add_argument("--matrix", type=float, nargs=9, required=True,
-                       metavar="Q", help="row-major 3x3 orthogonal matrix")
+    p_rot.add_argument("--matrix", nargs=9, required=True, metavar="Q",
+                       help="row-major 3x3 orthogonal matrix, read like the "
+                            "components: exact takes ints, 'p/q' and decimals "
+                            "as rationals")
     add_common(p_rot)
     p_rot.set_defaults(handler=cmd_rotate)
 

@@ -17,12 +17,17 @@ and the invariants, with their homogeneity degrees in D:
 Two evaluators are provided.  :func:`invariants` exploits full index
 symmetry: sums run over canonical sorted index tuples with multinomial
 arrangement weights (15 quadruples, 10 triples, 6 pairs instead of 81/27/9
-raw entries).  Float-backend tensors go through the batched float engine
-instead: :func:`invariants_float` evaluates a whole ``(N, 81)`` stack at
-once from the 9x9 matrix view D_(ij),(kl), and one tensor is the N = 1
-case.  :func:`invariants_oracle` is the deliberately naive check:
-unweighted full loops over every raw index combination.  The two must
-agree exactly on exact-backend input.
+raw entries).  This generic-ring engine runs on any commutative ring:
+symbolic tensors expand in sparse polynomials, and exact tensors run in
+Python integers.  The invariants are homogeneous, J_k(D) = J_k(qD) / q^k,
+so an exact tensor is scaled by the least common multiple q of its
+component denominators and each invariant divided by q^k once at the end.
+Float-backend tensors go through the batched float engine instead:
+:func:`invariants_float` evaluates a whole ``(N, 81)`` stack at once from
+the 9x9 matrix view D_(ij),(kl), and one tensor is the N = 1 case.
+:func:`invariants_oracle` is the deliberately naive check: unweighted full
+loops over every raw index combination.  The two must agree
+exactly on exact-backend input.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .tensor import FLOAT, Harmonic4, SLOT_WEIGHTS, multiplicity
+from .tensor import EXACT, FLOAT, Harmonic4, SLOT_WEIGHTS, clear_denominators, multiplicity
 
 #: Canonical invariant order used by every report and serialization.
 INVARIANT_NAMES = ("J2", "J3", "J4", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -235,15 +240,26 @@ def _invariants_float(d: Harmonic4) -> InvariantVector:
     return InvariantVector(*invariants_float(d.to_array().reshape(1, 81))[0].tolist())
 
 
+def _invariants_exact(d: Harmonic4) -> InvariantVector:
+    scaled, q = clear_denominators(d.indep)
+    vec = _invariants_generic(Harmonic4(scaled))
+    return InvariantVector(*(Fraction(vec[name], q ** INVARIANT_DEGREES[name])
+                             for name in INVARIANT_NAMES))
+
+
 def invariants(d: Harmonic4) -> InvariantVector:
     """All ten invariants of ``d`` via the symmetry-weighted evaluator.
 
-    Float-backend tensors go through numpy contractions; every other
-    scalar type (Fractions, polynomials) uses the generic ring code.  The
-    generic path is pinned against :func:`invariants_oracle` by tests.
+    Float-backend tensors go through numpy contractions.  Exact tensors
+    (ints and Fractions) run the generic ring code on the integer tensor
+    qD and return Fractions; every other scalar type (polynomials) runs it
+    directly.  The generic path is pinned against :func:`invariants_oracle`
+    by tests.
     """
     if d.backend == FLOAT:
         return _invariants_float(d)
+    if d.backend == EXACT:
+        return _invariants_exact(d)
     return _invariants_generic(d)
 
 

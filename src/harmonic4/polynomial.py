@@ -25,7 +25,7 @@ from .invariants import (
     ODD_INVARIANTS,
     _invariants_generic,
 )
-from .tensor import COMPONENT_NAMES, Harmonic4
+from .tensor import COMPONENT_NAMES, Harmonic4, clear_denominators
 
 NUM_SYMBOLS = 9
 
@@ -168,18 +168,31 @@ class SparsePoly:
                 base = base * base
         return result
 
-    def evaluate(self, point):
-        """Value at a 9-point; exact when point and coefficients are rational."""
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a rational 9-point of ints and Fractions.
+
+        With x_i = n_i / q over the common denominator q of the point, and
+        every coefficient a / den over the common denominator den of the
+        coefficients, a term of degree k is an integer product over
+        den q^k.  Terms are summed per degree in integers, and each degree
+        is divided once.
+        """
         if len(point) != NUM_SYMBOLS:
             raise ValueError(f"expected {NUM_SYMBOLS} values, got {len(point)}")
-        total = 0
-        for mono, coeff in self._terms.items():
-            value = coeff
-            for exp, x in zip(mono, point):
-                if exp:
-                    value = value * x**exp
-            total = total + value
-        return total
+        if not all(isinstance(x, (int, Fraction)) for x in point):
+            raise TypeError(f"evaluate needs ints or Fractions, got {point!r}")
+        nums, q = clear_denominators(point)
+        coeffs, den = clear_denominators(self._terms.values())
+        top = max((max(m) for m in self._terms), default=0)
+        powers = [[n**e for e in range(top + 1)] for n in nums]
+        by_degree = {}
+        for mono, value in zip(self._terms, coeffs):
+            for row, e in zip(powers, mono):
+                if e:
+                    value *= row[e]
+            k = sum(mono)
+            by_degree[k] = by_degree.get(k, 0) + value
+        return sum((Fraction(v, den * q**k) for k, v in by_degree.items()), Fraction(0))
 
     def negate_variables(self) -> "SparsePoly":
         """Substitute x -> -x for every symbol (flips odd-degree terms)."""

@@ -15,19 +15,29 @@ matrix view D_(ij),(kl), a stack of matrices acts as (Q x Q) D (Q x Q)^T
 (:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
 per trial seed.  :func:`isotropy_check` samples, rotates and evaluates
 its trials in blocks of :data:`ISOTROPY_BLOCK` through that engine;
-:func:`rotate` and :func:`random_rotation` are the N = 1 case.  Exact
-and symbolic tensors take the generic loop in :func:`rotate`.
+:func:`rotate` and :func:`random_rotation` are the N = 1 case, and a
+rational matrix acting on a float tensor is cast to float.  A tensor
+with any float component counts as a float tensor here.
+
+Exact and symbolic tensors take one ring-generic contraction: four mode
+products u[a, ...] = sum_l M_al t[..., l] over the 81 row-major entries,
+972 products in all.  For an exact tensor D with denominators cleared by
+q and a rational matrix Q = M / den, it runs on Python integers, and the
+nine components are divided by q * den^4 once at the end.  Exact tensors
+need rational matrices; a float entry raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import tensor as tc
 from .invariants import INVARIANT_DEGREES, INVARIANT_NAMES, invariants, invariants_float
-from .tensor import FLOAT, Harmonic4, expand_float, independent_float
+from .tensor import (EXACT, FLOAT, Harmonic4, clear_denominators, expand_float,
+                     independent_float)
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
 ORTHO_TOL = 1e-12
@@ -124,39 +134,55 @@ def _require_orthogonal(q: Orthogonal3):
         raise ValueError("exact-backend matrix must satisfy Q^T Q = I exactly")
 
 
+#: Row of the 15 slots (independent, then dependent) behind each of the 81 entries.
+_ENTRY_ROWS = tuple(tc._ENTRY_ROWS.tolist())
+_INDEPENDENT_FLAT = tuple(tc.INDEPENDENT_FLAT.tolist())
+_DEPENDENT_FLAT = tuple(tc.DEPENDENT_FLAT.tolist())
+
+
 def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     """Transform all four indices of ``d`` by the orthogonal matrix ``q``.
 
     The full tensor is transformed, the 9 independent slots are read back,
     and (in debug builds) the dependent slots of the transform are checked
     against their trace-completion values -- a free consistency check on
-    the contraction.
+    the contraction.  A tensor with any float component (numpy float
+    scalars included) takes the float engine.  Any other tensor needs a
+    matrix of ints and Fractions; a float entry raises ``ValueError``.
     """
     _require_orthogonal(q)
-    if d.backend == FLOAT and q.is_float():
+    if any(isinstance(v, float) for v in d.indep):
         rotated = rotate_float(np.array([d.indep]), q.to_array()[None])
         return Harmonic4(tuple(rotated[0].tolist()))
+    if any(isinstance(v, float) for row in q.rows for v in row):
+        raise ValueError(f"a {d.backend} tensor needs a rational matrix, not float entries")
+    if d.backend != EXACT:
+        return Harmonic4(_contract(d.indep, q.rows))
+    indep, scale = clear_denominators(d.indep)
+    m, den = clear_denominators(v for row in q.rows for v in row)
+    out = _contract(indep, (m[0:3], m[3:6], m[6:9]))
+    divisor = scale * den**4
+    return Harmonic4(tuple(Fraction(v, divisor) for v in out))
 
-    full = d._full
-    transformed = {}
-    rng = (1, 2, 3)
-    for slot in tc.ALL_SLOTS:
-        a, b, c, e = slot
-        acc = 0
-        for i in rng:
-            qa = q.entry(a, i)
-            for j in rng:
-                qb = qa * q.entry(b, j)
-                for k in rng:
-                    qc = qb * q.entry(c, k)
-                    for l in rng:
-                        acc = acc + qc * q.entry(e, l) * full[tuple(sorted((i, j, k, l)))]
-        transformed[slot] = acc
-    out = Harmonic4(tuple(transformed[s] for s in tc.INDEPENDENT_SLOTS))
+
+def _contract(indep, m) -> tuple:
+    """The nine components of M_ai M_bj M_ck M_dl D_ijkl, over any ring.
+
+    Four mode products, each u[a, i, j, k] = sum_l M_al t[i, j, k, l] on
+    81 row-major entries.  Each puts the new index in front, so the last
+    leaves D' with its indices reversed, which full symmetry makes D'
+    itself.  In debug builds the six dependent slots must equal their
+    trace completion exactly.
+    """
+    slots = tuple(indep) + tc._dependents(*indep)
+    t = [slots[r] for r in _ENTRY_ROWS]
+    for _ in range(4):
+        t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
+    out = tuple(t[n] for n in _INDEPENDENT_FLAT)
     if __debug__:
-        for slot, value in out._full.items():
-            assert transformed[slot] == value or abs(transformed[slot] - value) <= 1e-10, \
-                f"rotated tensor lost tracelessness at {slot}"
+        completed = tc._dependents(*out)
+        for slot, n, value in zip(tc.DEPENDENT_SLOTS, _DEPENDENT_FLAT, completed):
+            assert t[n] == value, f"rotated tensor lost tracelessness at {slot}"
     return out
 
 

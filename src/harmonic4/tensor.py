@@ -211,6 +211,13 @@ def independent_float(entries) -> np.ndarray:
     return np.asarray(entries, dtype=float)[:, INDEPENDENT_FLAT]
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _coerce_exact(value):
     if isinstance(value, float):
         raise TypeError(
@@ -219,16 +226,27 @@ def _coerce_exact(value):
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def _coerce_float(value):
     if isinstance(value, str):
-        value = Fraction(value) if "/" in value else float(value)
+        value = _fraction(value) if "/" in value else float(value)
     if isinstance(value, (int, float, Fraction)):
         return float(value)
     raise TypeError(f"cannot interpret {value!r} as a float component")
+
+
+def clear_denominators(values) -> tuple:
+    """Integers n_i and the least common denominator q with values[i] = n_i / q.
+
+    ``values`` are ints and Fractions.  Homogeneous maps of degree k then
+    run in integers: f(values) = f(n) / q^k.
+    """
+    values = tuple(values)
+    q = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (q // v.denominator) for v in values), q
 
 
 def from_independent(values, backend: str = FLOAT) -> Harmonic4:

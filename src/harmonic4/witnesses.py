@@ -323,8 +323,10 @@ def h_eval(t):
 def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     """Bracketing bisection; needs f(lo), f(hi) of opposite sign.
 
-    Halves the bracket until its width is at most ``tol`` and returns the
-    midpoint, so the iteration count is at most ceil(log2((hi-lo)/tol)).
+    Halves the bracket until its width is at most ``tol``, or until its
+    ends are adjacent floats, and returns the midpoint, so the iteration
+    count is at most ceil(log2((hi-lo)/tol)) and stays finite for any
+    positive ``tol``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -334,6 +336,8 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         fm = f(mid)
         iterations += 1
         if fm == 0:

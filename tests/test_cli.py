@@ -137,6 +137,40 @@ class TestRotateCommand:
         assert vec.j2 == pytest.approx(8.0, rel=1e-9)
         assert vec.j4 == pytest.approx(32.0, rel=1e-9)
 
+    @pytest.mark.parametrize("matrix", [
+        ["3/5", "4/5", "0", "-4/5", "3/5", "0", "0", "0", "1"],
+        ["0.6", "0.8", "0", "-0.8", "0.6", "0", "0", "0", "1"],
+    ])
+    def test_exact_matrix_is_read_as_rationals(self, d1_file, matrix, capsys):
+        argv = ["rotate", "--input", d1_file, "--backend", "exact", "--matrix"] + matrix
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["components"] == [
+            "81/625", "-108/625", "0/1", "144/625", "0/1", "-192/625", "0/1", "256/625", "0/1"]
+
+    def test_exact_backend_rejects_inexact_matrix(self, d1_file, capsys):
+        c = "0.7071067811865476"
+        argv = ["rotate", "--input", d1_file, "--backend", "exact",
+                "--matrix", c, "-" + c, "0", c, c, "0", "0", "0", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["-c", "--matrix"])
+    def test_zero_denominator_exits_2(self, flag, capsys):
+        components = ["1/0" if flag == "-c" else "1"] + ["0"] * 8
+        matrix = ["1/0" if flag == "--matrix" else "1", "0", "0", "0", "1", "0", "0", "0", "1"]
+        argv = ["rotate", "--backend", "exact", "--matrix"] + matrix
+        for v in components:
+            argv += ["-c", v]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["identity", "parity", "restriction"])
@@ -199,6 +233,31 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["solve"]["solution"]["D1223"] == pytest.approx(0.67075, abs=1e-4)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("argv", [["solve", "j8-root"], ["solve", "mixed-j6"],
+                                      ["verify", "witnesses"]])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_exits_2(self, argv, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: argument --tol" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_tolerance_sets_the_root_bracket(self, capsys):
+        _, default = run(["solve", "j8-root"], capsys)
+        _, coarse = run(["solve", "j8-root", "--tol", "1e-3"], capsys)
+        assert json.loads(coarse)["solve"]["iterations"] == 6
+        assert json.loads(default)["solve"]["iterations"] == 43
+
+    def test_tiny_tolerance_terminates(self, capsys):
+        code, out = run(["solve", "j8-root", "--tol", "1e-300"], capsys)
+        assert code == 0
+        assert json.loads(out)["solve"]["iterations"] < 64
 
 
 class TestConsoleScript:

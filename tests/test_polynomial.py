@@ -98,6 +98,21 @@ class TestRingAxioms:
         assert (a * c).evaluate(point) == c * a.evaluate(point)
 
 
+class TestEvaluate:
+    def test_fraction_coefficients_and_mixed_degrees(self):
+        p = SparsePoly({(2,) + (0,) * 8: Fraction(3, 4), (0, 1) + (0,) * 7: Fraction(-1, 6)})
+        point = (Fraction(2, 3), Fraction(-5, 7)) + (0,) * 7
+        assert p.evaluate(point) == Fraction(3, 4) * Fraction(4, 9) + Fraction(5, 42)
+
+    def test_zero_polynomial_is_zero(self):
+        assert SparsePoly.zero().evaluate((Fraction(1, 3),) * 9) == 0
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", None])
+    def test_rejects_non_rational_points(self, bad):
+        with pytest.raises(TypeError):
+            SparsePoly.variable(0).evaluate((bad,) + (0,) * 8)
+
+
 class TestSymbolicInvariants:
     def test_degree2_at_unit_d1111(self):
         assert symbolic_invariant("J2").evaluate((1, 0, 0, 0, 0, 0, 0, 0, 0)) == 8

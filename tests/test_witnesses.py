@@ -123,6 +123,11 @@ class TestBisection:
         result = bisect_root(h_eval, 0.15, 0.2, tol)
         assert result.iterations <= math.ceil(math.log2((0.2 - 0.15) / tol))
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        result = bisect_root(h_eval, 0.15, 0.2, 1e-300)
+        assert result.iterations < 64
+        assert abs(h_eval(result.solution["root"])) <= 1e-10
+
     def test_identity_function(self):
         result = bisect_root(lambda x: x, -1.0, 1.0, 1e-12)
         assert result.solution["root"] == pytest.approx(0.0, abs=1e-12)
