@@ -57,12 +57,15 @@ from .tensor import (
     to_json_dict,
 )
 from .witnesses import (
-    CatalogEntry,
+    CELLS,
+    WITNESSES,
     SolveResult,
+    Tolerances,
+    Witness,
     WitnessPair,
     WitnessReport,
     bisect_root,
-    catalog,
+    check_pair,
     h_eval,
     j8_family,
     odd_vanishing_tensor,

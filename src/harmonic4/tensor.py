@@ -219,6 +219,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def _coerce_exact(value):
+    if isinstance(value, bool):
+        raise TypeError(f"exact backend rejects boolean input {value!r}")
     if isinstance(value, float):
         raise TypeError(
             f"exact backend rejects float input {value!r}; pass an int, Fraction, or 'p/q' string"
@@ -231,6 +233,8 @@ def _coerce_exact(value):
 
 
 def _coerce_float(value):
+    if isinstance(value, bool):
+        raise TypeError(f"float backend rejects boolean input {value!r}")
     if isinstance(value, str):
         value = _fraction(value) if "/" in value else float(value)
     if isinstance(value, (int, float, Fraction)):
@@ -296,7 +300,7 @@ def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def check_traceless(tensor, tol=0):
+def check_traceless(tensor):
     """Maximum single-trace violation max_{j,k} |sum_i D_iijk|.
 
     Accepts a :class:`Harmonic4` or a raw 15-slot mapping (as returned by
@@ -305,8 +309,6 @@ def check_traceless(tensor, tol=0):
     Any tensor built from 9 independent components returns exactly 0 in
     exact mode and rounding noise at most ~1e-12*|D| in float mode.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
     full = tensor.expand() if isinstance(tensor, Harmonic4) else dict(tensor)
     worst = 0
     for j in (1, 2, 3):

@@ -1,20 +1,32 @@
-"""Separation witnesses: tensor pairs that pin down both invariant bases.
+"""Separation witnesses: one table over the 18 cells of the two bases.
 
-Every witness here is a pair of harmonic tensors agreeing on all but one
-invariant of a nine-invariant basis, which demonstrates that the excepted
-invariant is not a function of the others.  Three constructions cover all
-ten invariants:
+A nine-invariant basis is irreducible when, for each member, some pair of
+harmonic tensors agrees on the other eight members and differs on that
+one.  Smith-Bao's basis {J2..J10} and the mixed basis (J4 replaced by K6)
+give 18 such (basis, member) cells.
 
-* sign pairs (D, -D): the even invariants are fixed, the odd ones flip,
-  so a tensor with exactly one nonzero odd invariant separates it;
-* fixed catalog tensors whose invariants are matched by hand (the
-  degree-2/degree-4 separators and the degree-10 branch pair);
-* numerically solved families: all of them live in the restriction
-  D1111 = D1112 = D1122 = D1222 = D2222 = 0 (which kills the four odd
-  invariants identically), with D1223 mirrored about -D1113/4 so the
-  degree-2 invariant agrees for free.  The remaining agreements are a
-  one-parameter root for the degree-8 witness and a 4-equation/3-unknown
-  Gauss-Newton solve for the two degree-6 witnesses.
+* ``CELLS`` maps each cell to the label of the witness pair that covers
+  it.  One pair may cover several cells: the degree-4 catalog pair also
+  separates K6 in the mixed basis, and the sign, J8 and J10 pairs serve
+  both bases.
+* ``WITNESSES`` defines each of the eleven pairs once: how to build it,
+  the invariant values the paper prints for it, and its tolerance row.
+* :func:`check_pair` is the one comparison every cell goes through, with
+  agree = basis - {member}.  :func:`verify_witnesses` walks all 18 cells
+  and fails any cell without a passing witness.
+
+The pairs come from three constructions:
+
+* catalog pairs of fixed tensors whose invariants are matched by hand
+  (the degree-2 and degree-4 separators and the degree-10 branch pair);
+* sign pairs (D, -D): the even invariants are fixed and the odd ones
+  flip, so a tensor with exactly one nonzero odd invariant separates it;
+* solved pairs in the restriction D1111 = D1112 = D1122 = D1222 = D2222
+  = 0, which kills the four odd invariants identically, with D1223
+  mirrored about -D1113/4 so the degree-2 invariant agrees for free.  The
+  remaining agreements are a one-parameter root for the degree-8 witness
+  and a 4-equation/3-unknown Gauss-Newton solve for the two degree-6
+  witnesses.
 
 Solved witnesses are validated post hoc by direct invariant evaluation,
 independent of the solver path.
@@ -25,20 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .invariants import (
-    EVEN_INVARIANTS,
-    INVARIANT_NAMES,
-    ODD_INVARIANTS,
-    invariants,
-    invariants_float,
-)
+from .invariants import INVARIANT_NAMES, ODD_INVARIANTS, invariants, invariants_float
 from .tensor import EXACT, FLOAT, Harmonic4, expand_float, from_independent
 
 SMITH_BAO_BASIS = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 MIXED_BASIS = ("J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
+BASES = {"smith_bao": SMITH_BAO_BASIS, "mixed": MIXED_BASIS}
 
 #: Matched invariants of the two degree-6 agreement systems.
 J6_SYSTEMS = {
@@ -46,8 +54,35 @@ J6_SYSTEMS = {
     "mixed": ("J2", "K6", "J8", "J10"),
 }
 
-#: Default absolute tolerance for "this odd invariant vanishes" checks on
-#: radical-valued tensors (the restricted families cancel exactly).
+#: Which witness covers each (basis, member) cell.
+CELLS = {
+    ("smith_bao", "J2"): "j2-separation",
+    ("smith_bao", "J3"): "j3-sign-pair",
+    ("smith_bao", "J4"): "j4-separation",
+    ("smith_bao", "J5"): "j5-sign-pair",
+    ("smith_bao", "J6"): "smith_bao-j6-separation",
+    ("smith_bao", "J7"): "j7-sign-pair",
+    ("smith_bao", "J8"): "j8-separation",
+    ("smith_bao", "J9"): "j9-sign-pair",
+    ("smith_bao", "J10"): "j10-separation",
+    ("mixed", "J2"): "mixed-j2-separation",
+    ("mixed", "J3"): "j3-sign-pair",
+    ("mixed", "J5"): "j5-sign-pair",
+    ("mixed", "J6"): "mixed-j6-separation",
+    ("mixed", "K6"): "j4-separation",
+    ("mixed", "J7"): "j7-sign-pair",
+    ("mixed", "J8"): "j8-separation",
+    ("mixed", "J9"): "j9-sign-pair",
+    ("mixed", "J10"): "j10-separation",
+}
+
+#: Default relative agreement tolerance; a separating gap must exceed
+#: SEPARATION times it.
+REL_TOL = 1e-9
+SEPARATION = 1e3
+
+#: |value| at or below which an invariant of a radical-valued float tensor
+#: counts as zero.  The restricted families cancel exactly and use 0.
 ZERO_TOL = 1e-8
 
 
@@ -59,14 +94,84 @@ def relative_gap(a, b) -> float:
 
 
 @dataclass(frozen=True)
+class Tolerances:
+    """The bounds one witness pair is checked against; see :func:`check_pair`."""
+
+    agree: float
+    vanish: float
+    separate: float
+    flip: bool = False
+
+
+def check_pair(left, right, agree, differ: str, tols: Tolerances) -> tuple:
+    """Whether the invariant values ``left`` and ``right`` separate ``differ``.
+
+    A value vanishes when its magnitude is at most ``tols.vanish``.  The
+    pair passes iff
+    * each member of ``agree`` has relative gap <= ``tols.agree``, or
+      vanishes on both sides;
+    * every odd invariant other than ``differ`` vanishes on both sides;
+    * ``differ`` has relative gap > ``tols.separate`` and does not vanish
+      on both sides;
+    * with ``tols.flip`` (the pair is D and -D), every even value is equal
+      and every odd value negated, exactly.
+
+    Returns (passed, relative gap of each of the ten invariants).
+    """
+    gaps = {n: relative_gap(left[n], right[n]) for n in INVARIANT_NAMES}
+
+    def vanishes(n):
+        return max(abs(float(left[n])), abs(float(right[n]))) <= tols.vanish
+
+    passed = (all(gaps[n] <= tols.agree or vanishes(n) for n in agree)
+              and all(vanishes(n) for n in ODD_INVARIANTS if n != differ)
+              and gaps[differ] > tols.separate and not vanishes(differ))
+    if tols.flip:
+        passed = passed and all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
+                                for n in INVARIANT_NAMES)
+    return passed, gaps
+
+
+def _reproduces(got, printed, tols: Tolerances) -> bool:
+    """A printed value: exactly for exact tensors, else to ``tols``."""
+    if isinstance(got, Fraction):
+        return got == printed
+    if printed == 0:
+        return abs(got) <= tols.vanish
+    return relative_gap(got, printed) <= tols.agree
+
+
+@dataclass(frozen=True)
 class WitnessPair:
-    """Two tensors, the invariants they agree on, and the one that separates."""
+    """Two tensors, with notes on how they were found.
+
+    ``solved`` is False when the solver behind the pair did not converge.
+    """
 
     left: Harmonic4
     right: Harmonic4
-    agree: tuple
-    differ: str | None
-    source: str
+    notes: dict = field(default_factory=dict)
+    solved: bool = True
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One witness: how to build its pair, what the paper prints, its tolerance row.
+
+    ``printed`` holds the invariant values the paper gives for the left and
+    the right tensor.  ``vanish`` and ``flip`` are the row's own
+    :class:`Tolerances` fields; the relative ones follow the suite's
+    ``rel_tol``.
+    """
+
+    label: str
+    build: Callable[[], WitnessPair]
+    printed: tuple = ({}, {})
+    vanish: float = ZERO_TOL
+    flip: bool = False
+
+    def tolerances(self, rel_tol: float) -> Tolerances:
+        return Tolerances(rel_tol, self.vanish, SEPARATION * rel_tol, self.flip)
 
 
 @dataclass(frozen=True)
@@ -91,14 +196,14 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Checked values of one witness: what agreed, what separated, and by how much."""
+    """Checked values of one cell: what agreed, what separated, and by how much."""
 
-    label: str
+    label: str | None
     left_values: dict
     right_values: dict
     gaps: dict
     agree: tuple
-    differ: str | None
+    differ: str
     passed: bool
     notes: dict = field(default_factory=dict)
 
@@ -124,186 +229,71 @@ class WitnessReport:
         }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A fixed reference tensor (or pair) with its known invariant values."""
-
-    label: str
-    tensors: tuple
-    expected: tuple
-    exact: bool
-    differ: str | None = None
-    agree: tuple = ()
+def sign_pair(d: Harmonic4) -> WitnessPair:
+    """The pair (D, -D): it separates the one odd invariant D does not kill."""
+    return WitnessPair(left=d, right=-d)
 
 
-def _sqrt(x) -> float:
-    return math.sqrt(x)
+# The catalog tensors and the values the paper prints for them.
+_ZERO_SMITH_BAO = dict.fromkeys(SMITH_BAO_BASIS, 0)
+_ZERO_MIXED = dict.fromkeys(MIXED_BASIS, 0)
+
+
+def _d1112(value: float) -> Harmonic4:
+    return from_independent((0.0, value, 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
+
+
+_D1 = from_independent((1, 0, 0, 0, 0, 0, 0, 0, 0), backend=EXACT)
+_D1_PRINTED = dict(_ZERO_SMITH_BAO, J2=8, J4=32, K6=128)
+_D2 = _d1112(math.sqrt(2) / 11**0.25)
+_D2_PRINTED = dict(_ZERO_SMITH_BAO, J2=32 / math.sqrt(11), J4=32.0)
+_D3 = _d1112(1 / math.sqrt(2))
+_D3_PRINTED = dict(_ZERO_SMITH_BAO, J2=8.0, J4=22.0)
+_M1 = from_independent((math.sqrt(2), 0, 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
+_M1_PRINTED = dict(_ZERO_MIXED, J2=16.0, K6=1024.0)
+_M2 = _d1112(2 / 31**(1 / 6))
+_M2_PRINTED = dict(_ZERO_MIXED, J2=64 / 31**(1 / 3), K6=1024.0)
 
 
 def _j5_witness() -> Harmonic4:
-    q = _sqrt(5 / 2 + _sqrt(38 / 3))
+    q = math.sqrt(5 / 2 + math.sqrt(38 / 3))
     return from_independent(
-        (1.0, q, -_sqrt(2) / 2, -1.0, 0.0, -q, 0.0, 0.5, 0.5 * _sqrt(5 + 2 * _sqrt(38 / 3))),
+        (1.0, q, -math.sqrt(2) / 2, -1.0, 0.0, -q, 0.0, 0.5,
+         0.5 * math.sqrt(5 + 2 * math.sqrt(38 / 3))),
         backend=FLOAT,
     )
 
 
 def _j7_witness() -> Harmonic4:
-    r = _sqrt(13033)
+    r = math.sqrt(13033)
     return from_independent(
-        ((-83 + r) / 144, 0.0, _sqrt((-11455 + 101 * r) / 2) / 72, 0.0, 0.0,
-         1 / (2 * _sqrt(2)), 0.0, 0.5, 0.0),
+        ((-83 + r) / 144, 0.0, math.sqrt((-11455 + 101 * r) / 2) / 72, 0.0, 0.0,
+         1 / (2 * math.sqrt(2)), 0.0, 0.5, 0.0),
         backend=FLOAT,
     )
 
 
-def _j10_pair() -> tuple:
-    s5 = _sqrt(5)
+def _j10_pair() -> WitnessPair:
+    s5 = math.sqrt(5)
     base = [0.0, 0.0, 1 / 9, 0.0, -1 / (9 * s5), 0.0, (-4 / 9 + 28 / s5) / 16, 0.0, s5 / 18]
     other = list(base)
     other[6] = -(4 / 9 + 28 / s5) / 16
-    return (from_independent(base, backend=FLOAT),
-            from_independent(other, backend=FLOAT))
+    return WitnessPair(from_independent(base, backend=FLOAT),
+                       from_independent(other, backend=FLOAT))
 
 
-def catalog() -> tuple:
-    """All fixed reference tensors and pairs, expected values attached.
-
-    Exact entries carry rational expected values and are checked exactly
-    on the exact backend; radical-valued entries are float-mode and are
-    checked to relative tolerance.
-    """
-    zero_smith_bao = {n: 0 for n in SMITH_BAO_BASIS}
-    zero_mixed = {n: 0 for n in MIXED_BASIS}
-
-    d1 = from_independent((1, 0, 0, 0, 0, 0, 0, 0, 0), backend=EXACT)
-    d1_expected = dict(zero_smith_bao, J2=8, J4=32, K6=128)
-    d2 = from_independent((0.0, _sqrt(2) / 11**0.25, 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
-    d2_expected = dict(zero_smith_bao, J2=32 / _sqrt(11), J4=32.0)
-    d3 = from_independent((0.0, 1 / _sqrt(2), 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
-    d3_expected = dict(zero_smith_bao, J2=8.0, J4=22.0)
-
-    m1 = from_independent((_sqrt(2), 0, 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
-    m1_expected = dict(zero_mixed, J2=16.0, K6=1024.0)
-    m2 = from_independent((0.0, 2 / 31**(1 / 6), 0, 0, 0, 0, 0, 0, 0), backend=FLOAT)
-    m2_expected = dict(zero_mixed, J2=64 / 31**(1 / 3), K6=1024.0)
-
-    j10_left, j10_right = _j10_pair()
-    s5 = _sqrt(5)
-    j10_shared = {
-        "J2": 10.0, "J3": 0, "J4": 1553 / 45, "J5": 0, "J6": 98 / 135,
-        "J7": 0, "J8": 207319 / 40500, "J9": 0,
-    }
-
-    return (
-        CatalogEntry(
-            label="unit-d1111",
-            tensors=(d1,),
-            expected=(d1_expected,),
-            exact=True,
-        ),
-        CatalogEntry(
-            label="d1112-j4-matched",
-            tensors=(d2,),
-            expected=(d2_expected,),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="d1112-j2-matched",
-            tensors=(d3,),
-            expected=(d3_expected,),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="scaled-unit-k6-matched",
-            tensors=(m1,),
-            expected=(m1_expected,),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="d1112-k6-matched",
-            tensors=(m2,),
-            expected=(m2_expected,),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="j3-sign-witness",
-            tensors=(from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),),
-            expected=({"J3": -6480, "J5": 0, "J7": 0, "J9": 0},),
-            exact=True,
-        ),
-        CatalogEntry(
-            label="j5-sign-witness",
-            tensors=(_j5_witness(),),
-            expected=({"J3": 0, "J5": 12.5, "J7": 0, "J9": 0},),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="j7-sign-witness",
-            tensors=(_j7_witness(),),
-            expected=({"J3": 0, "J5": 0,
-                       "J7": (6384263 - 55933 * _sqrt(13033)) / 884736, "J9": 0},),
-            exact=False,
-        ),
-        CatalogEntry(
-            label="j9-sign-witness",
-            tensors=(from_independent(
-                (0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0), backend=EXACT),),
-            expected=({"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)},),
-            exact=True,
-        ),
-        CatalogEntry(
-            label="j2-separation",
-            tensors=(d1, d2),
-            expected=(d1_expected, d2_expected),
-            exact=False,
-            differ="J2",
-            agree=tuple(n for n in SMITH_BAO_BASIS if n != "J2"),
-        ),
-        CatalogEntry(
-            label="j4-separation",
-            tensors=(d1, d3),
-            expected=(d1_expected, d3_expected),
-            exact=False,
-            differ="J4",
-            agree=tuple(n for n in SMITH_BAO_BASIS if n != "J4"),
-        ),
-        CatalogEntry(
-            label="mixed-j2-separation",
-            tensors=(m1, m2),
-            expected=(m1_expected, m2_expected),
-            exact=False,
-            differ="J2",
-            agree=tuple(n for n in MIXED_BASIS if n != "J2"),
-        ),
-        CatalogEntry(
-            label="j10-separation",
-            tensors=(j10_left, j10_right),
-            expected=(
-                dict(j10_shared, J10=343 * (512675 + 216 * s5) / 4860000),
-                dict(j10_shared, J10=343 * (512675 - 216 * s5) / 4860000),
-            ),
-            exact=False,
-            differ="J10",
-            agree=tuple(n for n in SMITH_BAO_BASIS if n != "J10"),
-        ),
-    )
+def _j10_printed() -> tuple:
+    s5 = math.sqrt(5)
+    shared = {"J2": 10.0, "J3": 0, "J4": 1553 / 45, "J5": 0, "J6": 98 / 135,
+              "J7": 0, "J8": 207319 / 40500, "J9": 0}
+    return (dict(shared, J10=343 * (512675 + 216 * s5) / 4860000),
+            dict(shared, J10=343 * (512675 - 216 * s5) / 4860000))
 
 
-def sign_pair(d: Harmonic4, zero_tol: float = ZERO_TOL) -> WitnessPair:
-    """The pair (D, -D); separating iff exactly one odd invariant is nonzero."""
-    vec = invariants(d)
-    nonzero = [n for n in ODD_INVARIANTS if not _vanishes(vec[n], zero_tol)]
-    differ = nonzero[0] if len(nonzero) == 1 else None
-    agree = tuple(n for n in INVARIANT_NAMES if n != differ) if differ else EVEN_INVARIANTS
-    return WitnessPair(left=d, right=-d, agree=agree, differ=differ,
-                       source="odd-degree sign flip")
-
-
-def _vanishes(value, zero_tol: float) -> bool:
-    if isinstance(value, (int, Fraction)):
-        return value == 0
-    return abs(value) <= zero_tol
+def _sign_witness(label: str, tensor: Callable[[], Harmonic4], printed: dict) -> Witness:
+    """A (D, -D) row; -D's printed odd values are D's negated."""
+    return Witness(label, lambda: sign_pair(tensor()),
+                   (printed, {n: -v for n, v in printed.items()}), flip=True)
 
 
 #: h(t), the sextic whose root in (0.15, 0.2) makes the degree-8 witness:
@@ -376,18 +366,12 @@ def j8_family(t: float) -> WitnessPair:
     if radicand < 0:
         raise ValueError(f"negative radicand {radicand} at t={t}")
     denom = -4 + 8 * t
-    root = _sqrt(radicand)
-    sqrt_t = _sqrt(t)
+    root = math.sqrt(radicand)
+    sqrt_t = math.sqrt(t)
     d2223 = (1 + 5 * t) / (4 * sqrt_t)
     left = odd_vanishing_tensor(-sqrt_t, (1 - 2 * t + root) / denom, d2223)
     right = odd_vanishing_tensor(-sqrt_t, (1 - 2 * t - root) / denom, d2223)
-    return WitnessPair(
-        left=left,
-        right=right,
-        agree=tuple(n for n in SMITH_BAO_BASIS if n != "J8"),
-        differ="J8",
-        source="degree-8 branch family",
-    )
+    return WitnessPair(left, right)
 
 
 # Gauss-Newton solve of the agreement systems.  Parameters are
@@ -524,180 +508,128 @@ def _gauss_newton(x, matched, tol, max_iter) -> SolveResult:
     )
 
 
-def pair_from_solution(result: SolveResult, matched, differ: str = "J6") -> WitnessPair:
-    """Realize the solved agreement system as a tensor pair."""
+
+def pair_from_solution(result: SolveResult) -> WitnessPair:
+    """Realize a solved agreement system as a tensor pair."""
     sol = result.solution
     delta = sol["D1223"] + 0.25
     left, right = _mirror_pair((sol["D1123"], delta, sol["D2223"]))
-    return WitnessPair(left=left, right=right,
-                       agree=tuple(matched) + ODD_INVARIANTS, differ=differ,
-                       source="four-invariant agreement system")
+    return WitnessPair(left, right, notes={"solver": result.to_json_dict()},
+                       solved=result.converged)
 
 
-def verify_j8_separation(tol_agree: float = 1e-9, tol_sep: float = 1e-6) -> WitnessReport:
-    """Root-find t*, build the branch pair there, and check the J8 witness.
-
-    Passes iff the eight other basis invariants agree within ``tol_agree``
-    relative (odd ones vanish within 1e-10 absolute) and the J8 relative
-    gap is at least ``tol_sep``.
-    """
-    root_result = bisect_root(h_eval, 0.15, 0.2, 1e-14)
-    t_star = root_result.solution["root"]
+def _j8_pair() -> WitnessPair:
+    """The degree-8 branch pair at the root t* of h."""
+    root = bisect_root(h_eval, 0.15, 0.2, 1e-14)
+    t_star = root.solution["root"]
     pair = j8_family(t_star)
-    lv, rv = invariants(pair.left), invariants(pair.right)
-    gaps = {n: relative_gap(lv[n], rv[n]) for n in INVARIANT_NAMES}
-    agree_ok = all(gaps[n] <= tol_agree for n in pair.agree)
-    odd_ok = all(abs(float(lv[n])) <= 1e-10 and abs(float(rv[n])) <= 1e-10
-                 for n in ODD_INVARIANTS)
-    sep_ok = gaps["J8"] >= tol_sep
-    return WitnessReport(
-        label="j8-separation",
-        left_values=lv.as_dict(),
-        right_values=rv.as_dict(),
-        gaps=gaps,
-        agree=pair.agree,
-        differ="J8",
-        passed=agree_ok and odd_ok and sep_ok,
-        notes={
-            "t_star": t_star,
-            "h_at_root": root_result.residual_norm,
-            "bisection_iterations": root_result.iterations,
-            "one_minus_5t_sq": (1 - 5 * t_star) ** 2,
-        },
-    )
+    return WitnessPair(pair.left, pair.right, notes={
+        "t_star": t_star,
+        "h_at_root": root.residual_norm,
+        "bisection_iterations": root.iterations,
+        "one_minus_5t_sq": (1 - 5 * t_star) ** 2,
+    })
 
 
-def verify_j6_separation(which: str = "smith_bao", tol: float = 1e-9,
-                         guess=None) -> WitnessReport:
-    """Solve the chosen agreement system and check the J6 witness.
+WITNESSES = {w.label: w for w in (
+    Witness("j2-separation", lambda: WitnessPair(_D1, _D2), (_D1_PRINTED, _D2_PRINTED)),
+    Witness("j4-separation", lambda: WitnessPair(_D1, _D3), (_D1_PRINTED, _D3_PRINTED)),
+    Witness("mixed-j2-separation", lambda: WitnessPair(_M1, _M2),
+            (_M1_PRINTED, _M2_PRINTED)),
+    Witness("j10-separation", _j10_pair, _j10_printed()),
+    _sign_witness("j3-sign-pair",
+                  lambda: from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),
+                  {"J3": -6480, "J5": 0, "J7": 0, "J9": 0}),
+    _sign_witness("j5-sign-pair", _j5_witness, {"J3": 0, "J5": 12.5, "J7": 0, "J9": 0}),
+    _sign_witness("j7-sign-pair", _j7_witness,
+                  {"J3": 0, "J5": 0,
+                   "J7": (6384263 - 55933 * math.sqrt(13033)) / 884736, "J9": 0}),
+    _sign_witness("j9-sign-pair",
+                  lambda: from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4),
+                                            1, 0), backend=EXACT),
+                  {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
+    Witness("j8-separation", _j8_pair, vanish=0.0),
+    *(Witness(f"{which}-j6-separation",
+              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)),
+              vanish=0.0)
+      for which, matched in J6_SYSTEMS.items()),
+)}
 
-    Passes iff Newton converges, the four matched invariants agree within
-    ``tol`` relative, the four odd invariants vanish within 1e-10, and the
-    J6 relative gap exceeds 1000*tol.
+#: Labels of the fixed catalog pairs and of the sign pairs.
+CATALOG_PAIRS = ("j2-separation", "j4-separation", "mixed-j2-separation", "j10-separation")
+SIGN_PAIRS = ("j3-sign-pair", "j5-sign-pair", "j7-sign-pair", "j9-sign-pair")
+
+
+def all_cells() -> list:
+    """The 18 (basis, member) cells, basis by basis."""
+    return [(basis, member) for basis, members in BASES.items() for member in members]
+
+
+def _check_cells(cells, rel_tol: float) -> dict:
+    """Report on each cell through the witness ``CELLS`` names for it.
+
+    A witness is built and evaluated once, however many cells it covers.
+    A cell with no witness fails.
     """
-    if which not in J6_SYSTEMS:
-        raise ValueError(f"unknown system {which!r}; expected one of {sorted(J6_SYSTEMS)}")
-    matched = J6_SYSTEMS[which]
-    result = solve_agreement_system(matched, guess=guess)
-    if not result.converged:
-        return WitnessReport(
-            label=f"{which}-j6-separation",
-            left_values={}, right_values={}, gaps={},
-            agree=matched + ODD_INVARIANTS, differ="J6", passed=False,
-            notes={"solver": result.to_json_dict()},
-        )
-    pair = pair_from_solution(result, matched)
-    lv, rv = invariants(pair.left), invariants(pair.right)
-    gaps = {n: relative_gap(lv[n], rv[n]) for n in INVARIANT_NAMES}
-    matched_ok = all(gaps[n] <= tol for n in matched)
-    odd_ok = all(abs(float(lv[n])) <= 1e-10 and abs(float(rv[n])) <= 1e-10
-                 for n in ODD_INVARIANTS)
-    sep_ok = gaps["J6"] > 1e3 * tol
-    return WitnessReport(
-        label=f"{which}-j6-separation",
-        left_values=lv.as_dict(),
-        right_values=rv.as_dict(),
-        gaps=gaps,
-        agree=matched + ODD_INVARIANTS,
-        differ="J6",
-        passed=matched_ok and odd_ok and sep_ok,
-        notes={"solver": result.to_json_dict()},
-    )
-
-
-def _check_single(entry: CatalogEntry, idx: int, rel_tol: float,
-                  zero_tol: float) -> tuple:
-    """Compare one tensor's invariants against its expected values."""
-    vec = invariants(entry.tensors[idx])
-    computed, gaps, ok = {}, {}, True
-    for name, want in entry.expected[idx].items():
-        got = vec[name]
-        computed[name] = got
-        if entry.exact:
-            good = got == want
-            gaps[name] = 0.0 if good else relative_gap(got, want)
-        elif want == 0:
-            gaps[name] = abs(float(got))
-            good = gaps[name] <= zero_tol
-        else:
-            gaps[name] = relative_gap(got, want)
-            good = gaps[name] <= rel_tol
-        ok = ok and good
-    return vec, computed, gaps, ok
-
-
-def verify_catalog(rel_tol: float = 1e-9, zero_tol: float = ZERO_TOL) -> list:
-    """Value regression of every catalog entry against its attached numbers."""
-    reports = []
-    for entry in catalog():
-        vec0, computed0, gaps0, ok0 = _check_single(entry, 0, rel_tol, zero_tol)
-        if len(entry.tensors) == 1:
-            reports.append(WitnessReport(
-                label=entry.label,
-                left_values=computed0,
-                right_values=dict(entry.expected[0]),
-                gaps=gaps0,
-                agree=tuple(entry.expected[0]),
-                differ=None,
-                passed=ok0,
-            ))
+    evaluated, reports = {}, {}
+    for basis, member in cells:
+        agree = tuple(n for n in BASES[basis] if n != member)
+        label = CELLS.get((basis, member))
+        witness = WITNESSES.get(label)
+        if witness is None:
+            reports[basis, member] = WitnessReport(
+                label=label, left_values={}, right_values={}, gaps={}, agree=agree,
+                differ=member, passed=False, notes={"error": "no witness for this cell"})
             continue
-        vec1, computed1, gaps1, ok1 = _check_single(entry, 1, rel_tol, zero_tol)
-        pair_gaps = {n: relative_gap(vec0[n], vec1[n]) for n in INVARIANT_NAMES}
-        agree_ok = all(
-            pair_gaps[n] <= rel_tol
-            or (abs(float(vec0[n])) <= zero_tol and abs(float(vec1[n])) <= zero_tol)
-            for n in entry.agree
-        )
-        sep_ok = pair_gaps[entry.differ] > 1e3 * rel_tol
-        reports.append(WitnessReport(
-            label=entry.label,
-            left_values=computed0,
-            right_values=computed1,
-            gaps=pair_gaps,
-            agree=entry.agree,
-            differ=entry.differ,
-            passed=ok0 and ok1 and agree_ok and sep_ok,
-        ))
-    return reports
-
-
-def verify_sign_pairs(zero_tol: float = ZERO_TOL) -> list:
-    """Check the four sign-flip witnesses: evens fixed, the one odd flips."""
-    targets = {
-        "j3-sign-witness": "J3",
-        "j5-sign-witness": "J5",
-        "j7-sign-witness": "J7",
-        "j9-sign-witness": "J9",
-    }
-    by_label = {e.label: e for e in catalog()}
-    reports = []
-    for label, want_differ in targets.items():
-        tensor = by_label[label].tensors[0]
-        pair = sign_pair(tensor, zero_tol=zero_tol)
-        lv, rv = invariants(pair.left), invariants(pair.right)
-        gaps = {n: relative_gap(lv[n], rv[n]) for n in INVARIANT_NAMES}
-        evens_ok = all(gaps[n] == 0.0 for n in EVEN_INVARIANTS)
-        flip_ok = (pair.differ == want_differ
-                   and float(lv[want_differ]) == -float(rv[want_differ])
-                   and not _vanishes(lv[want_differ], zero_tol))
-        reports.append(WitnessReport(
-            label=f"{label}-pair",
+        if label not in evaluated:
+            pair = witness.build()
+            evaluated[label] = pair, invariants(pair.left), invariants(pair.right)
+        pair, lv, rv = evaluated[label]
+        tols = witness.tolerances(rel_tol)
+        passed, gaps = check_pair(lv, rv, agree, member, tols)
+        printed_ok = all(_reproduces(values[n], want, tols)
+                         for values, printed in zip((lv, rv), witness.printed)
+                         for n, want in printed.items())
+        reports[basis, member] = WitnessReport(
+            label=label,
             left_values=lv.as_dict(),
             right_values=rv.as_dict(),
             gaps=gaps,
-            agree=pair.agree,
-            differ=pair.differ,
-            passed=evens_ok and flip_ok,
-        ))
+            agree=agree,
+            differ=member,
+            passed=passed and printed_ok and pair.solved,
+            notes=pair.notes,
+        )
     return reports
 
 
-def verify_witnesses(rel_tol: float = 1e-9) -> list:
-    """Every witness check in one sweep: catalog, sign pairs, J8 and both J6."""
-    reports = list(verify_catalog(rel_tol=rel_tol))
-    reports.extend(verify_sign_pairs())
-    reports.append(verify_j8_separation(tol_agree=rel_tol, tol_sep=1e3 * rel_tol))
-    reports.append(verify_j6_separation("smith_bao", tol=rel_tol))
-    reports.append(verify_j6_separation("mixed", tol=rel_tol))
-    return reports
+def verify_witnesses(rel_tol: float = REL_TOL) -> dict:
+    """Every cell of both bases, keyed by (basis, member)."""
+    return _check_cells(all_cells(), rel_tol)
+
+
+def _covered_by(labels, rel_tol: float) -> list:
+    cells = [cell for cell in all_cells() if CELLS.get(cell) in labels]
+    return list(_check_cells(cells, rel_tol).values())
+
+
+def verify_catalog(rel_tol: float = REL_TOL) -> list:
+    """The cells the catalog pairs cover, with their printed values."""
+    return _covered_by(CATALOG_PAIRS, rel_tol)
+
+
+def verify_sign_pairs() -> list:
+    """The cells the sign pairs cover: evens fixed, the one odd flips."""
+    return _covered_by(SIGN_PAIRS, REL_TOL)
+
+
+def verify_j8_separation(rel_tol: float = REL_TOL) -> WitnessReport:
+    """The Smith-Bao J8 cell: root-find t*, then check the branch pair there."""
+    return _check_cells([("smith_bao", "J8")], rel_tol)["smith_bao", "J8"]
+
+
+def verify_j6_separation(which: str = "smith_bao", rel_tol: float = REL_TOL) -> WitnessReport:
+    """The J6 cell of basis ``which``, through its solved agreement system."""
+    if which not in J6_SYSTEMS:
+        raise ValueError(f"unknown system {which!r}; expected one of {sorted(J6_SYSTEMS)}")
+    return _check_cells([(which, "J6")], rel_tol)[which, "J6"]

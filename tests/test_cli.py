@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, end-to-end subcommands."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -183,8 +184,21 @@ class TestVerifyCommand:
         code, out = run(["verify", "witnesses"], capsys)
         assert code == 0
         summary = json.loads(out)
-        assert summary["suites"]["witnesses"]["passed"] is True
-        assert len(summary["suites"]["witnesses"]["checks"]) == 20
+        suite = summary["suites"]["witnesses"]
+        assert suite["passed"] is True
+        assert {b: set(members) for b, members in suite["cells"].items()} == {
+            "smith_bao": {"J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10"},
+            "mixed": {"J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10"},
+        }
+        assert all(cell["passed"] for cells in suite["cells"].values()
+                   for cell in cells.values())
+
+    def test_tolerance_sets_the_witness_agreement(self, capsys):
+        # the j10 pair agrees on J8 to ~1e-15 relative, far above 1e-17
+        code, out = run(["verify", "witnesses", "--tol", "1e-17"], capsys)
+        assert code == 1
+        cells = json.loads(out)["suites"]["witnesses"]["cells"]
+        assert cells["smith_bao"]["J10"]["passed"] is False
 
     def test_isotropy_suite_small(self, capsys):
         code, out = run(["verify", "isotropy", "--trials", "25", "--seed", "42"], capsys)
@@ -260,6 +274,67 @@ class TestTolerance:
         assert json.loads(out)["solve"]["iterations"] < 64
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--input", "x.json", "--tol", "1e-3"],
+        ["rotate", "--input", "x.json", "--matrix"] + IDENTITY + ["--format", "csv"],
+        ["rotate", "--input", "x.json", "--matrix"] + IDENTITY + ["--tol", "0.5"],
+        ["verify", "parity", "--format", "text"],
+        ["solve", "j8-root", "--seed", "5"],
+        ["solve", "j8-root", "--format", "text"],
+        ["verify", "identity", "--backend", "exact"],
+    ])
+    def test_flag_a_subcommand_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+
+def inline(values):
+    return [arg for v in values for arg in ("-c", v)]
+
+
+def expect_input_error(argv, capsys, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert "Warning" not in captured.err
+
+
+class TestNonFiniteAndBooleanInput:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400", "1e400"])
+    def test_non_finite_inline_component_exits_2(self, value, capsys):
+        argv = ["invariants"] + inline([value] + ["0"] * 8)
+        expect_input_error(argv, capsys, "finite")
+
+    def test_json_infinity_component_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"components": [Infinity, 0, 0, 0, 0, 0, 0, 0, 0]}')
+        expect_input_error(["invariants", "--input", str(path)], capsys, "finite")
+
+    def test_overflowing_invariants_exit_2(self, capsys):
+        argv = ["invariants"] + inline(["1e200"] + ["0"] * 8)
+        expect_input_error(argv, capsys, "not finite")
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_overflow_is_an_error_in_every_format(self, fmt, capsys):
+        argv = ["invariants", "--format", fmt] + inline(["1e200"] + ["0"] * 8)
+        expect_input_error(argv, capsys, "not finite")
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_json_boolean_component_exits_2(self, backend, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"components": [true, 0, 0, 0, 0, 0, 0, 0, 0]}')
+        argv = ["invariants", "--input", str(path), "--backend", backend]
+        expect_input_error(argv, capsys, "boolean")
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, d1_file):
         proc = subprocess.run(
@@ -276,3 +351,20 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "j8-root"],
+        ["invariants"] + ["-c", "1"] * 9,
+        ["rotate"] + ["-c", "1"] * 9 + ["--matrix"] + IDENTITY,
+        ["verify", "parity"],
+    ])
+    def test_closed_pipe_ends_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "harmonic4", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

@@ -51,15 +51,15 @@ CASES = {
     "solve-smith-bao-j6": (["solve", "smith-bao-j6"], 0),
     "solve-mixed-j6": (["solve", "mixed-j6"], 0),
     "solve-j8-root": (["solve", "j8-root"], 0),
-    # Flags the subcommand does not read.
+    # Flags a subcommand does not read are not accepted: usage error.
     "rotate-unread-flags": (["rotate", *_inline(COMPONENTS), "--matrix", *MATRIX,
-                             "--format", "csv", "--tol", "0.5"], 0),
-    "solve-unread-flags": (["solve", "j8-root", "--seed", "5", "--format", "text"], 0),
-    "invariants-unread-tol": (["invariants", *_inline(COMPONENTS), "--tol", "0.5"], 0),
-    "verify-unread-format": (["verify", "parity", "--format", "csv"], 0),
-    # Inputs whose invariants are not finite binary64 numbers.
-    "invariants-nan": (["invariants", *_inline(["nan"] + ["0"] * 8)], 0),
-    "invariants-overflow": (["invariants", *_inline(["1e200"] + ["0"] * 8)], 0),
+                             "--format", "csv", "--tol", "0.5"], 2),
+    "solve-unread-flags": (["solve", "j8-root", "--seed", "5", "--format", "text"], 2),
+    "invariants-unread-tol": (["invariants", *_inline(COMPONENTS), "--tol", "0.5"], 2),
+    "verify-unread-format": (["verify", "parity", "--format", "csv"], 2),
+    # Inputs whose invariants are not finite binary64 numbers: input error.
+    "invariants-nan": (["invariants", *_inline(["nan"] + ["0"] * 8)], 2),
+    "invariants-overflow": (["invariants", *_inline(["1e200"] + ["0"] * 8)], 2),
 }
 
 

@@ -122,7 +122,7 @@ class TestIsotropyCheck:
         assert report.passed
 
     def test_unit_d1111_thousand_trials(self):
-        report = isotropy_check(D1_FLOAT, trials=1000, seed=7, tol=1e-8)
+        report = isotropy_check(D1_FLOAT, trials=1000, seed=7)
         assert report.passed
         assert all(v <= 1e-8 for v in report.deviations.values())
 

@@ -1,16 +1,18 @@
-"""Catalog regression, root finding, and the solved separation witnesses."""
+"""The witness table over the 18 basis cells, root finding, and the solved witnesses."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from harmonic4 import (
+    CELLS,
     EXACT,
-    FLOAT,
     INVARIANT_NAMES,
+    WITNESSES,
     bisect_root,
-    catalog,
+    check_pair,
     from_independent,
     h_eval,
     invariants,
@@ -23,48 +25,54 @@ from harmonic4 import (
     verify_j8_separation,
     verify_witnesses,
 )
+from harmonic4 import witnesses as w
+from harmonic4.cli import main as cli_main
 from harmonic4.witnesses import (
+    BASES,
     J6_SYSTEMS,
     ODD_INVARIANTS,
+    Tolerances,
     pair_from_solution,
     relative_gap,
 )
 
+SIGN_TOLS = Tolerances(agree=1e-9, vanish=1e-8, separate=1e-6, flip=True)
+
+
+def witness_values(label):
+    pair = WITNESSES[label].build()
+    return invariants(pair.left), invariants(pair.right)
+
 
 class TestCatalog:
     def test_expected_entries_present(self):
-        labels = {entry.label for entry in catalog()}
-        assert labels == {
-            "unit-d1111", "d1112-j4-matched", "d1112-j2-matched",
-            "scaled-unit-k6-matched", "d1112-k6-matched",
-            "j3-sign-witness", "j5-sign-witness", "j7-sign-witness",
-            "j9-sign-witness",
-            "j2-separation", "j4-separation", "mixed-j2-separation",
-            "j10-separation",
+        assert set(WITNESSES) == {
+            "j2-separation", "j4-separation", "mixed-j2-separation", "j10-separation",
+            "j3-sign-pair", "j5-sign-pair", "j7-sign-pair", "j9-sign-pair",
+            "j8-separation", "smith_bao-j6-separation", "mixed-j6-separation",
         }
+        assert set(CELLS.values()) == set(WITNESSES)
 
     def test_all_entries_reproduce_their_values(self):
-        for report in verify_catalog():
+        reports = verify_catalog()
+        assert {r.label for r in reports} == set(w.CATALOG_PAIRS)
+        for report in reports:
             assert report.passed, (report.label, report.gaps)
 
     def test_j5_witness_value(self):
-        by_label = {e.label: e for e in catalog()}
-        vec = invariants(by_label["j5-sign-witness"].tensors[0])
+        vec, _ = witness_values("j5-sign-pair")
         assert vec.j5 == pytest.approx(12.5, rel=1e-9)
         for name in ("J3", "J7", "J9"):
             assert abs(vec[name]) <= 1e-8
 
     def test_j7_witness_value(self):
-        by_label = {e.label: e for e in catalog()}
-        vec = invariants(by_label["j7-sign-witness"].tensors[0])
+        vec, _ = witness_values("j7-sign-pair")
         expected = (6384263 - 55933 * math.sqrt(13033)) / 884736
         assert expected == pytest.approx(-0.00132174, abs=1e-8)
         assert vec.j7 == pytest.approx(expected, rel=1e-9)
 
     def test_j10_pair_values_and_agreement(self):
-        by_label = {e.label: e for e in catalog()}
-        entry = by_label["j10-separation"]
-        left, right = (invariants(t) for t in entry.tensors)
+        left, right = witness_values("j10-separation")
         s5 = math.sqrt(5)
         assert left.j10 == pytest.approx(343 * (512675 + 216 * s5) / 4860000, rel=1e-9)
         assert right.j10 == pytest.approx(343 * (512675 - 216 * s5) / 4860000, rel=1e-9)
@@ -72,30 +80,57 @@ class TestCatalog:
         assert left.j4 == pytest.approx(1553 / 45, rel=1e-9)
         assert left.j6 == pytest.approx(98 / 135, rel=1e-9)
         assert left.j8 == pytest.approx(207319 / 40500, rel=1e-9)
-        for name in entry.agree:
+        for name in INVARIANT_NAMES:
+            if name == "J10":
+                continue
             assert relative_gap(left[name], right[name]) <= 1e-9 or (
                 abs(float(left[name])) <= 1e-9 and abs(float(right[name])) <= 1e-9)
+
+    def test_printed_value_off_by_a_part_in_a_million_fails(self, monkeypatch):
+        row = WITNESSES["j4-separation"]
+        d3 = dict(row.printed[1], J4=22.0 * (1 + 1e-6))
+        monkeypatch.setitem(WITNESSES, row.label,
+                            w.Witness(row.label, row.build, (row.printed[0], d3)))
+        assert not any(r.passed for r in verify_catalog() if r.label == row.label)
 
 
 class TestSignPairs:
     def test_cubic_witness_pair(self):
         d = from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT)
         pair = sign_pair(d)
-        assert pair.differ == "J3"
-        assert invariants(pair.left).j3 == -6480
-        assert invariants(pair.right).j3 == 6480
+        lv, rv = invariants(pair.left), invariants(pair.right)
+        assert lv.j3 == -6480
+        assert rv.j3 == 6480
+        agree = tuple(n for n in BASES["smith_bao"] if n != "J3")
+        assert check_pair(lv, rv, agree, "J3", SIGN_TOLS)[0]
 
     def test_degree9_witness_pair(self):
         d = from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0),
                              backend=EXACT)
         pair = sign_pair(d)
-        assert pair.differ == "J9"
-        assert invariants(pair.left).j9 == Fraction(45, 8)
-        assert invariants(pair.right).j9 == Fraction(-45, 8)
+        lv, rv = invariants(pair.left), invariants(pair.right)
+        assert lv.j9 == Fraction(45, 8)
+        assert rv.j9 == Fraction(-45, 8)
+        agree = tuple(n for n in BASES["mixed"] if n != "J9")
+        assert check_pair(lv, rv, agree, "J9", SIGN_TOLS)[0]
 
     def test_all_odds_zero_marks_non_separating(self):
         d = from_independent((1, 0, 0, 0, 0, 0, 0, 0, 0), backend=EXACT)
-        assert sign_pair(d).differ is None
+        pair = sign_pair(d)
+        lv, rv = invariants(pair.left), invariants(pair.right)
+        for basis in BASES.values():
+            for odd in ODD_INVARIANTS:
+                agree = tuple(n for n in basis if n != odd)
+                assert not check_pair(lv, rv, agree, odd, SIGN_TOLS)[0]
+
+    def test_inexact_flip_fails(self):
+        lv, rv = witness_values("j5-sign-pair")
+        agree = tuple(n for n in BASES["smith_bao"] if n != "J5")
+        assert check_pair(lv, rv, agree, "J5", SIGN_TOLS)[0]
+        nudged = dict(rv.as_dict(), J5=math.nextafter(rv.j5, 0.0))
+        assert not check_pair(lv, nudged, agree, "J5", SIGN_TOLS)[0]
+        nudged = dict(rv.as_dict(), J6=math.nextafter(rv.j6, 0.0))
+        assert not check_pair(lv, nudged, agree, "J5", SIGN_TOLS)[0]
 
 
 class TestSextic:
@@ -181,7 +216,7 @@ class TestJ8Family:
 
 class TestJ8Separation:
     def test_report_passes(self):
-        report = verify_j8_separation(tol_agree=1e-9, tol_sep=1e-6)
+        report = verify_j8_separation(rel_tol=1e-9)
         assert report.passed
         assert 0.15 < report.notes["t_star"] < 0.2
         assert report.notes["h_at_root"] <= 1e-10
@@ -220,7 +255,7 @@ class TestAgreementSystems:
 
     def test_solution_validates_independently_of_solver(self):
         result = solve_agreement_system(J6_SYSTEMS["smith_bao"])
-        pair = pair_from_solution(result, J6_SYSTEMS["smith_bao"])
+        pair = pair_from_solution(result)
         left, right = invariants(pair.left), invariants(pair.right)
         for name in J6_SYSTEMS["smith_bao"]:
             assert relative_gap(left[name], right[name]) <= 1e-11
@@ -251,7 +286,7 @@ class TestJ6Separation:
         ("mixed", (-0.405381, 0.67075, 1.12345)),
     ])
     def test_separation_report(self, which, digits):
-        report = verify_j6_separation(which, tol=1e-9)
+        report = verify_j6_separation(which, rel_tol=1e-9)
         assert report.passed
         sol = report.notes["solver"]["solution"]
         assert sol["D1123"] == pytest.approx(digits[0], abs=1e-4)
@@ -271,14 +306,12 @@ class TestJ6Separation:
 class TestReports:
     def test_full_sweep_passes(self):
         reports = verify_witnesses()
-        assert len(reports) == 20
-        failures = [r.label for r in reports if not r.passed]
+        assert set(reports) == set(w.all_cells())
+        failures = [cell for cell, r in reports.items() if not r.passed]
         assert not failures
 
     def test_report_json_round_trips_fractions(self):
-        import json
-
-        report = next(r for r in verify_catalog() if r.label == "unit-d1111")
+        report = next(r for r in verify_catalog() if r.label == "j2-separation")
         payload = report.to_json_dict()
         assert payload["left"]["J2"] == "8/1"
         json.dumps(payload)  # must be serializable as-is
@@ -291,3 +324,69 @@ class TestReports:
         assert d.indep[2] == 1.0
         assert d.indep[4] == 0.5
         assert [d.indep[i] for i in (0, 1, 3, 5, 7)] == [0.0] * 5
+
+
+def cli_witnesses_pass(capsys) -> bool:
+    code = cli_main(["verify", "witnesses"])
+    passed = json.loads(capsys.readouterr().out)["suites"]["witnesses"]["passed"]
+    assert (code == 0) == passed
+    return passed
+
+
+class TestCells:
+    def test_eighteen_cells_present_and_passing(self, capsys):
+        assert len(CELLS) == 18
+        assert set(CELLS) == {(b, m) for b, members in BASES.items() for m in members}
+        reports = verify_witnesses()
+        assert len(reports) == 18
+        for (basis, member), report in reports.items():
+            assert report.passed, (basis, member, report.label)
+            assert report.label == CELLS[basis, member]
+            assert report.differ == member
+        assert cli_witnesses_pass(capsys)
+
+    def test_agree_is_basis_minus_member(self):
+        for (basis, member), report in verify_witnesses().items():
+            assert report.agree == tuple(n for n in BASES[basis] if n != member)
+
+    def test_mixed_cells_of_shared_pairs(self):
+        reports = verify_witnesses()
+        assert reports["mixed", "K6"].label == "j4-separation"
+        assert reports["mixed", "K6"].left_values["K6"] == 128
+        assert reports["mixed", "K6"].right_values["K6"] == pytest.approx(62.0, rel=1e-12)
+        for member in ("J8", "J10"):
+            assert reports["mixed", member].gaps["K6"] <= 1e-15
+
+    @pytest.mark.parametrize("cell,label", [
+        (("smith_bao", "J4"), None),
+        (("mixed", "J9"), None),
+        (("smith_bao", "J4"), "j2-separation"),
+        (("mixed", "K6"), "mixed-j2-separation"),
+        (("mixed", "J2"), "j2-separation"),
+        (("smith_bao", "J6"), "mixed-j6-separation"),
+    ])
+    def test_wrong_or_missing_row_fails(self, cell, label, monkeypatch, capsys):
+        table = dict(CELLS)
+        if label is None:
+            del table[cell]
+        else:
+            table[cell] = label
+        monkeypatch.setattr(w, "CELLS", table)
+        reports = verify_witnesses()
+        assert set(reports) == set(w.all_cells())
+        assert [c for c, r in reports.items() if not r.passed] == [cell]
+        assert not cli_witnesses_pass(capsys)
+
+    def test_restricted_pairs_need_exactly_vanishing_odds(self):
+        lv, rv = witness_values("j8-separation")
+        tols = WITNESSES["j8-separation"].tolerances(1e-9)
+        agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
+        assert check_pair(lv, rv, agree, "J8", tols)[0]
+        assert not check_pair(lv, dict(rv.as_dict(), J5=1e-300), agree, "J8", tols)[0]
+
+    def test_separation_must_exceed_its_bound(self):
+        lv, rv = witness_values("j8-separation")
+        agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
+        gap = relative_gap(lv.j8, rv.j8)
+        assert check_pair(lv, rv, agree, "J8", Tolerances(1e-9, 0.0, gap * 0.99))[0]
+        assert not check_pair(lv, rv, agree, "J8", Tolerances(1e-9, 0.0, gap))[0]
