@@ -85,7 +85,7 @@ def _format_invariants(vec: InvariantVector, fmt: str) -> str:
     if not all(math.isfinite(v) for v in payload.values() if isinstance(v, float)):
         raise InputError("invariants are not finite in binary64; scale the tensor down")
     if fmt == "json":
-        return _json(payload)
+        return json.dumps(payload, indent=2, allow_nan=False)
     if fmt == "csv":
         header = ",".join(INVARIANT_NAMES)
         row = ",".join(str(payload[name]) for name in INVARIANT_NAMES)
@@ -264,11 +264,24 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # The reader went away: end quietly with 128 + SIGPIPE, as a shell
-        # tool killed by the signal would.  Standard output now points at
-        # the null device, so the interpreter's final flush cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # tool killed by the signal would.
         return 141
 
 
+def run() -> int:
+    """The console entry point: :func:`main` for a process of its own.
+
+    After a closed pipe it points standard output at the null device, so
+    the interpreter's final flush cannot raise.  :func:`main` leaves the
+    process's descriptors alone, since it is also called in process.
+    """
+    code = main()
+    if code == 141:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

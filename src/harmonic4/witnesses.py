@@ -99,7 +99,6 @@ class Tolerances:
 
     agree: float
     vanish: float
-    separate: float
     flip: bool = False
 
 
@@ -111,8 +110,8 @@ def check_pair(left, right, agree, differ: str, tols: Tolerances) -> tuple:
     * each member of ``agree`` has relative gap <= ``tols.agree``, or
       vanishes on both sides;
     * every odd invariant other than ``differ`` vanishes on both sides;
-    * ``differ`` has relative gap > ``tols.separate`` and does not vanish
-      on both sides;
+    * ``differ`` has relative gap > SEPARATION * ``tols.agree`` and does
+      not vanish on both sides;
     * with ``tols.flip`` (the pair is D and -D), every even value is equal
       and every odd value negated, exactly.
 
@@ -125,7 +124,7 @@ def check_pair(left, right, agree, differ: str, tols: Tolerances) -> tuple:
 
     passed = (all(gaps[n] <= tols.agree or vanishes(n) for n in agree)
               and all(vanishes(n) for n in ODD_INVARIANTS if n != differ)
-              and gaps[differ] > tols.separate and not vanishes(differ))
+              and gaps[differ] > SEPARATION * tols.agree and not vanishes(differ))
     if tols.flip:
         passed = passed and all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
                                 for n in INVARIANT_NAMES)
@@ -171,7 +170,7 @@ class Witness:
     flip: bool = False
 
     def tolerances(self, rel_tol: float) -> Tolerances:
-        return Tolerances(rel_tol, self.vanish, SEPARATION * rel_tol, self.flip)
+        return Tolerances(rel_tol, self.vanish, self.flip)
 
 
 @dataclass(frozen=True)

@@ -368,3 +368,17 @@ class TestConsoleScript:
             os.close(write_end)
         assert proc.returncode == 141
         assert proc.stderr == ""
+
+    def test_closed_pipe_in_process_leaves_descriptors_alone(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["verify", "parity"]) == 141
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

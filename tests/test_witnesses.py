@@ -36,7 +36,7 @@ from harmonic4.witnesses import (
     relative_gap,
 )
 
-SIGN_TOLS = Tolerances(agree=1e-9, vanish=1e-8, separate=1e-6, flip=True)
+SIGN_TOLS = Tolerances(agree=1e-9, vanish=1e-8, flip=True)
 
 
 def witness_values(label):
@@ -384,9 +384,12 @@ class TestCells:
         assert check_pair(lv, rv, agree, "J8", tols)[0]
         assert not check_pair(lv, dict(rv.as_dict(), J5=1e-300), agree, "J8", tols)[0]
 
-    def test_separation_must_exceed_its_bound(self):
+    def test_separation_must_exceed_its_bound(self, monkeypatch):
+        # With SEPARATION = 1 the bound on the J8 gap is the agree tolerance
+        # itself, so an agree tolerance equal to the gap must fail.
         lv, rv = witness_values("j8-separation")
         agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
         gap = relative_gap(lv.j8, rv.j8)
-        assert check_pair(lv, rv, agree, "J8", Tolerances(1e-9, 0.0, gap * 0.99))[0]
-        assert not check_pair(lv, rv, agree, "J8", Tolerances(1e-9, 0.0, gap))[0]
+        monkeypatch.setattr(w, "SEPARATION", 1.0)
+        assert check_pair(lv, rv, agree, "J8", Tolerances(gap * 0.99, 0.0))[0]
+        assert not check_pair(lv, rv, agree, "J8", Tolerances(gap, 0.0))[0]
