@@ -14,13 +14,10 @@ from .invariants import (
     INVARIANT_NAMES,
     ODD_INVARIANTS,
     InvariantVector,
-    PairSym4,
-    SymMat3,
     bilinear_B,
     invariants,
     invariants_oracle,
     j4_from_mixed,
-    mat_square,
     quartic_C,
 )
 from .polynomial import (

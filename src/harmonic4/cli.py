@@ -17,6 +17,7 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .invariants import INVARIANT_NAMES, InvariantVector, invariants
 from .rotations import Orthogonal3, isotropy_suite, rotate
 from .tensor import (EXACT, FLOAT, _coerce_exact, _coerce_float, from_independent,
                      from_json_dict, to_json_dict)
-from .witnesses import bisect_root, h_eval, verify_j6_separation, verify_j8_separation
+from .witnesses import verify_j6_separation, verify_j8_separation
 
 
 class InputError(Exception):
@@ -175,15 +176,11 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.which == "j8-root":
-        result = bisect_root(h_eval, 0.15, 0.2, 1e-14 if args.tol is None else args.tol)
-        report = verify_j8_separation()
-        payload = {"solve": result.to_json_dict(), "report": report.to_json_dict()}
-        _emit(_json(payload), args)
-        return 0 if result.converged and report.passed else 1
-    which = {"smith-bao-j6": "smith_bao", "mixed-j6": "mixed"}[args.which]
-    rel_tol = witnesses.REL_TOL if args.tol is None else args.tol
-    report = verify_j6_separation(which, rel_tol=rel_tol)
-    payload = {"solve": report.notes.get("solver", {}), "report": report.to_json_dict()}
+        report = verify_j8_separation(rel_tol=args.tol)
+    else:
+        which = {"smith-bao-j6": "smith_bao", "mixed-j6": "mixed"}[args.which]
+        report = verify_j6_separation(which, rel_tol=args.tol)
+    payload = {"solve": report.notes["solver"], "report": report.to_json_dict()}
     _emit(_json(payload), args)
     return 0 if report.passed else 1
 
@@ -199,21 +196,27 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all subcommands, built once per process: it takes ~1 ms."""
     parser = argparse.ArgumentParser(
         prog="harmonic4",
         description="Isotropic invariants of fourth-order symmetric traceless tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, handler, help):
-        p = sub.add_parser(name, help=help)
+    def add_parser(name, handler, help, parent=sub):
+        p = parent.add_parser(name, help=help)
         # argparse takes only plain negative numbers as values; let "-4/5" and
         # "-1e-3" through too.  No option of harmonic4 starts with "-<digit>".
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--out", default=None, help="write output to a file")
         p.set_defaults(handler=handler)
         return p
+
+    def add_tol(p, what):
+        p.add_argument("--tol", type=_tolerance, default=witnesses.REL_TOL,
+                       help=f"{what}, a positive finite number (default: 1e-9)")
 
     def add_tensor(p, component_help):
         p.add_argument("--input", help='tensor JSON file: {"components": [9 values]}')
@@ -229,15 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                        default="json", help="output format (default: json)")
 
-    p_ver = add_parser("verify", cmd_verify, "run verification suites")
-    p_ver.add_argument("suite", choices=(*SUITES, "all"))
-    p_ver.add_argument("--trials", type=int, default=1000,
-                       help="rotations per tensor for the isotropy suite (default: 1000)")
-    p_ver.add_argument("--seed", type=int, default=42,
-                       help="master seed for the isotropy suite (default: 42)")
-    p_ver.add_argument("--tol", type=_tolerance, default=witnesses.REL_TOL,
-                       help="relative agreement tolerance of the witnesses suite, a "
-                            "positive finite number (default: 1e-9)")
+    p_ver = sub.add_parser("verify", help="run verification suites")
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    for name in (*SUITES, "all"):
+        p_suite = add_parser(name, cmd_verify,
+                             "every suite" if name == "all" else f"the {name} suite", suites)
+        if name in ("isotropy", "all"):
+            p_suite.add_argument("--trials", type=int, default=1000,
+                                 help="rotations per tensor for the isotropy suite "
+                                      "(default: 1000)")
+            p_suite.add_argument("--seed", type=int, default=42,
+                                 help="master seed for the isotropy suite (default: 42)")
+        if name in ("witnesses", "all"):
+            add_tol(p_suite, "relative agreement tolerance of the witnesses suite")
 
     p_rot = add_parser("rotate", cmd_rotate, "apply an orthogonal matrix to a tensor")
     add_tensor(p_rot, "inline component (nine occurrences)")
@@ -248,10 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sol = add_parser("solve", cmd_solve, "reproduce a solved witness")
     p_sol.add_argument("which", choices=("smith-bao-j6", "mixed-j6", "j8-root"))
-    p_sol.add_argument("--tol", type=_tolerance, default=None,
-                       help="a positive finite number: the relative agreement "
-                            "tolerance of the j6 witnesses (default: 1e-9) or the "
-                            "j8-root bracket width (default: 1e-14)")
+    add_tol(p_sol, "relative agreement tolerance of the solved witness")
     return parser
 
 

@@ -14,20 +14,24 @@ and the invariants, with their homogeneity degrees in D:
     J5 = B_ij D_ijkl B_kl     (5)     J9  = B2_ij D_ijkl B2_kl    (9)
     J6 = B_ij C_ijkl B_kl     (6)     J10 = B2_ij C_ijkl B2_kl    (10)
 
-Two evaluators are provided.  :func:`invariants` exploits full index
-symmetry: sums run over canonical sorted index tuples with multinomial
-arrangement weights (15 quadruples, 10 triples, 6 pairs instead of 81/27/9
-raw entries).  This generic-ring engine runs on any commutative ring:
-symbolic tensors expand in sparse polynomials, and exact tensors run in
-Python integers.  The invariants are homogeneous, J_k(D) = J_k(qD) / q^k,
-so an exact tensor is scaled by the least common multiple q of its
-component denominators and each invariant divided by q^k once at the end.
-Float-backend tensors go through the batched float engine instead:
-:func:`invariants_float` evaluates a whole ``(N, 81)`` stack at once from
-the 9x9 matrix view D_(ij),(kl), and one tensor is the N = 1 case.
-:func:`invariants_oracle` is the deliberately naive check: unweighted full
-loops over every raw index combination.  The two must agree
-exactly on exact-backend input.
+Both engines read D as a matrix over index pairs.  The batched float
+engine, :func:`invariants_float`, evaluates a whole ``(N, 81)`` stack at
+once from the 9x9 view D_(ij),(kl); one float tensor is the N = 1 case.
+The generic-ring engine folds that view to 6x6 over the sorted pairs
+p = (i, j), i <= j, with arrangement weights w_p (1 for ii, 2 for ij):
+
+    C_pq = sum_r w_r D_pr D_qr,    B_ij = sum_k C_(ik),(jk),    B2 = B B,
+
+J2 = sum_p w_p C_pp, J3 = sum_pq w_p w_q C_pq D_pq, J4 and K6 are weighted
+dot products of B with B and B2, and the other six invariants are
+weighted quadratic forms x_p M_pq y_q with M = D or C.  It runs on any
+commutative ring: symbolic tensors expand in sparse polynomials, and
+exact tensors run in Python integers.  The invariants are homogeneous,
+J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by the least common
+multiple q of its component denominators and each invariant divided by
+q^k once at the end.  :func:`invariants_oracle` is the deliberately naive
+check: unweighted full loops over every raw index combination.  The two
+must agree exactly on exact-backend input.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .tensor import EXACT, FLOAT, Harmonic4, SLOT_WEIGHTS, clear_denominators, multiplicity
+from .tensor import (EXACT, FLOAT, Harmonic4, _SLOT_ROW, _dependents, _format_scalar,
+                     clear_denominators, multiplicity)
 
 #: Canonical invariant order used by every report and serialization.
 INVARIANT_NAMES = ("J2", "J3", "J4", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -51,77 +56,51 @@ INVARIANT_DEGREES = {
 ODD_INVARIANTS = ("J3", "J5", "J7", "J9")
 EVEN_INVARIANTS = ("J2", "J4", "J6", "K6", "J8", "J10")
 
+#: The six sorted index pairs, the rows and columns of the pair view.
 _PAIRS = tuple(combinations_with_replacement((1, 2, 3), 2))
-_PAIR_WEIGHT = {p: multiplicity(p) for p in _PAIRS}
-_TRIPLES = tuple(combinations_with_replacement((1, 2, 3), 3))
-_TRIPLE_WEIGHT = {t: multiplicity(t) for t in _TRIPLES}
+#: Arrangement weight of each pair: the number of orders of its indices.
+_WEIGHTS = tuple(multiplicity(p) for p in _PAIRS)
+#: Row of the 15-slot tuple (independent, then dependent) behind D_(p),(q).
+_PAIR_ROWS = tuple(tuple(_SLOT_ROW[tuple(sorted(p + q))] for q in _PAIRS) for p in _PAIRS)
+#: For each pair (i, j), the positions of the pairs (i, k) and (j, k), k = 1..3.
+_ROW_PAIRS = tuple(tuple((_PAIRS.index(tuple(sorted((i, k)))),
+                          _PAIRS.index(tuple(sorted((j, k))))) for k in (1, 2, 3))
+                   for i, j in _PAIRS)
 
 
-@dataclass(frozen=True)
-class SymMat3:
-    """Symmetric 3x3 matrix; only the upper triangle (11,12,13,22,23,33) is stored."""
-
-    entries: tuple
-
-    def entry(self, i: int, j: int):
-        if i > j:
-            i, j = j, i
-        return self.entries[_PAIRS.index((i, j))]
-
-    def trace(self):
-        return self.entries[0] + self.entries[3] + self.entries[5]
+def _pair_view(indep) -> list:
+    """The 6x6 matrix D_(p),(q) of the tensor with nine components ``indep``."""
+    slots = tuple(indep) + _dependents(*indep)
+    return [[slots[r] for r in row] for row in _PAIR_ROWS]
 
 
-def mat_square(b: SymMat3) -> SymMat3:
-    """Matrix square B*B (symmetric since B is)."""
-    return SymMat3(tuple(
-        sum(b.entry(i, k) * b.entry(k, j) for k in (1, 2, 3))
-        for (i, j) in _PAIRS
-    ))
+def _quartic(d) -> list:
+    """C_pq = sum_r w_r D_pr D_qr from the pair view, as a symmetric 6x6 list."""
+    c = [[0] * 6 for _ in range(6)]
+    for p in range(6):
+        for q in range(p, 6):
+            c[p][q] = c[q][p] = sum(w * (x * y) for w, x, y in zip(_WEIGHTS, d[p], d[q]))
+    return c
 
 
-@dataclass(frozen=True)
-class PairSym4:
-    """Pair-symmetric fourth-order tensor: C(ij,kl) = C(ji,kl) = C(kl,ij).
-
-    Stored on 21 slots keyed by ordered pairs of sorted index pairs.  Full
-    index symmetry is deliberately NOT assumed, and no arrangement weights
-    are baked into storage; contraction weights are applied at use sites.
-    """
-
-    values: dict
-
-    def entry(self, i: int, j: int, k: int, l: int):
-        p = (i, j) if i <= j else (j, i)
-        q = (k, l) if k <= l else (l, k)
-        if p > q:
-            p, q = q, p
-        return self.values[(p, q)]
+def _partial_trace(c) -> tuple:
+    """B_ij = sum_k C_(ik),(jk), as a 6-tuple over the sorted pairs."""
+    return tuple(sum(c[u][v] for u, v in row) for row in _ROW_PAIRS)
 
 
-def bilinear_B(d: Harmonic4) -> SymMat3:
-    """B_ij = D_iklm D_jklm via weighted sums over the 10 sorted (k,l,m)."""
-    full = d._full
-    entries = []
-    for (i, j) in _PAIRS:
-        acc = 0
-        for t, w in _TRIPLE_WEIGHT.items():
-            acc = acc + w * (full[tuple(sorted((i,) + t))] * full[tuple(sorted((j,) + t))])
-        entries.append(acc)
-    return SymMat3(tuple(entries))
+def _square(b) -> tuple:
+    """B2_ij = sum_k B_ik B_kj of a symmetric 6-tuple ``b``."""
+    return tuple(sum(b[u] * b[v] for u, v in row) for row in _ROW_PAIRS)
 
 
-def quartic_C(d: Harmonic4) -> PairSym4:
-    """C_ijkl = D_ijmn D_klmn via weighted sums over the 6 sorted (m,n)."""
-    full = d._full
-    values = {}
-    for a, p in enumerate(_PAIRS):
-        for q in _PAIRS[a:]:
-            acc = 0
-            for mn, w in _PAIR_WEIGHT.items():
-                acc = acc + w * (full[tuple(sorted(p + mn))] * full[tuple(sorted(q + mn))])
-            values[(p, q)] = acc
-    return PairSym4(values)
+def quartic_C(d: Harmonic4) -> list:
+    """C_ijkl = D_ijmn D_klmn on the sorted pairs: 6x6, C[p][q] = C_(p),(q)."""
+    return _quartic(_pair_view(d.indep))
+
+
+def bilinear_B(d: Harmonic4) -> tuple:
+    """B_ij = D_iklm D_jklm on the sorted pairs: (B11, B12, B13, B22, B23, B33)."""
+    return _partial_trace(quartic_C(d))
 
 
 @dataclass(frozen=True)
@@ -146,64 +125,41 @@ class InvariantVector:
         return {name: self[name] for name in INVARIANT_NAMES}
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for name in INVARIANT_NAMES:
-            v = self[name]
-            out[name] = f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
-        return out
+        return {name: _format_scalar(self[name]) for name in INVARIANT_NAMES}
 
 
-def _quad_form(x: SymMat3, mid, y: SymMat3):
-    """x_ij M_ijkl y_kl over symmetric x, y and pair-symmetric M.
+def _dot(x, y):
+    """sum_p w_p x_p y_p: the full contraction x_ij y_ij of two symmetric matrices."""
+    return sum(w * (a * b) for w, a, b in zip(_WEIGHTS, x, y))
 
-    ``mid(p, q)`` returns M at the sorted pairs p, q.  Grouped as
-    sum_q w_q (sum_p w_p x_p M_pq) y_q, which also keeps intermediate
-    polynomial products small on the symbolic path.
+
+def _quad_form(x, m, y):
+    """x_ij M_ijkl y_kl = sum_q w_q (sum_p w_p x_p M_pq) y_q on the pair view.
+
+    The grouping keeps intermediate polynomial products small on the
+    symbolic path.
     """
-    total = 0
-    for q in _PAIRS:
-        inner = 0
-        for p in _PAIRS:
-            inner = inner + _PAIR_WEIGHT[p] * (x.entry(*p) * mid(p, q))
-        total = total + _PAIR_WEIGHT[q] * (inner * y.entry(*q))
-    return total
+    wx = [w * v for w, v in zip(_WEIGHTS, x)]
+    return _dot([sum(a * row[q] for a, row in zip(wx, m)) for q in range(6)], y)
 
 
-def _invariants_generic(d: Harmonic4) -> InvariantVector:
-    full = d._full
-    b = bilinear_B(d)
-    b2 = mat_square(b)
-    c = quartic_C(d)
-
-    def d_mid(p, q):
-        return full[tuple(sorted(p + q))]
-
-    def c_mid(p, q):
-        return c.entry(*p, *q)
-
-    j2 = 0
-    for slot, w in SLOT_WEIGHTS.items():
-        j2 = j2 + w * (full[slot] * full[slot])
-    j3 = 0
-    for p in _PAIRS:
-        for q in _PAIRS:
-            j3 = j3 + (_PAIR_WEIGHT[p] * _PAIR_WEIGHT[q]) * (c_mid(p, q) * d_mid(p, q))
-    j4 = 0
-    k6 = 0
-    for p in _PAIRS:
-        j4 = j4 + _PAIR_WEIGHT[p] * (b.entry(*p) * b.entry(*p))
-        k6 = k6 + _PAIR_WEIGHT[p] * (b.entry(*p) * b2.entry(*p))
+def _invariants_generic(indep) -> InvariantVector:
+    """The ten invariants of the tensor with nine components ``indep``, over any ring."""
+    d = _pair_view(indep)
+    c = _quartic(d)
+    b = _partial_trace(c)
+    b2 = _square(b)
     return InvariantVector(
-        j2=j2,
-        j3=j3,
-        j4=j4,
-        j5=_quad_form(b, d_mid, b),
-        j6=_quad_form(b, c_mid, b),
-        k6=k6,
-        j7=_quad_form(b2, d_mid, b),
-        j8=_quad_form(b2, c_mid, b),
-        j9=_quad_form(b2, d_mid, b2),
-        j10=_quad_form(b2, c_mid, b2),
+        j2=sum(w * c[p][p] for p, w in enumerate(_WEIGHTS)),
+        j3=sum(w * _dot(cp, dp) for w, cp, dp in zip(_WEIGHTS, c, d)),
+        j4=_dot(b, b),
+        j5=_quad_form(b, d, b),
+        j6=_quad_form(b, c, b),
+        k6=_dot(b, b2),
+        j7=_quad_form(b2, d, b),
+        j8=_quad_form(b2, c, b),
+        j9=_quad_form(b2, d, b2),
+        j10=_quad_form(b2, c, b2),
     )
 
 
@@ -242,7 +198,7 @@ def _invariants_float(d: Harmonic4) -> InvariantVector:
 
 def _invariants_exact(d: Harmonic4) -> InvariantVector:
     scaled, q = clear_denominators(d.indep)
-    vec = _invariants_generic(Harmonic4(scaled))
+    vec = _invariants_generic(scaled)
     return InvariantVector(*(Fraction(vec[name], q ** INVARIANT_DEGREES[name])
                              for name in INVARIANT_NAMES))
 
@@ -260,7 +216,7 @@ def invariants(d: Harmonic4) -> InvariantVector:
         return _invariants_float(d)
     if d.backend == EXACT:
         return _invariants_exact(d)
-    return _invariants_generic(d)
+    return _invariants_generic(d.indep)
 
 
 def invariants_oracle(d: Harmonic4) -> InvariantVector:

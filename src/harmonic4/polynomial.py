@@ -25,7 +25,7 @@ from .invariants import (
     ODD_INVARIANTS,
     _invariants_generic,
 )
-from .tensor import COMPONENT_NAMES, Harmonic4, clear_denominators
+from .tensor import COMPONENT_NAMES, clear_denominators
 
 NUM_SYMBOLS = 9
 
@@ -241,8 +241,7 @@ def _as_poly(value):
 
 @lru_cache(maxsize=1)
 def _symbolic_table() -> dict:
-    symbols = Harmonic4(tuple(SparsePoly.variable(i) for i in range(NUM_SYMBOLS)))
-    vec = _invariants_generic(symbols)
+    vec = _invariants_generic([SparsePoly.variable(i) for i in range(NUM_SYMBOLS)])
     return {name: vec[name] for name in INVARIANT_NAMES}
 
 

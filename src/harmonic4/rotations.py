@@ -73,13 +73,11 @@ class Orthogonal3:
                                  for i in range(3)))
 
     def orthogonality_defect(self):
-        """max |(Q^T Q - I)_ij| over all entries."""
-        worst = 0
-        for i in range(3):
-            for j in range(3):
-                g = sum(self.rows[k][i] * self.rows[k][j] for k in range(3))
-                worst = max(worst, abs(g - (1 if i == j else 0)))
-        return worst
+        """max |(Q^T Q - I)_ij| over all entries; NaN if any of them is NaN."""
+        gaps = [abs(sum(self.rows[k][i] * self.rows[k][j] for k in range(3))
+                    - (1 if i == j else 0))
+                for i in range(3) for j in range(3)]
+        return next((g for g in gaps if g != g), max(gaps))
 
     def is_float(self) -> bool:
         return all(type(v) is float for row in self.rows for v in row)
@@ -126,12 +124,13 @@ def signed_permutation(perm, signs=(1, 1, 1)) -> Orthogonal3:
 
 
 def _require_orthogonal(q: Orthogonal3):
+    """Raise ``ValueError`` unless Q^T Q = I (floats: to ORTHO_TOL); NaN always fails."""
     defect = q.orthogonality_defect()
     if q.is_float():
-        if defect > ORTHO_TOL:
+        if not defect <= ORTHO_TOL:
             raise ValueError(f"matrix is not orthogonal: defect {defect:.3e} > {ORTHO_TOL}")
     elif defect != 0:
-        raise ValueError("exact-backend matrix must satisfy Q^T Q = I exactly")
+        raise ValueError("matrix is not orthogonal: Q^T Q != I exactly")
 
 
 #: Row of the 15 slots (independent, then dependent) behind each of the 81 entries.

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .invariants import INVARIANT_NAMES, ODD_INVARIANTS, invariants, invariants_float
-from .tensor import EXACT, FLOAT, Harmonic4, expand_float, from_independent
+from .tensor import EXACT, FLOAT, Harmonic4, _format_scalar, expand_float, from_independent
 
 SMITH_BAO_BASIS = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 MIXED_BASIS = ("J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -208,13 +208,11 @@ class WitnessReport:
 
     def to_json_dict(self) -> dict:
         def enc(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
             if isinstance(v, dict):
                 return {k: enc(x) for k, x in v.items()}
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
-            return v
+            return _format_scalar(v)
 
         return {
             "label": self.label,
@@ -385,6 +383,9 @@ _PAPER_GUESS = {
     frozenset(("J2", "K6", "J8", "J10")): (-0.405381, 0.67075 + 0.25, 1.12345),
 }
 
+#: Norm of the normalized residuals at which the Gauss-Newton solve stops.
+SOLVE_TOL = 1e-12
+
 #: Solutions with |delta| below this are treated as collapses onto the
 #: trivial manifold (left == right, every residual zero for any D1123 and
 #: D2223); the genuine witnesses sit at delta ~ 0.92.
@@ -420,16 +421,15 @@ def _system_residuals(points, matched) -> np.ndarray:
     return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
 
 
-def solve_agreement_system(matched, guess=None, tol: float = 1e-12,
-                           max_iter: int = 200) -> SolveResult:
+def solve_agreement_system(matched, guess=None, max_iter: int = 200) -> SolveResult:
     """Damped Gauss-Newton on the four matched-invariant residuals.
 
     Residuals are normalized per equation by max(1, |J_k|) so the
-    convergence tolerance is meaningful across degrees 2..10.  ``guess``
-    defaults to the printed solution digits for the two known systems; a
-    coarse grid search seeds the iteration otherwise.  Non-convergence
-    (including collapse onto the trivial delta=0 manifold) is reported in
-    the result, never raised.
+    convergence tolerance :data:`SOLVE_TOL` is meaningful across degrees
+    2..10.  ``guess`` defaults to the printed solution digits for the two
+    known systems; a coarse grid search seeds the iteration otherwise.
+    Non-convergence (including collapse onto the trivial delta=0 manifold)
+    is reported in the result, never raised.
     """
     matched = tuple(matched)
     if guess is not None:
@@ -440,7 +440,7 @@ def solve_agreement_system(matched, guess=None, tol: float = 1e-12,
         candidates = _grid_seeds(matched)
     result = None
     for candidate in candidates:
-        result = _gauss_newton(np.asarray(candidate, dtype=float), matched, tol, max_iter)
+        result = _gauss_newton(np.asarray(candidate, dtype=float), matched, max_iter)
         if result.converged:
             break
     return result
@@ -456,14 +456,14 @@ def _grid_seeds(matched, count: int = 8) -> list:
     return [tuple(points[i].tolist()) for i in best]
 
 
-def _gauss_newton(x, matched, tol, max_iter) -> SolveResult:
+def _gauss_newton(x, matched, max_iter) -> SolveResult:
     fd_step = 1e-7
     bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
     r = _system_residuals(x[None], matched)[0]
     r_norm = float(np.linalg.norm(r))
     iterations = 0
     message = ""
-    while r_norm > tol and iterations < max_iter:
+    while r_norm > SOLVE_TOL and iterations < max_iter:
         r_bumped = _system_residuals(x + bumps, matched)
         jac = ((r_bumped[:3] - r_bumped[3:]) / (2 * fd_step)).T
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -486,7 +486,7 @@ def _gauss_newton(x, matched, tol, max_iter) -> SolveResult:
             break
 
     b, delta, d = (float(v) for v in x)
-    converged = r_norm <= tol
+    converged = r_norm <= SOLVE_TOL
     if converged and abs(delta) < _DELTA_FLOOR:
         converged = False
         message = "collapsed onto the trivial (left == right) solution"
@@ -518,14 +518,12 @@ def pair_from_solution(result: SolveResult) -> WitnessPair:
 
 
 def _j8_pair() -> WitnessPair:
-    """The degree-8 branch pair at the root t* of h."""
+    """The degree-8 branch pair at the root t* of h, bisected to 1e-14."""
     root = bisect_root(h_eval, 0.15, 0.2, 1e-14)
     t_star = root.solution["root"]
     pair = j8_family(t_star)
     return WitnessPair(pair.left, pair.right, notes={
-        "t_star": t_star,
-        "h_at_root": root.residual_norm,
-        "bisection_iterations": root.iterations,
+        "solver": root.to_json_dict(),
         "one_minus_5t_sq": (1 - 5 * t_star) ** 2,
     })
 
@@ -623,7 +621,10 @@ def verify_sign_pairs() -> list:
 
 
 def verify_j8_separation(rel_tol: float = REL_TOL) -> WitnessReport:
-    """The Smith-Bao J8 cell: root-find t*, then check the branch pair there."""
+    """The Smith-Bao J8 cell: root-find t*, then check the branch pair there.
+
+    The bisection's :class:`SolveResult` is in ``notes["solver"]``.
+    """
     return _check_cells([("smith_bao", "J8")], rel_tol)["smith_bao", "J8"]
 
 

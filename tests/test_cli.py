@@ -126,6 +126,16 @@ class TestRotateCommand:
         code, _ = run(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", [0, 8])
+    def test_nan_matrix_entry_exits_2(self, d1_file, entry, capsys):
+        matrix = list(IDENTITY)
+        matrix[entry] = "nan"
+        code = main(["rotate", "--input", d1_file, "--matrix"] + matrix)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is not orthogonal")
+
     def test_quarter_turn_preserves_invariants(self, d1_file, capsys):
         c = 0.7071067811865476
         argv = ["rotate", "--input", d1_file,
@@ -262,16 +272,16 @@ class TestTolerance:
         assert "error: argument --tol" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_tolerance_sets_the_root_bracket(self, capsys):
+    def test_j8_root_tolerance_is_the_witness_agreement(self, capsys):
+        # the pair agrees to ~1e-15 relative, far above 1e-17; the root is
+        # bisected to 1e-14 whatever --tol says, and is the one the report checks
         _, default = run(["solve", "j8-root"], capsys)
-        _, coarse = run(["solve", "j8-root", "--tol", "1e-3"], capsys)
-        assert json.loads(coarse)["solve"]["iterations"] == 6
-        assert json.loads(default)["solve"]["iterations"] == 43
-
-    def test_tiny_tolerance_terminates(self, capsys):
-        code, out = run(["solve", "j8-root", "--tol", "1e-300"], capsys)
-        assert code == 0
-        assert json.loads(out)["solve"]["iterations"] < 64
+        code, strict = run(["solve", "j8-root", "--tol", "1e-17"], capsys)
+        default, strict = json.loads(default), json.loads(strict)
+        assert code == 1
+        assert strict["report"]["passed"] is False
+        assert strict["solve"] == default["solve"] == default["report"]["notes"]["solver"]
+        assert default["solve"]["iterations"] == 43
 
 
 class TestRemovedFlags:
@@ -283,6 +293,12 @@ class TestRemovedFlags:
         ["solve", "j8-root", "--seed", "5"],
         ["solve", "j8-root", "--format", "text"],
         ["verify", "identity", "--backend", "exact"],
+        # each verify suite takes only the flags it reads
+        *(["verify", suite, flag, "3"]
+          for suite in ("identity", "parity", "restriction", "witnesses")
+          for flag in ("--trials", "--seed")),
+        *(["verify", suite, "--tol", "3"]
+          for suite in ("identity", "parity", "restriction", "isotropy")),
     ])
     def test_flag_a_subcommand_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

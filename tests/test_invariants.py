@@ -15,11 +15,11 @@ from harmonic4 import (
     invariants,
     invariants_oracle,
     j4_from_mixed,
-    mat_square,
     quartic_C,
     random_harmonic,
 )
-from harmonic4.invariants import SymMat3, _invariants_generic
+from harmonic4.invariants import _PAIR_ROWS, _PAIRS as PAIRS, _invariants_generic, _pair_view
+from harmonic4.tensor import DEPENDENT_SLOTS, INDEPENDENT_SLOTS
 
 RANGE3 = (1, 2, 3)
 
@@ -37,16 +37,42 @@ def brute_force_B(d):
              for j in RANGE3] for i in RANGE3]
 
 
+def brute_force_C(d, i, j, k, l):
+    """Independent reference: unreduced double loop for C_ijkl."""
+    return sum(d.component(i, j, m, n) * d.component(k, l, m, n)
+               for m, n in product(RANGE3, repeat=2))
+
+
+def pair(i, j):
+    """Position of the index pair (i, j), either order, in the pair basis."""
+    return PAIRS.index(tuple(sorted((i, j))))
+
+
+class TestPairView:
+    def test_table_entry_is_the_slot_of_the_merged_pairs(self):
+        slots = INDEPENDENT_SLOTS + DEPENDENT_SLOTS
+        for a, p in enumerate(PAIRS):
+            for b, q in enumerate(PAIRS):
+                assert slots[_PAIR_ROWS[a][b]] == tuple(sorted(p + q))
+
+    def test_pair_view_reads_every_component(self):
+        d = random_harmonic(3, backend=EXACT)
+        view = _pair_view(d.indep)
+        for (i, j), row in zip(PAIRS, view):
+            for (k, l), value in zip(PAIRS, row):
+                assert value == d.component(i, j, k, l)
+
+
 class TestBilinearB:
     def test_unit_d1111_is_diag_4_0_4(self):
         # frozen from the brute-force contraction below
         expected = [[4, 0, 0], [0, 0, 0], [0, 0, 4]]
         assert brute_force_B(D1) == expected
         b = bilinear_B(D1)
-        assert [[b.entry(i, j) for j in RANGE3] for i in RANGE3] == expected
+        assert [[b[pair(i, j)] for j in RANGE3] for i in RANGE3] == expected
 
     def test_zero_tensor(self):
-        assert all(v == 0 for v in bilinear_B(ZERO).entries)
+        assert bilinear_B(ZERO) == (0,) * 6
 
     def test_matches_brute_force_on_random_tensors(self):
         for seed in range(10):
@@ -55,49 +81,36 @@ class TestBilinearB:
             reference = brute_force_B(d)
             for i in RANGE3:
                 for j in RANGE3:
-                    assert b.entry(i, j) == reference[i - 1][j - 1]
+                    assert b[pair(i, j)] == reference[i - 1][j - 1]
 
     def test_trace_equals_degree2_invariant(self):
         for seed in range(5):
             d = random_harmonic(seed, backend=EXACT)
-            assert bilinear_B(d).trace() == invariants(d).j2
-
-
-class TestMatSquare:
-    def test_diagonal(self):
-        b = SymMat3((4, 0, 0, 0, 0, 4))
-        assert mat_square(b).entries == (16, 0, 0, 0, 0, 16)
-
-    def test_zero_and_identity(self):
-        assert mat_square(SymMat3((0,) * 6)).entries == (0,) * 6
-        eye = SymMat3((1, 0, 0, 1, 0, 1))
-        assert mat_square(eye).entries == eye.entries
-
-    def test_entry_is_symmetric(self):
-        b = SymMat3(tuple(range(1, 7)))
-        for i in RANGE3:
-            for j in RANGE3:
-                assert b.entry(i, j) == b.entry(j, i)
+            b = bilinear_B(d)
+            assert b[pair(1, 1)] + b[pair(2, 2)] + b[pair(3, 3)] == invariants(d).j2
 
 
 class TestQuarticC:
     def test_unit_d1111_corner(self):
         # brute force over the 9 (m,n): D_11mn D_11mn = 1^2 + (-1)^2 = 2
-        reference = sum(D1.component(1, 1, m, n) ** 2
-                        for m, n in product(RANGE3, repeat=2))
-        assert reference == 2
-        assert quartic_C(D1).entry(1, 1, 1, 1) == 2
+        assert brute_force_C(D1, 1, 1, 1, 1) == 2
+        assert quartic_C(D1)[pair(1, 1)][pair(1, 1)] == 2
 
     def test_zero_tensor(self):
-        assert all(v == 0 for v in quartic_C(ZERO).values.values())
+        assert quartic_C(ZERO) == [[0] * 6 for _ in range(6)]
 
     def test_pair_symmetry(self):
-        d = random_harmonic(4, backend=EXACT)
-        c = quartic_C(d)
-        for ij in product(RANGE3, repeat=2):
-            for kl in product(RANGE3, repeat=2):
-                assert c.entry(*ij, *kl) == c.entry(*kl, *ij)
-                assert c.entry(*ij, *kl) == c.entry(ij[1], ij[0], *kl)
+        c = quartic_C(random_harmonic(4, backend=EXACT))
+        for p in range(6):
+            for q in range(6):
+                assert c[p][q] == c[q][p]
+
+    def test_matches_brute_force_on_random_tensors(self):
+        for seed in range(5):
+            d = random_harmonic(seed, backend=EXACT)
+            c = quartic_C(d)
+            for i, j, k, l in product(RANGE3, repeat=4):
+                assert c[pair(i, j)][pair(k, l)] == brute_force_C(d, i, j, k, l)
 
 
 class TestKnownValues:
@@ -151,7 +164,7 @@ class TestOracleEquivalence:
             norm = float(d.frobenius_norm_sq()) ** 0.5
             d = d.scale(1.0 / norm)
             fast = invariants(d)
-            generic = _invariants_generic(d)
+            generic = _invariants_generic(d.indep)
             for name in INVARIANT_NAMES:
                 assert fast[name] == pytest.approx(generic[name], rel=1e-12, abs=1e-13)
 

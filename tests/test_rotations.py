@@ -86,6 +86,16 @@ class TestRotate:
                                           (0.0, 1.0, 0.0),
                                           (0.0, 0.0, 1.0))))
 
+    @pytest.mark.parametrize("entry", [0, 8])
+    @pytest.mark.parametrize("one", [1, 1.0])
+    def test_rejects_nan_entry(self, entry, one):
+        flat = [one if n in (0, 4, 8) else 0 * one for n in range(9)]
+        flat[entry] = math.nan
+        q = Orthogonal3(tuple(tuple(flat[3 * i:3 * i + 3]) for i in range(3)))
+        assert math.isnan(q.orthogonality_defect())
+        with pytest.raises(ValueError, match="not orthogonal"):
+            rotate(D1_FLOAT, q)
+
     def test_quarter_turn_preserves_invariants(self):
         c = math.cos(math.pi / 4)
         q = Orthogonal3(((c, -c, 0.0), (c, c, 0.0), (0.0, 0.0, 1.0)))

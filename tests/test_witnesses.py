@@ -218,8 +218,8 @@ class TestJ8Separation:
     def test_report_passes(self):
         report = verify_j8_separation(rel_tol=1e-9)
         assert report.passed
-        assert 0.15 < report.notes["t_star"] < 0.2
-        assert report.notes["h_at_root"] <= 1e-10
+        assert 0.15 < report.notes["solver"]["solution"]["root"] < 0.2
+        assert report.notes["solver"]["residual_norm"] <= 1e-10
         assert report.gaps["J8"] > 1e-6
         assert report.notes["one_minus_5t_sq"] > 1e-3
         for name in report.agree:
