@@ -93,14 +93,24 @@ def _square(b) -> tuple:
     return tuple(sum(b[u] * b[v] for u, v in row) for row in _ROW_PAIRS)
 
 
+def _quartic_of(d: Harmonic4) -> tuple:
+    """C of ``d``, run on qD in integers when exact, and the map back: C(D) = C(qD) / q^2."""
+    if d.backend != EXACT:
+        return _quartic(_pair_view(d.indep)), lambda v: v
+    indep, q = clear_denominators(d.indep)
+    return _quartic(_pair_view(indep)), lambda v: Fraction(v, q * q)
+
+
 def quartic_C(d: Harmonic4) -> list:
     """C_ijkl = D_ijmn D_klmn on the sorted pairs: 6x6, C[p][q] = C_(p),(q)."""
-    return _quartic(_pair_view(d.indep))
+    c, unscale = _quartic_of(d)
+    return [[unscale(v) for v in row] for row in c]
 
 
 def bilinear_B(d: Harmonic4) -> tuple:
     """B_ij = D_iklm D_jklm on the sorted pairs: (B11, B12, B13, B22, B23, B33)."""
-    return _partial_trace(quartic_C(d))
+    c, unscale = _quartic_of(d)
+    return tuple(unscale(v) for v in _partial_trace(c))
 
 
 @dataclass(frozen=True)
@@ -206,11 +216,12 @@ def _invariants_exact(d: Harmonic4) -> InvariantVector:
 def invariants(d: Harmonic4) -> InvariantVector:
     """All ten invariants of ``d`` via the symmetry-weighted evaluator.
 
-    Float-backend tensors go through numpy contractions.  Exact tensors
-    (ints and Fractions) run the generic ring code on the integer tensor
-    qD and return Fractions; every other scalar type (polynomials) runs it
-    directly.  The generic path is pinned against :func:`invariants_oracle`
-    by tests.
+    The engine follows :attr:`Harmonic4.backend`.  Float tensors (any
+    float component) go through numpy contractions and return Python
+    floats.  Exact tensors (ints and Fractions) run the generic ring code
+    on the integer tensor qD and return Fractions; every other scalar type
+    (polynomials) runs it directly.  The generic path is pinned against
+    :func:`invariants_oracle` by tests.
     """
     if d.backend == FLOAT:
         return _invariants_float(d)

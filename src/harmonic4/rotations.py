@@ -15,16 +15,16 @@ matrix view D_(ij),(kl), a stack of matrices acts as (Q x Q) D (Q x Q)^T
 (:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
 per trial seed.  :func:`isotropy_check` samples, rotates and evaluates
 its trials in blocks of :data:`ISOTROPY_BLOCK` through that engine;
-:func:`rotate` and :func:`random_rotation` are the N = 1 case, and a
-rational matrix acting on a float tensor is cast to float.  A tensor
-with any float component counts as a float tensor here.
+:func:`rotate` and :func:`random_rotation` are the N = 1 case.
 
-Exact and symbolic tensors take one ring-generic contraction: four mode
-products u[a, ...] = sum_l M_al t[..., l] over the 81 row-major entries,
-972 products in all.  For an exact tensor D with denominators cleared by
-q and a rational matrix Q = M / den, it runs on Python integers, and the
-nine components are divided by q * den^4 once at the end.  Exact tensors
-need rational matrices; a float entry raises ``ValueError``.
+The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
+matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
+to :data:`ORTHO_TOL` per entry.  Exact and symbolic tensors need a
+rational Q with Q^T Q = I exactly, and take one ring-generic contraction:
+four mode products u[a, ...] = sum_l M_al t[..., l] over the 81 row-major
+entries, 972 products in all.  It runs with the matrix's denominators
+cleared, Q = M / den, and an exact tensor's too, D = D' / q; the nine
+components are divided by q * den^4 once at the end.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .tensor import (EXACT, FLOAT, Harmonic4, clear_denominators, expand_float,
 #: Entrywise tolerance on Q^T Q - I for float matrices.
 ORTHO_TOL = 1e-12
 
-#: Trials evaluated together by :func:`isotropy_check`; bounds its memory
-#: to a few megabytes whatever the number of trials.
+#: Trials evaluated together by :func:`isotropy_check`; bounds its float
+#: stacks to a few megabytes whatever the number of trials.  The trial
+#: seeds stay one uint64 array, 8 bytes per trial.
 ISOTROPY_BLOCK = 1024
 
 
@@ -51,12 +52,18 @@ ISOTROPY_BLOCK = 1024
 class Orthogonal3:
     """A 3x3 orthogonal matrix, row-major.  det may be +1 or -1.
 
-    Entries are floats or exact rationals; exact matrices must satisfy
-    Q^T Q = I exactly (signed permutations are the typical case), float
-    matrices within :data:`ORTHO_TOL` per entry.
+    ``rows`` is any 3x3 nested sequence (a numpy array included) and is
+    stored as a tuple of row tuples.  Whether Q^T Q = I exactly or to
+    :data:`ORTHO_TOL` depends on the tensor it acts on (:func:`rotate`).
     """
 
     rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.rows)
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
+            raise ValueError("expected a 3x3 matrix")
+        object.__setattr__(self, "rows", rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
@@ -79,9 +86,6 @@ class Orthogonal3:
                 for i in range(3) for j in range(3)]
         return next((g for g in gaps if g != g), max(gaps))
 
-    def is_float(self) -> bool:
-        return all(type(v) is float for row in self.rows for v in row)
-
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
 
@@ -89,23 +93,10 @@ class Orthogonal3:
     def identity(cls) -> "Orthogonal3":
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    @classmethod
-    def from_matrix(cls, m) -> "Orthogonal3":
-        rows = tuple(
-            tuple(float(v) if isinstance(v, (float, np.floating)) else v for v in row)
-            for row in m
-        )
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("expected a 3x3 matrix")
-        return cls(rows)
-
 
 def reflection(axis: int = 3) -> Orthogonal3:
     """Diagonal reflection flipping one coordinate axis."""
-    rows = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        rows[i][i] = -1 if i == axis - 1 else 1
-    return Orthogonal3(tuple(tuple(r) for r in rows))
+    return signed_permutation((1, 2, 3), tuple(-1 if j == axis else 1 for j in (1, 2, 3)))
 
 
 def signed_permutation(perm, signs=(1, 1, 1)) -> Orthogonal3:
@@ -120,17 +111,14 @@ def signed_permutation(perm, signs=(1, 1, 1)) -> Orthogonal3:
     rows = [[0] * 3 for _ in range(3)]
     for j, (p, s) in enumerate(zip(perm, signs)):
         rows[p - 1][j] = s
-    return Orthogonal3(tuple(tuple(r) for r in rows))
+    return Orthogonal3(rows)
 
 
-def _require_orthogonal(q: Orthogonal3):
-    """Raise ``ValueError`` unless Q^T Q = I (floats: to ORTHO_TOL); NaN always fails."""
+def _require_orthogonal(q: Orthogonal3, tol):
+    """Raise ``ValueError`` unless every entry of Q^T Q - I is within ``tol``; NaN always fails."""
     defect = q.orthogonality_defect()
-    if q.is_float():
-        if not defect <= ORTHO_TOL:
-            raise ValueError(f"matrix is not orthogonal: defect {defect:.3e} > {ORTHO_TOL}")
-    elif defect != 0:
-        raise ValueError("matrix is not orthogonal: Q^T Q != I exactly")
+    if not defect <= tol:
+        raise ValueError(f"matrix is not orthogonal: defect {float(defect):.3e} > {tol}")
 
 
 #: Row of the 15 slots (independent, then dependent) behind each of the 81 entries.
@@ -145,23 +133,27 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     The full tensor is transformed, the 9 independent slots are read back,
     and (in debug builds) the dependent slots of the transform are checked
     against their trace-completion values -- a free consistency check on
-    the contraction.  A tensor with any float component (numpy float
-    scalars included) takes the float engine.  Any other tensor needs a
-    matrix of ints and Fractions; a float entry raises ``ValueError``.
+    the contraction.  A float tensor takes the float engine with ``q``
+    cast to float.  Exact and symbolic tensors need a matrix of ints and
+    Fractions that is exactly orthogonal; anything else raises
+    ``ValueError``.
     """
-    _require_orthogonal(q)
-    if any(isinstance(v, float) for v in d.indep):
-        rotated = rotate_float(np.array([d.indep]), q.to_array()[None])
+    backend = d.backend
+    if backend == FLOAT:
+        m = q.to_array()
+        _require_orthogonal(Orthogonal3(m.tolist()), ORTHO_TOL)
+        rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))
-    if any(isinstance(v, float) for row in q.rows for v in row):
-        raise ValueError(f"a {d.backend} tensor needs a rational matrix, not float entries")
-    if d.backend != EXACT:
-        return Harmonic4(_contract(d.indep, q.rows))
-    indep, scale = clear_denominators(d.indep)
+    if not all(isinstance(v, (int, Fraction)) for row in q.rows for v in row):
+        raise ValueError(f"a {backend} tensor needs a matrix of ints and Fractions")
+    _require_orthogonal(q, 0)
+    indep, scale = clear_denominators(d.indep) if backend == EXACT else (d.indep, 1)
     m, den = clear_denominators(v for row in q.rows for v in row)
     out = _contract(indep, (m[0:3], m[3:6], m[6:9]))
     divisor = scale * den**4
-    return Harmonic4(tuple(Fraction(v, divisor) for v in out))
+    if backend == EXACT:
+        return Harmonic4(tuple(Fraction(v, divisor) for v in out))
+    return Harmonic4(tuple(v * Fraction(1, divisor) for v in out))
 
 
 def _contract(indep, m) -> tuple:
@@ -218,46 +210,32 @@ def _assert_traceless(entries):
                              f"{tc.DEPENDENT_SLOTS[col]}")
 
 
-def _quaternion_matrix(w, x, y, z):
-    return (
+def random_rotation(seed: int) -> Orthogonal3:
+    """Haar-distributed orthogonal matrix, deterministic per seed: :func:`haar_matrices`' N = 1 case."""
+    return Orthogonal3(haar_matrices([seed])[0].tolist())
+
+
+def haar_matrices(seeds) -> np.ndarray:
+    """(N, 3, 3) stack of Haar-distributed orthogonal matrices, one per seed.
+
+    Each seed draws a uniform unit quaternion, a Haar rotation in SO(3),
+    and a fair coin flip composing it with diag(1, 1, -1), which extends
+    the distribution to O(3).  The quaternion formula runs on columns.
+    """
+    quats, flips = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        quat = rng.standard_normal(4)
+        quats.append(quat / np.linalg.norm(quat))
+        flips.append(rng.random() < 0.5)
+    w, x, y, z = np.array(quats).reshape(-1, 4).T
+    out = np.empty((3, 3, len(flips)))
+    out[...] = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
-
-
-def _haar_draw(seed: int) -> tuple:
-    """Unit quaternion and reflection coin flip of one seed's generator."""
-    rng = np.random.default_rng(seed)
-    quat = rng.standard_normal(4)
-    return quat / np.linalg.norm(quat), rng.random() < 0.5
-
-
-def random_rotation(seed: int) -> Orthogonal3:
-    """Haar-distributed orthogonal matrix, deterministic per seed.
-
-    A uniform unit quaternion gives a Haar rotation in SO(3); composing
-    with the reflection diag(1,1,-1) on a fair coin flip extends the
-    distribution to all of O(3).
-    """
-    quat, flip = _haar_draw(seed)
-    rows = _quaternion_matrix(*quat.tolist())
-    if flip:
-        rows = tuple((r[0], r[1], -r[2]) for r in rows)
-    return Orthogonal3(rows)
-
-
-def haar_matrices(seeds) -> np.ndarray:
-    """(N, 3, 3) stack whose row n is ``random_rotation(seeds[n])``, bit for bit.
-
-    The per-seed draws are the same; the quaternion formula and the
-    reflection run as column arithmetic over the whole stack.
-    """
-    draws = [_haar_draw(seed) for seed in seeds]
-    quats = np.array([quat for quat, _ in draws]).reshape(-1, 4)
-    flips = np.array([flip for _, flip in draws], dtype=bool)
-    out = np.empty((3, 3, len(draws)))
-    out[...] = _quaternion_matrix(*quats.T)
+    flips = np.array(flips, dtype=bool)
     out[:, 2, flips] = -out[:, 2, flips]
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
@@ -286,14 +264,18 @@ class IsotropyReport:
         }
 
 
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """``count`` uint64 seeds derived from one master seed, 8 bytes each."""
+    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
+
+
 def trial_seeds(seed: int, trials: int) -> list:
     """Per-trial integer seeds derived from one master seed.
 
     Deterministic and independent of execution order, so trial results do
     not depend on scheduling.
     """
-    words = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-    return [int(w) for w in words]
+    return _seed_words(seed, trials).tolist()
 
 
 def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) -> tuple:
@@ -326,12 +308,12 @@ def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
     scales = np.maximum(np.abs(base),
                         norm ** np.array([INVARIANT_DEGREES[n] for n in INVARIANT_NAMES]))
     components = np.array([d.indep], dtype=float)
-    seeds = trial_seeds(seed, trials)
+    words = _seed_words(seed, trials)
     worst = np.zeros(len(INVARIANT_NAMES))
     worst_seed = -1
     worst_dev = -1.0
     for start in range(0, trials, ISOTROPY_BLOCK):
-        block = seeds[start:start + ISOTROPY_BLOCK]
+        block = words[start:start + ISOTROPY_BLOCK].tolist()
         rotated = rotate_float(components, haar_matrices(block))
         delta = np.abs(invariants_float(expand_float(rotated)) - base)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -16,9 +16,11 @@ unviolable by construction:
     D2233 = -D1122 - D2222          D2333 = -D1123 - D2223
     D3333 =  D1111 + 2*D1122 + D2222    D1233 = -D1112 - D1222
 
-Two scalar backends are supported and never mixed inside one tensor:
-``exact`` (arbitrary-precision `fractions.Fraction`) and ``float``
-(binary64).  The algebra below is written generically, so components may
+Two scalar backends are supported: ``exact`` (arbitrary-precision
+`fractions.Fraction`) and ``float`` (binary64).  :attr:`Harmonic4.backend`
+is the one rule that classifies a tensor's scalars, and every engine
+dispatches on it: one float component makes the whole tensor a float
+tensor.  The algebra below is written generically, so components may
 also be elements of any commutative ring (the symbolic layer exploits
 this by feeding sparse polynomials through the same code path).
 
@@ -136,11 +138,15 @@ class Harmonic4:
 
     @property
     def backend(self) -> str:
-        """Scalar backend: ``float``, ``exact``, or ``generic``."""
-        if all(type(v) is float for v in self.indep):
-            return FLOAT
+        """Scalar backend, the one rule every engine follows.
+
+        ``float`` if any component is a float (Python or numpy), ``exact``
+        if all are ints and Fractions, ``generic`` otherwise.
+        """
         if all(isinstance(v, (int, Fraction)) for v in self.indep):
             return EXACT
+        if any(isinstance(v, (float, np.floating)) for v in self.indep):
+            return FLOAT
         return "generic"
 
     @cached_property

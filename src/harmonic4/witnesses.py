@@ -343,10 +343,9 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     )
 
 
-def odd_vanishing_tensor(d1123: float, d1223: float, d2223: float,
-                         d1113: float = 1.0) -> Harmonic4:
-    """Tensor in the odd-killing restriction: only the single-'3' slots are free."""
-    return from_independent((0.0, 0.0, d1113, 0.0, d1123, 0.0, d1223, 0.0, d2223),
+def odd_vanishing_tensor(d1123: float, d1223: float, d2223: float) -> Harmonic4:
+    """Tensor in the odd-killing restriction: the single-'3' slots, with D1113 = 1."""
+    return from_independent((0.0, 0.0, 1.0, 0.0, d1123, 0.0, d1223, 0.0, d2223),
                             backend=FLOAT)
 
 
@@ -446,13 +445,13 @@ def solve_agreement_system(matched, guess=None, max_iter: int = 200) -> SolveRes
     return result
 
 
-def _grid_seeds(matched, count: int = 8) -> list:
-    """Best Newton seeds from a coarse (D1123, delta, D2223) grid in [-1.5, 1.5]^3."""
+def _grid_seeds(matched) -> list:
+    """The eight best Newton seeds of a coarse (D1123, delta, D2223) grid in [-1.5, 1.5]^3."""
     grid = np.linspace(-1.5, 1.5, 7)
     points = np.array([(b, delta, d) for b in grid for delta in grid if abs(delta) >= 0.25
                        for d in grid])
     norms = np.linalg.norm(_system_residuals(points, matched), axis=1)
-    best = np.argsort(norms, kind="stable")[:count]
+    best = np.argsort(norms, kind="stable")[:8]
     return [tuple(points[i].tolist()) for i in best]
 
 

@@ -110,12 +110,28 @@ class TestBatchedInvariants:
             assert row.tolist() == [vec[name] for name in INVARIANT_NAMES]
 
 
+def scalar_haar_matrix(seed):
+    """The former per-seed sampler: one unit quaternion in Python floats, then the coin flip."""
+    rng = np.random.default_rng(seed)
+    quat = rng.standard_normal(4)
+    w, x, y, z = (quat / np.linalg.norm(quat)).tolist()
+    rows = (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
+    if rng.random() < 0.5:
+        rows = tuple((r[0], r[1], -r[2]) for r in rows)
+    return np.array(rows)
+
+
 class TestHaarStack:
     def test_rows_equal_random_rotation(self):
         seeds = list(range(40)) + trial_seeds(42, 60)
         stack = haar_matrices(seeds)
         assert stack.shape == (len(seeds), 3, 3)
         for q, s in zip(stack, seeds):
+            assert np.array_equal(q, scalar_haar_matrix(s))
             assert np.array_equal(q, random_rotation(s).to_array())
 
     def test_reflections_present(self):
@@ -179,6 +195,7 @@ class TestBlockedIsotropy:
         worst, worst_seed = loop_isotropy(d, 30, 5)
         assert report.deviations == worst
         assert report.worst_seed == worst_seed
+        assert type(report.worst_seed) is int
 
     def test_zero_deviation_keeps_first_trial(self):
         zero = from_independent([0.0] * 9, backend=FLOAT)

@@ -145,8 +145,8 @@ class TestRotate:
     def test_debug_check_catches_a_corrupted_contraction(self, monkeypatch):
         real = rotations._require_orthogonal
 
-        def check_then_corrupt(q):
-            real(q)
+        def check_then_corrupt(q, tol):
+            real(q, tol)
             rows = [list(r) for r in q.rows]
             rows[0][1] += 1
             object.__setattr__(q, "rows", tuple(tuple(r) for r in rows))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from harmonic4 import (
@@ -10,6 +11,7 @@ from harmonic4 import (
     FLOAT,
     INVARIANT_DEGREES,
     INVARIANT_NAMES,
+    Harmonic4,
     bilinear_B,
     from_independent,
     invariants,
@@ -113,6 +115,16 @@ class TestQuarticC:
                 assert c[pair(i, j)][pair(k, l)] == brute_force_C(d, i, j, k, l)
 
 
+class TestExactContractionsInIntegers:
+    def test_raw_int_tensor_returns_fractions(self):
+        raw = Harmonic4((3, -1, 0, 2, 5, -7, 1, 4, -2))
+        b, c = bilinear_B(raw), quartic_C(raw)
+        assert all(type(v) is Fraction for v in b)
+        assert all(type(v) is Fraction for row in c for v in row)
+        rational = from_independent(raw.indep, backend=EXACT)
+        assert (b, c) == (bilinear_B(rational), quartic_C(rational))
+
+
 class TestKnownValues:
     def test_unit_d1111_row(self):
         vec = invariants(D1)
@@ -167,6 +179,26 @@ class TestOracleEquivalence:
             generic = _invariants_generic(d.indep)
             for name in INVARIANT_NAMES:
                 assert fast[name] == pytest.approx(generic[name], rel=1e-12, abs=1e-13)
+
+
+class TestFloatBackendRule:
+    """A tensor with any float component takes the float engine, bit for bit."""
+
+    @staticmethod
+    def bits(vec):
+        assert all(type(vec[name]) is float for name in INVARIANT_NAMES)
+        return [vec[name].hex() for name in INVARIANT_NAMES]
+
+    def test_mixed_int_and_float_components(self):
+        d = random_harmonic(3, backend=FLOAT)
+        mixed = Harmonic4((d.indep[0], 0, d.indep[2], 1) + d.indep[4:8] + (0,))
+        floats = Harmonic4(tuple(float(v) for v in mixed.indep))
+        assert self.bits(invariants(mixed)) == self.bits(invariants(floats))
+
+    def test_numpy_float_components(self):
+        d = random_harmonic(4, backend=FLOAT)
+        wrapped = Harmonic4(tuple(np.float64(v) for v in d.indep))
+        assert self.bits(invariants(wrapped)) == self.bits(invariants(d))
 
 
 class TestStructuralProperties:

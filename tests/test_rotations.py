@@ -96,6 +96,14 @@ class TestRotate:
         with pytest.raises(ValueError, match="not orthogonal"):
             rotate(D1_FLOAT, q)
 
+    def test_float_matrix_with_integer_entries_is_cast_to_float(self):
+        c = math.cos(math.pi / 4)
+        d = random_harmonic(5)
+        mixed = Orthogonal3(((c, -c, 0), (c, c, 0), (0, 0, 1)))
+        floats = Orthogonal3(((c, -c, 0.0), (c, c, 0.0), (0.0, 0.0, 1.0)))
+        got = rotate(d, mixed).indep
+        assert [v.hex() for v in got] == [v.hex() for v in rotate(d, floats).indep]
+
     def test_quarter_turn_preserves_invariants(self):
         c = math.cos(math.pi / 4)
         q = Orthogonal3(((c, -c, 0.0), (c, c, 0.0), (0.0, 0.0, 1.0)))
@@ -165,11 +173,22 @@ class TestOrthogonal3:
         qt = q.transpose()
         assert (q @ qt).rows == Orthogonal3.identity().rows
 
-    def test_from_matrix_coerces_numpy(self):
-        q = Orthogonal3.from_matrix(np.eye(3))
-        assert q.orthogonality_defect() == 0
-        assert q.is_float()
+    def test_numpy_rows_are_stored_as_tuples(self):
+        q = Orthogonal3(np.eye(3))
+        assert q.rows == Orthogonal3.identity().rows
+        assert all(type(row) is tuple for row in q.rows)
+        assert rotate(D1_FLOAT, q) == D1_FLOAT
 
-    def test_from_matrix_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            Orthogonal3.from_matrix(np.eye(4))
+    @pytest.mark.parametrize("rows", [((1, 0), (0, 1)),
+                                      ((1, 0, 0), (0, 1, 0)),
+                                      ((1, 0, 0), (0, 1, 0), (0, 0, 1, 0)),
+                                      np.eye(4)])
+    def test_rejects_bad_shape(self, rows):
+        with pytest.raises(ValueError, match="3x3"):
+            Orthogonal3(rows)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_reflection_is_a_diagonal_sign_flip(self, axis):
+        diag = [-1 if j == axis else 1 for j in (1, 2, 3)]
+        assert reflection(axis).rows == tuple(
+            tuple(diag[i] if i == j else 0 for j in range(3)) for i in range(3))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from harmonic4 import (
     EXACT,
     FLOAT,
     Harmonic4,
+    SparsePoly,
     canonical_index,
     check_traceless,
     from_independent,
@@ -177,6 +179,16 @@ class TestConstruction:
     def test_backend_property(self):
         assert from_independent([1] * 9, backend=EXACT).backend == EXACT
         assert from_independent([1] * 9, backend=FLOAT).backend == FLOAT
+
+    @pytest.mark.parametrize("indep, backend", [
+        ((1.5,) + (0,) * 8, FLOAT),
+        ((0,) * 8 + (np.float32(0.5),), FLOAT),
+        (tuple(np.float64(v) for v in range(9)), FLOAT),
+        ((1, Fraction(1, 2)) + (0,) * 7, EXACT),
+        ((SparsePoly.variable(0),) + (0,) * 8, "generic"),
+    ])
+    def test_any_float_component_makes_a_float_tensor(self, indep, backend):
+        assert Harmonic4(indep).backend == backend
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
