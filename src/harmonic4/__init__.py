@@ -65,7 +65,7 @@ from .witnesses import (
     check_pair,
     h_eval,
     j8_family,
-    odd_vanishing_tensor,
+    mirror_pair,
     sign_pair,
     solve_agreement_system,
     verify_catalog,

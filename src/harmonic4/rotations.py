@@ -24,7 +24,8 @@ rational Q with Q^T Q = I exactly, and take one ring-generic contraction:
 four mode products u[a, ...] = sum_l M_al t[..., l] over the 81 row-major
 entries, 972 products in all.  It runs with the matrix's denominators
 cleared, Q = M / den, and an exact tensor's too, D = D' / q; the nine
-components are divided by q * den^4 once at the end.
+components are divided by q * den^4 once at the end.  The orthogonality
+check runs on the cleared matrix as well: M^T M = den^2 I in Python ints.
 """
 
 from __future__ import annotations
@@ -81,10 +82,7 @@ class Orthogonal3:
 
     def orthogonality_defect(self):
         """max |(Q^T Q - I)_ij| over all entries; NaN if any of them is NaN."""
-        gaps = [abs(sum(self.rows[k][i] * self.rows[k][j] for k in range(3))
-                    - (1 if i == j else 0))
-                for i in range(3) for j in range(3)]
-        return next((g for g in gaps if g != g), max(gaps))
+        return _gram_defect(self.rows, 1)
 
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
@@ -114,11 +112,19 @@ def signed_permutation(perm, signs=(1, 1, 1)) -> Orthogonal3:
     return Orthogonal3(rows)
 
 
-def _require_orthogonal(q: Orthogonal3, tol):
-    """Raise ``ValueError`` unless every entry of Q^T Q - I is within ``tol``; NaN always fails."""
-    defect = q.orthogonality_defect()
-    if not defect <= tol:
-        raise ValueError(f"matrix is not orthogonal: defect {float(defect):.3e} > {tol}")
+def _gram_defect(rows, unit):
+    """max |(M^T M - unit * I)_ij| over all entries; NaN if any of them is NaN."""
+    gaps = [abs(sum(rows[k][i] * rows[k][j] for k in range(3)) - (unit if i == j else 0))
+            for i in range(3) for j in range(3)]
+    return next((g for g in gaps if g != g), max(gaps))
+
+
+def _require_orthogonal(m, tol, den=1):
+    """Raise ``ValueError`` unless Q = m / den has |Q^T Q - I| <= ``tol`` entrywise; NaN fails."""
+    unit = den * den
+    defect = _gram_defect(m, unit)
+    if not defect <= tol * unit:
+        raise ValueError(f"matrix is not orthogonal: defect {defect / unit:.3e} > {tol}")
 
 
 #: Row of the 15 slots (independent, then dependent) behind each of the 81 entries.
@@ -141,15 +147,16 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     backend = d.backend
     if backend == FLOAT:
         m = q.to_array()
-        _require_orthogonal(Orthogonal3(m.tolist()), ORTHO_TOL)
+        _require_orthogonal(m.tolist(), ORTHO_TOL)
         rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))
     if not all(isinstance(v, (int, Fraction)) for row in q.rows for v in row):
         raise ValueError(f"a {backend} tensor needs a matrix of ints and Fractions")
-    _require_orthogonal(q, 0)
-    indep, scale = clear_denominators(d.indep) if backend == EXACT else (d.indep, 1)
     m, den = clear_denominators(v for row in q.rows for v in row)
-    out = _contract(indep, (m[0:3], m[3:6], m[6:9]))
+    m = (m[0:3], m[3:6], m[6:9])
+    _require_orthogonal(m, 0, den)
+    indep, scale = clear_denominators(d.indep) if backend == EXACT else (d.indep, 1)
+    out = _contract(indep, m)
     divisor = scale * den**4
     if backend == EXACT:
         return Harmonic4(tuple(Fraction(v, divisor) for v in out))

@@ -170,12 +170,6 @@ class Harmonic4:
         """Componentwise multiple c*D."""
         return Harmonic4(tuple(c * v for v in self.indep))
 
-    def __add__(self, other: "Harmonic4") -> "Harmonic4":
-        return Harmonic4(tuple(a + b for a, b in zip(self.indep, other.indep)))
-
-    def __sub__(self, other: "Harmonic4") -> "Harmonic4":
-        return Harmonic4(tuple(a - b for a, b in zip(self.indep, other.indep)))
-
     def frobenius_norm_sq(self):
         """Sum of the squares of all 81 entries (equals the degree-2 invariant)."""
         full = self._full

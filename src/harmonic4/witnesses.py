@@ -21,12 +21,14 @@ The pairs come from three constructions:
   (the degree-2 and degree-4 separators and the degree-10 branch pair);
 * sign pairs (D, -D): the even invariants are fixed and the odd ones
   flip, so a tensor with exactly one nonzero odd invariant separates it;
-* solved pairs in the restriction D1111 = D1112 = D1122 = D1222 = D2222
-  = 0, which kills the four odd invariants identically, with D1223
-  mirrored about -D1113/4 so the degree-2 invariant agrees for free.  The
-  remaining agreements are a one-parameter root for the degree-8 witness
-  and a 4-equation/3-unknown Gauss-Newton solve for the two degree-6
-  witnesses.
+* solved pairs, three points of one mirror family
+  :func:`mirror_pair` (D1123, delta, D2223): the restriction D1111 =
+  D1112 = D1122 = D1222 = D2222 = 0 kills the four odd invariants
+  identically, D1113 = 1, and D1223 = -1/4 +- delta makes the degree-2
+  invariant agree for free.  The remaining agreements are a
+  one-parameter root for the degree-8 witness (:func:`j8_family`) and a
+  4-equation/3-unknown Gauss-Newton solve for the two degree-6 witnesses,
+  one per basis.
 
 Solved witnesses are validated post hoc by direct invariant evaluation,
 independent of the solver path.
@@ -35,7 +37,7 @@ independent of the solver path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -343,56 +345,8 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     )
 
 
-def odd_vanishing_tensor(d1123: float, d1223: float, d2223: float) -> Harmonic4:
-    """Tensor in the odd-killing restriction: the single-'3' slots, with D1113 = 1."""
-    return from_independent((0.0, 0.0, 1.0, 0.0, d1123, 0.0, d1223, 0.0, d2223),
-                            backend=FLOAT)
-
-
-def j8_family(t: float) -> WitnessPair:
-    """The one-parameter pair whose degree-8 gap closes only at the root of h.
-
-    For t in (0, 1/2) with 6 + 9t - 54t^2 + 24t^3 >= 0, both members have
-    all odd invariants identically zero and share J2, J4 and J6 for every
-    t; J10 also agrees exactly at roots of (1-5t)^2 h(t).
-    """
-    if not 0 < t < 0.5:
-        raise ValueError(f"parameter t={t} outside the open interval (0, 1/2)")
-    radicand = 6 + 9 * t - 54 * t**2 + 24 * t**3
-    if radicand < 0:
-        raise ValueError(f"negative radicand {radicand} at t={t}")
-    denom = -4 + 8 * t
-    root = math.sqrt(radicand)
-    sqrt_t = math.sqrt(t)
-    d2223 = (1 + 5 * t) / (4 * sqrt_t)
-    left = odd_vanishing_tensor(-sqrt_t, (1 - 2 * t + root) / denom, d2223)
-    right = odd_vanishing_tensor(-sqrt_t, (1 - 2 * t - root) / denom, d2223)
-    return WitnessPair(left, right)
-
-
-# Gauss-Newton solve of the agreement systems.  Parameters are
-# x = (D1123, delta, D2223) with D1113 = 1 fixed and the branch pair
-# D1223 = -1/4 + delta vs -1/4 - delta; four residuals, three unknowns,
-# consistent at the separating solution.
-
-#: Printed solution digits, keyed by the set of matched invariants: the
-#: order of the equations does not change the solution.
-_PAPER_GUESS = {
-    frozenset(("J2", "J4", "J8", "J10")): (-0.406303, 0.672665 + 0.25, 1.12318),
-    frozenset(("J2", "K6", "J8", "J10")): (-0.405381, 0.67075 + 0.25, 1.12345),
-}
-
-#: Norm of the normalized residuals at which the Gauss-Newton solve stops.
-SOLVE_TOL = 1e-12
-
-#: Solutions with |delta| below this are treated as collapses onto the
-#: trivial manifold (left == right, every residual zero for any D1123 and
-#: D2223); the genuine witnesses sit at delta ~ 0.92.
-_DELTA_FLOOR = 1e-3
-
-
 def _mirror_components(points) -> np.ndarray:
-    """(2, P, 9) components of the left and right tensors at (P, 3) points x."""
+    """(2, P, 9) components of the left and right mirror tensors at (P, 3) points x."""
     b, delta, d = np.asarray(points, dtype=float).T
     comps = np.zeros((2, len(b), 9))
     comps[:, :, 2] = 1.0
@@ -403,9 +357,57 @@ def _mirror_components(points) -> np.ndarray:
     return comps
 
 
-def _mirror_pair(x) -> tuple:
-    left, right = _mirror_components([x])[:, 0]
-    return Harmonic4(tuple(left.tolist())), Harmonic4(tuple(right.tolist()))
+def mirror_pair(d1123: float, delta: float, d2223: float) -> WitnessPair:
+    """The float pair in the odd-killing restriction mirrored about D1223 = -1/4.
+
+    Both tensors have D1113 = 1, the given D1123 and D2223, and zeros in the
+    five restricted slots D1111, D1112, D1122, D1222, D2222, which kill the
+    four odd invariants identically.  D1223 is -1/4 + delta on the left and
+    -1/4 - delta on the right, so J2 agrees for free.  The J8 pair and both
+    J6 pairs are points of this family.
+    """
+    left, right = _mirror_components([(d1123, delta, d2223)])[:, 0].tolist()
+    return WitnessPair(Harmonic4(tuple(left)), Harmonic4(tuple(right)))
+
+
+def j8_family(t: float) -> WitnessPair:
+    """The one-parameter mirror family whose point at the root of h separates J8.
+
+    For t in (0, 1/2) with r = 6 + 9t - 54t^2 + 24t^3 >= 0 it is
+    ``mirror_pair(-sqrt(t), sqrt(r) / (-4 + 8t), (1 + 5t) / (4 sqrt(t)))``:
+    both members have all odd invariants identically zero and share J2, J4
+    and J6 for every t; J10 also agrees exactly at roots of (1-5t)^2 h(t).
+    """
+    if not 0 < t < 0.5:
+        raise ValueError(f"parameter t={t} outside the open interval (0, 1/2)")
+    radicand = 6 + 9 * t - 54 * t**2 + 24 * t**3
+    if radicand < 0:
+        raise ValueError(f"negative radicand {radicand} at t={t}")
+    sqrt_t = math.sqrt(t)
+    return mirror_pair(-sqrt_t, math.sqrt(radicand) / (-4 + 8 * t), (1 + 5 * t) / (4 * sqrt_t))
+
+
+# Gauss-Newton solve of the agreement systems.  Parameters are
+# x = (D1123, delta, D2223) of :func:`mirror_pair`; four residuals, three
+# unknowns, consistent at the separating solution.
+
+#: Printed solution digits (D1123, D1223 + 1/4, D2223), keyed by the set of
+#: matched invariants: the order of the equations does not change the solution.
+_PAPER_GUESS = {
+    frozenset(J6_SYSTEMS["smith_bao"]): (-0.406303, 0.672665 + 0.25, 1.12318),
+    frozenset(J6_SYSTEMS["mixed"]): (-0.405381, 0.67075 + 0.25, 1.12345),
+}
+
+#: Norm of the normalized residuals at which the Gauss-Newton solve stops.
+SOLVE_TOL = 1e-12
+
+#: Gauss-Newton iterations before a solve is reported as not converged.
+MAX_ITER = 200
+
+#: Solutions with |delta| below this are treated as collapses onto the
+#: trivial manifold (left == right, every residual zero for any D1123 and
+#: D2223); the genuine witnesses sit at delta ~ 0.92.
+_DELTA_FLOOR = 1e-3
 
 
 def _system_residuals(points, matched) -> np.ndarray:
@@ -420,26 +422,21 @@ def _system_residuals(points, matched) -> np.ndarray:
     return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
 
 
-def solve_agreement_system(matched, guess=None, max_iter: int = 200) -> SolveResult:
+def solve_agreement_system(matched) -> SolveResult:
     """Damped Gauss-Newton on the four matched-invariant residuals.
 
     Residuals are normalized per equation by max(1, |J_k|) so the
     convergence tolerance :data:`SOLVE_TOL` is meaningful across degrees
-    2..10.  ``guess`` defaults to the printed solution digits for the two
-    known systems; a coarse grid search seeds the iteration otherwise.
-    Non-convergence (including collapse onto the trivial delta=0 manifold)
-    is reported in the result, never raised.
+    2..10.  The printed solution digits seed the two known systems; a
+    coarse grid search seeds any other.  Non-convergence (including
+    collapse onto the trivial delta=0 manifold) is reported in the result,
+    never raised.
     """
     matched = tuple(matched)
-    if guess is not None:
-        candidates = [tuple(float(v) for v in guess)]
-    elif frozenset(matched) in _PAPER_GUESS:
-        candidates = [_PAPER_GUESS[frozenset(matched)]]
-    else:
-        candidates = _grid_seeds(matched)
+    guess = _PAPER_GUESS.get(frozenset(matched))
     result = None
-    for candidate in candidates:
-        result = _gauss_newton(np.asarray(candidate, dtype=float), matched, max_iter)
+    for candidate in [guess] if guess else _grid_seeds(matched):
+        result = _gauss_newton(np.asarray(candidate, dtype=float), matched)
         if result.converged:
             break
     return result
@@ -455,14 +452,14 @@ def _grid_seeds(matched) -> list:
     return [tuple(points[i].tolist()) for i in best]
 
 
-def _gauss_newton(x, matched, max_iter) -> SolveResult:
+def _gauss_newton(x, matched) -> SolveResult:
     fd_step = 1e-7
     bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
     r = _system_residuals(x[None], matched)[0]
     r_norm = float(np.linalg.norm(r))
     iterations = 0
     message = ""
-    while r_norm > SOLVE_TOL and iterations < max_iter:
+    while r_norm > SOLVE_TOL and iterations < MAX_ITER:
         r_bumped = _system_residuals(x + bumps, matched)
         jac = ((r_bumped[:3] - r_bumped[3:]) / (2 * fd_step)).T
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -506,22 +503,18 @@ def _gauss_newton(x, matched, max_iter) -> SolveResult:
     )
 
 
-
 def pair_from_solution(result: SolveResult) -> WitnessPair:
-    """Realize a solved agreement system as a tensor pair."""
+    """Realize a solved agreement system as its mirror pair."""
     sol = result.solution
-    delta = sol["D1223"] + 0.25
-    left, right = _mirror_pair((sol["D1123"], delta, sol["D2223"]))
-    return WitnessPair(left, right, notes={"solver": result.to_json_dict()},
-                       solved=result.converged)
+    pair = mirror_pair(sol["D1123"], sol["D1223"] + 0.25, sol["D2223"])
+    return replace(pair, notes={"solver": result.to_json_dict()}, solved=result.converged)
 
 
 def _j8_pair() -> WitnessPair:
     """The degree-8 branch pair at the root t* of h, bisected to 1e-14."""
     root = bisect_root(h_eval, 0.15, 0.2, 1e-14)
     t_star = root.solution["root"]
-    pair = j8_family(t_star)
-    return WitnessPair(pair.left, pair.right, notes={
+    return replace(j8_family(t_star), notes={
         "solver": root.to_json_dict(),
         "one_minus_5t_sq": (1 - 5 * t_star) ** 2,
     })

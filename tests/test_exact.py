@@ -143,17 +143,25 @@ class TestRotate:
 
     @pytest.mark.skipif(not __debug__, reason="the tracelessness check runs under __debug__")
     def test_debug_check_catches_a_corrupted_contraction(self, monkeypatch):
-        real = rotations._require_orthogonal
+        real = rotations._contract
 
-        def check_then_corrupt(q, tol):
-            real(q, tol)
-            rows = [list(r) for r in q.rows]
+        def corrupt_then_contract(indep, m):
+            rows = [list(r) for r in m]
             rows[0][1] += 1
-            object.__setattr__(q, "rows", tuple(tuple(r) for r in rows))
+            return real(indep, rows)
 
-        monkeypatch.setattr(rotations, "_require_orthogonal", check_then_corrupt)
+        monkeypatch.setattr(rotations, "_contract", corrupt_then_contract)
         with pytest.raises(AssertionError, match="tracelessness"):
             rotate(TENSORS[0], cayley(1, 2, 3))
+
+    @pytest.mark.parametrize("d", [TENSORS[0], Harmonic4(tuple(SparsePoly.variable(i)
+                                                                 for i in range(9)))])
+    def test_near_orthogonal_rational_matrix_raises(self, d):
+        s = 1 + Fraction(1, 2 * 10**9)  # (Q^T Q - I)_33 = 1e-9 + 2.5e-19, every other entry 0
+        q = Orthogonal3(((1, 0, 0), (0, 1, 0), (0, 0, s)))
+        assert q.orthogonality_defect() == s * s - 1
+        with pytest.raises(ValueError, match=f"defect {float(q.orthogonality_defect()):.3e} > 0"):
+            rotate(d, q)
 
 
 class TestInvariants:

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from harmonic4 import (
@@ -17,7 +18,7 @@ from harmonic4 import (
     h_eval,
     invariants,
     j8_family,
-    odd_vanishing_tensor,
+    mirror_pair,
     sign_pair,
     solve_agreement_system,
     verify_catalog,
@@ -27,6 +28,7 @@ from harmonic4 import (
 )
 from harmonic4 import witnesses as w
 from harmonic4.cli import main as cli_main
+from harmonic4.polynomial import RESTRICTED_INDICES
 from harmonic4.witnesses import (
     BASES,
     J6_SYSTEMS,
@@ -248,10 +250,16 @@ class TestAgreementSystems:
         assert abs(sol["D1223_hat"]) == pytest.approx(1.17075, abs=1e-4)
 
     def test_far_guess_reports_non_convergence(self):
-        result = solve_agreement_system(J6_SYSTEMS["smith_bao"],
-                                        guess=(40.0, 55.0, -38.0), max_iter=25)
+        result = w._gauss_newton(np.array([40.0, 55.0, -38.0]), J6_SYSTEMS["smith_bao"])
         assert not result.converged
         assert result.message
+
+    def test_iteration_cap_reports_the_residual(self, monkeypatch):
+        monkeypatch.setattr(w, "MAX_ITER", 1)
+        result = solve_agreement_system(J6_SYSTEMS["smith_bao"])
+        assert not result.converged
+        assert result.iterations == 1
+        assert result.message.startswith("residual ")
 
     def test_solution_validates_independently_of_solver(self):
         result = solve_agreement_system(J6_SYSTEMS["smith_bao"])
@@ -319,11 +327,23 @@ class TestReports:
     def test_relative_gap_of_two_zeros(self):
         assert relative_gap(0.0, 0.0) == 0.0
 
-    def test_odd_vanishing_tensor_layout(self):
-        d = odd_vanishing_tensor(0.5, -0.25, 1.0)
-        assert d.indep[2] == 1.0
-        assert d.indep[4] == 0.5
-        assert [d.indep[i] for i in (0, 1, 3, 5, 7)] == [0.0] * 5
+    def test_mirror_pair_layout(self):
+        pair = mirror_pair(0.5, 0.125, 1.0)
+        assert pair.left.indep == (0.0, 0.0, 1.0, 0.0, 0.5, 0.0, -0.125, 0.0, 1.0)
+        assert pair.right.indep == (0.0, 0.0, 1.0, 0.0, 0.5, 0.0, -0.375, 0.0, 1.0)
+        assert all(type(v) is float for v in pair.left.indep + pair.right.indep)
+
+    def test_zero_vanish_rows_rest_on_the_restriction_lemma(self):
+        # a row checked with vanish=0.0 needs its odd invariants to cancel
+        # exactly: its zero slots must be the ones the restriction lemma kills
+        rows = [wt for wt in WITNESSES.values() if wt.vanish == 0.0]
+        assert {wt.label for wt in rows} == {
+            "j8-separation", "smith_bao-j6-separation", "mixed-j6-separation"}
+        pairs = [wt.build() for wt in rows] + [mirror_pair(-0.7, 0.9, 1.3)]
+        for pair in pairs:
+            for tensor in (pair.left, pair.right):
+                zeros = {i for i, v in enumerate(tensor.indep) if v == 0}
+                assert zeros == set(RESTRICTED_INDICES)
 
 
 def cli_witnesses_pass(capsys) -> bool:
