@@ -29,8 +29,8 @@ import numpy as np
 from . import polynomial, witnesses
 from .invariants import INVARIANT_NAMES, InvariantVector, invariants
 from .rotations import Orthogonal3, isotropy_suite, rotate
-from .tensor import (EXACT, FLOAT, _coerce_exact, _coerce_float, from_independent,
-                     from_json_dict, to_json_dict)
+from .tensor import (EXACT, FLOAT, SEED_LIMIT, _coerce_exact, _coerce_float,
+                     from_independent, from_json_dict, to_json_dict)
 from .witnesses import verify_j6_separation, verify_j8_separation
 
 
@@ -196,6 +196,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Parse a --seed value: an integer in [0, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of all subcommands, built once per process: it takes ~1 ms."""
@@ -241,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
             p_suite.add_argument("--trials", type=int, default=1000,
                                  help="rotations per tensor for the isotropy suite "
                                       "(default: 1000)")
-            p_suite.add_argument("--seed", type=int, default=42,
-                                 help="master seed for the isotropy suite (default: 42)")
+            p_suite.add_argument("--seed", type=_seed, default=42,
+                                 help="master seed for the isotropy suite, an integer "
+                                      "in [0, 2**64) (default: 42)")
         if name in ("witnesses", "all"):
             add_tol(p_suite, "relative agreement tolerance of the witnesses suite")
 

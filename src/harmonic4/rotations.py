@@ -13,9 +13,22 @@ relative drift of each invariant.
 Float tensors are rotated by the batched float engine: with D the 9x9
 matrix view D_(ij),(kl), a stack of matrices acts as (Q x Q) D (Q x Q)^T
 (:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
-per trial seed.  :func:`isotropy_check` samples, rotates and evaluates
-its trials in blocks of :data:`ISOTROPY_BLOCK` through that engine;
-:func:`rotate` and :func:`random_rotation` are the N = 1 case.
+per trial seed.  :func:`isotropy_suite` samples, rotates and evaluates
+all its tensors x trials in shared blocks of at most
+:data:`ISOTROPY_BLOCK` rows through that engine; :func:`isotropy_check`
+is the one-tensor case of the same loop, and :func:`rotate` and
+:func:`random_rotation` are the N = 1 case.
+
+Every seeded draw comes from one vectorised seed stream,
+:func:`tensor._seed_stream`: numpy's SeedSequence hash written out in
+uint32 array arithmetic over all seeds at once.  The master seed's words
+are the tensor seeds, each tensor seed's words are its trial seeds, and
+each trial seed's first four words seed one PCG64 generator, exactly as
+numpy's ``default_rng(seed)`` seeds it.  The generator draws the
+quaternion and the coin flip, and the quaternion is divided by the square
+root of its dot product, which is what ``np.linalg.norm`` computes for a
+1-D array; so every matrix is bit for bit the one ``default_rng`` gives.
+Seeds are integers in [0, 2**64).
 
 The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
 matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
@@ -43,9 +56,9 @@ from .tensor import (EXACT, FLOAT, Harmonic4, clear_denominators, expand_float,
 #: Entrywise tolerance on Q^T Q - I for float matrices.
 ORTHO_TOL = 1e-12
 
-#: Trials evaluated together by :func:`isotropy_check`; bounds its float
-#: stacks to a few megabytes whatever the number of trials.  The trial
-#: seeds stay one uint64 array, 8 bytes per trial.
+#: Rows (tensor, trial) evaluated together by the isotropy loop; bounds its
+#: float stacks and trial seeds to a few megabytes whatever the number of
+#: tensors and trials.
 ISOTROPY_BLOCK = 1024
 
 
@@ -228,12 +241,14 @@ def haar_matrices(seeds) -> np.ndarray:
     Each seed draws a uniform unit quaternion, a Haar rotation in SO(3),
     and a fair coin flip composing it with diag(1, 1, -1), which extends
     the distribution to O(3).  The quaternion formula runs on columns.
+    Seeds are integers in [0, 2**64).
     """
     quats, flips = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    for rng in tc._generators(seeds):
         quat = rng.standard_normal(4)
-        quats.append(quat / np.linalg.norm(quat))
+        # np.linalg.norm of a 1-D array, bit for bit; one dot per row, since
+        # a dot across rows need not round alike.
+        quats.append(quat / np.sqrt(quat.dot(quat)))
         flips.append(rng.random() < 0.5)
     w, x, y, z = np.array(quats).reshape(-1, 4).T
     out = np.empty((3, 3, len(flips)))
@@ -246,6 +261,8 @@ def haar_matrices(seeds) -> np.ndarray:
     out[:, 2, flips] = -out[:, 2, flips]
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
+
+_DEGREES = np.array([INVARIANT_DEGREES[name] for name in INVARIANT_NAMES])
 
 #: The paper's isotropy gates: the largest relative drift each invariant may
 #: show, 1e-8 up to degree 6 and 1e-7 above.
@@ -271,70 +288,97 @@ class IsotropyReport:
         }
 
 
-def _seed_words(seed: int, count: int) -> np.ndarray:
-    """``count`` uint64 seeds derived from one master seed, 8 bytes each."""
-    return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-
-
 def trial_seeds(seed: int, trials: int) -> list:
-    """Per-trial integer seeds derived from one master seed.
+    """Per-trial integer seeds derived from one master seed in [0, 2**64).
 
     Deterministic and independent of execution order, so trial results do
-    not depend on scheduling.
+    not depend on scheduling: the words of ``SeedSequence(seed)``.
     """
-    return _seed_words(seed, trials).tolist()
+    return tc._seed_stream([seed], 0, trials)[0].tolist()
 
 
 def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) -> tuple:
-    """Sweep seeded random unit-norm tensors through :func:`isotropy_check`.
+    """:func:`isotropy_check` on seeded random unit-norm tensors, in one pass.
 
-    Returns (passed, reports); it passes iff every report passes.
+    Tensor n is ``random_harmonic(s_n)`` scaled to unit norm, checked with
+    seed s_n, where s_n = ``trial_seeds(seed, num_tensors)[n]``; every
+    (tensor, trial) row runs through the loop of :func:`isotropy_check` in
+    shared blocks.  Returns (passed, reports); it passes iff every report
+    passes.
     """
-    reports = []
-    for tensor_seed in trial_seeds(seed, num_tensors):
-        d = tc.random_harmonic(tensor_seed, backend=FLOAT)
+    tensor_seeds = tc._seed_stream([seed], 0, num_tensors)[0]
+    units = []
+    for components in tc._random_components(tensor_seeds).tolist():
+        d = Harmonic4(tuple(components))
         norm = float(d.frobenius_norm_sq()) ** 0.5
-        reports.append(isotropy_check(d.scale(1.0 / norm), trials, tensor_seed))
+        units.append(d.scale(1.0 / norm).indep)
+    units = np.array(units).reshape(-1, 9)
+    base = invariants_float(expand_float(units))
+    reports = _isotropy_reports(units, base, tensor_seeds, trials)
     return all(r.passed for r in reports), reports
 
 
 def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
     """Compare invariants(rotate(d, Q)) against invariants(d) over random Q.
 
-    The relative deviation of invariant f of degree k is
-    |f(QD) - f(D)| / max(|f(D)|, ||D||_F^k): identically-zero invariants
-    are measured against the tensor's natural degree-k scale.  The report
-    passes iff no deviation exceeds its ``ISOTROPY_GATES`` entry.  Failure
-    is data in the report, never an exception.
+    The Q are ``haar_matrices(trial_seeds(seed, trials))``, and ``seed`` is
+    an integer in [0, 2**64).  The relative deviation of invariant f of
+    degree k is |f(QD) - f(D)| / max(|f(D)|, ||D||_F^k): identically-zero
+    invariants are measured against the tensor's natural degree-k scale.
+    The report passes iff no deviation exceeds its ``ISOTROPY_GATES``
+    entry.  Failure is data in the report, never an exception.
+    """
+    vec = invariants(d)
+    base = np.array([[float(vec[name]) for name in INVARIANT_NAMES]])
+    seeds = tc._seed_array([seed])
+    return _isotropy_reports(np.array([d.indep], dtype=float), base, seeds, trials)[0]
+
+
+def _isotropy_reports(components, base, seeds, trials: int) -> list:
+    """The isotropy loop: one report per tensor, all (tensor, trial) rows in blocks.
+
+    ``components`` (M, 9) are the tensors, ``base`` (M, 10) their
+    invariants and ``seeds`` (M,) their uint64 seeds.  A block is a
+    rectangle of whole tensors by a run of trials, at most
+    :data:`ISOTROPY_BLOCK` rows, so neither the trial seeds nor the
+    deviations ever exist for all rows at once.  Each tensor keeps its
+    running worst deviations and the first trial with the largest one.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    base_vec = invariants(d)
-    base = np.array([float(base_vec[name]) for name in INVARIANT_NAMES])
-    norm = float(base[0]) ** 0.5 if base[0] > 0 else 0.0
-    scales = np.maximum(np.abs(base),
-                        norm ** np.array([INVARIANT_DEGREES[n] for n in INVARIANT_NAMES]))
-    components = np.array([d.indep], dtype=float)
-    words = _seed_words(seed, trials)
-    worst = np.zeros(len(INVARIANT_NAMES))
-    worst_seed = -1
-    worst_dev = -1.0
-    for start in range(0, trials, ISOTROPY_BLOCK):
-        block = words[start:start + ISOTROPY_BLOCK].tolist()
-        rotated = rotate_float(components, haar_matrices(block))
-        delta = np.abs(invariants_float(expand_float(rotated)) - base)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.where(delta == 0.0, 0.0, delta / scales)
-        worst = np.maximum(worst, dev.max(axis=0))
-        per_trial = dev.max(axis=1)
-        first = int(np.argmax(per_trial))
-        if per_trial[first] > worst_dev:
-            worst_dev = float(per_trial[first])
-            worst_seed = block[first]
-    deviations = dict(zip(INVARIANT_NAMES, worst.tolist()))
-    return IsotropyReport(
-        trials=trials,
-        deviations=deviations,
-        worst_seed=worst_seed,
-        passed=all(v <= ISOTROPY_GATES[name] for name, v in deviations.items()),
-    )
+    # ||D||_F as the Python pow J2 ** 0.5, which may differ from np.sqrt in the last bit.
+    norms = np.array([float(j2) ** 0.5 if j2 > 0 else 0.0 for j2 in base[:, 0]])
+    scales = np.maximum(np.abs(base), norms[:, None] ** _DEGREES)
+    worst = np.zeros(base.shape)
+    worst_dev = np.full(len(seeds), -1.0)
+    worst_seed = [-1] * len(seeds)
+    tensors_per_block = max(1, ISOTROPY_BLOCK // trials)
+    trials_per_block = min(trials, ISOTROPY_BLOCK)
+    for first in range(0, len(seeds), tensors_per_block):
+        rows = slice(first, first + tensors_per_block)
+        for start in range(0, trials, trials_per_block):
+            words = tc._seed_stream(seeds[rows], start, min(start + trials_per_block, trials))
+            count, width = words.shape
+            rotated = rotate_float(np.repeat(components[rows], width, axis=0),
+                                   haar_matrices(words.ravel()))
+            got = invariants_float(expand_float(rotated)).reshape(count, width, -1)
+            delta = np.abs(got - base[rows, None])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dev = np.where(delta == 0.0, 0.0, delta / scales[rows, None])
+            worst[rows] = np.maximum(worst[rows], dev.max(axis=1))
+            per_trial = dev.max(axis=2)
+            at = per_trial.argmax(axis=1)
+            top = per_trial[np.arange(count), at]
+            for n in np.flatnonzero(top > worst_dev[rows]):
+                worst_dev[first + n] = top[n]
+                worst_seed[first + n] = int(words[n, at[n]])
+    reports = []
+    for deviations, seed in zip(worst.tolist(), worst_seed):
+        deviations = dict(zip(INVARIANT_NAMES, deviations))
+        reports.append(IsotropyReport(
+            trials=trials,
+            deviations=deviations,
+            worst_seed=seed,
+            passed=all(v <= ISOTROPY_GATES[name] for name, v in deviations.items()),
+        ))
+    return reports

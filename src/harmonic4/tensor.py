@@ -36,11 +36,12 @@ independent entries back.  :meth:`Harmonic4.to_array` and
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -283,16 +284,138 @@ def from_array(arr) -> Harmonic4:
     return Harmonic4(tuple(independent_float(arr.reshape(1, 81))[0].tolist()))
 
 
+#: Float draws take seeds in [0, SEED_LIMIT): two 32-bit words of entropy.
+SEED_LIMIT = 2**64
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, hashed in with INIT_A/MULT_A and out with INIT_B/MULT_B.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+
+#: INIT_A * MULT_A**k: hash k into the pool xors with entry k, multiplies by entry k + 1.
+_HASH_A = np.array([_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in range(17)],
+                   dtype=np.uint32)
+
+
+def _hashmix(value, xor, mult):
+    """numpy's hashmix on uint32 arrays: (value ^ xor) * mult, then a right xor-shift."""
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+#: Pool words 2 and 3 of any seed below 2**64: hashes 2 and 3 of a zero word.
+_ZERO_POOL = _hashmix(np.zeros((2, 1), np.uint32), _HASH_A[2:4, None], _HASH_A[3:5, None])
+
+
+def _mix_round(s):
+    """Round s, in which pool word s hashes itself into the other three in turn.
+
+    Those are hashes 4 + 3s .. 6 + 3s; returns s and them as (4, 1) xor
+    and multiplier columns, zero in row s.
+    """
+    xor, mult = np.zeros((2, 4, 1), np.uint32)
+    others = [d for d in range(4) if d != s]
+    xor[others, 0] = _HASH_A[4 + 3 * s:7 + 3 * s]
+    mult[others, 0] = _HASH_A[5 + 3 * s:8 + 3 * s]
+    return s, xor, mult
+
+
+_MIX_ROUNDS = tuple(_mix_round(s) for s in range(4))
+
+
+def _seed_array(seeds) -> np.ndarray:
+    """Seeds as a uint64 array; ``ValueError`` unless each is an integer in [0, 2**64)."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    seeds = [operator.index(s) for s in seeds]
+    for s in seeds:
+        if not 0 <= s < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {s}")
+    return np.array(seeds, dtype=np.uint64)
+
+
+def _seed_stream(seeds, start: int, stop: int) -> np.ndarray:
+    """Words [start, stop) of ``SeedSequence(s).generate_state(stop, np.uint64)`` per seed s.
+
+    numpy's SeedSequence hash in uint32 array arithmetic, one column per
+    seed.  A seed below 2**64 hashes the same whether its high words are
+    zero or missing, so every seed enters as two words and pool words 2
+    and 3 are constants.  Each mixing round is one (4, N) operation.
+    Output uint32 word i is pool word i % 4 hashed with INIT_B * MULT_B**i,
+    so a slice costs memory in proportion to the slice alone.  Returns an
+    (N, stop - start) C-contiguous uint64 array.
+    """
+    seeds = _seed_array(seeds)
+    mixer = np.empty((4, len(seeds)), dtype=np.uint32)
+    # Rows: the low and the high 32-bit word of each seed.
+    halves = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
+    mixer[:2] = _hashmix(halves, _HASH_A[:2, None], _HASH_A[1:3, None])
+    mixer[2:] = _ZERO_POOL
+    for s, xor, mult in _MIX_ROUNDS:
+        # All four rows are mixed and row s is put back: cheaper than
+        # indexing the other three.
+        mixed = _MIX_MULT_L * mixer - _MIX_MULT_R * _hashmix(mixer[s], xor, mult)
+        mixed ^= mixed >> _XSHIFT
+        mixed[s] = mixer[s]
+        mixer = mixed
+    hashes = np.full(2 * (stop - start) + 1, _MULT_B, dtype=np.uint32)
+    hashes[0] = _INIT_B * pow(_MULT_B, 2 * start, 2**32) & _MASK32
+    hashes = np.multiply.accumulate(hashes, dtype=np.uint32)
+    pool = np.ascontiguousarray(mixer.T)
+    words = _hashmix(np.take(pool, np.arange(2 * start, 2 * stop) % 4, axis=1),
+                     hashes[:-1], hashes[1:])
+    # Pairs of uint32 words, low word first, as numpy assembles them.
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _words_type() -> type:
+    """A seed sequence type that hands a bit generator precomputed state words.
+
+    PCG64 asks for ``generate_state(4, np.uint64)`` and reads the raw
+    buffer of what it gets, so a row must be C-contiguous uint64.  Defined
+    on first use: importing numpy.random adds ~6 MB to a process that
+    never draws.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Words
+
+
+def _generators(seeds):
+    """One numpy Generator per seed, drawing exactly what ``default_rng(seed)`` draws.
+
+    An iterator, so that only one generator is alive at a time.
+    """
+    words = _words_type()
+    return (np.random.Generator(np.random.PCG64(words(row))) for row in _seed_stream(seeds, 0, 4))
+
+
+def _random_components(seeds) -> np.ndarray:
+    """(N, 9) i.i.d. standard normal components, one row per seed."""
+    return np.array([rng.standard_normal(9) for rng in _generators(seeds)]).reshape(-1, 9)
+
+
 def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     """Deterministic random harmonic tensor.
 
-    Float backend draws the 9 components i.i.d. standard normal; the exact
-    backend draws uniform rationals with numerator in [-12, 12] and
-    denominator in [1, 12].  Same seed, same tensor.
+    Float backend draws the 9 components i.i.d. standard normal, as
+    numpy's ``default_rng(seed)`` would, and takes a seed in [0, 2**64);
+    the exact backend draws uniform rationals with numerator in [-12, 12]
+    and denominator in [1, 12].  Same seed, same tensor.
     """
     if backend == FLOAT:
-        rng = np.random.default_rng(seed)
-        return Harmonic4(tuple(float(v) for v in rng.standard_normal(9)))
+        return Harmonic4(tuple(_random_components([seed])[0].tolist()))
     if backend == EXACT:
         rng = random.Random(seed)
         return Harmonic4(tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12))

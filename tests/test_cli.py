@@ -226,6 +226,23 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("suite", ["isotropy", "all"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "4.5"])
+    def test_seed_outside_the_range_exits_2(self, suite, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--trials", "1", "--seed", seed])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "error: argument --seed" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_largest_seed(self, capsys):
+        code, out = run(["verify", "isotropy", "--trials", "1", "--seed", str(2**64 - 1)],
+                        capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_all_suites(self, capsys):
         code, out = run(["verify", "all", "--trials", "25"], capsys)
         assert code == 0
@@ -372,7 +389,7 @@ class TestConsoleScript:
         ["solve", "j8-root"],
         ["invariants"] + ["-c", "1"] * 9,
         ["rotate"] + ["-c", "1"] * 9 + ["--matrix"] + IDENTITY,
-        ["verify", "parity"],
+        ["verify", "isotropy", "--trials", "1"],
     ])
     def test_closed_pipe_ends_quietly(self, argv):
         read_end, write_end = os.pipe()

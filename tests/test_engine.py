@@ -2,7 +2,8 @@
 
 The loops below are the former single-tensor float paths, kept here as
 references: the 81-entry fill of ``Harmonic4.to_array``, a naive
-four-index rotation, and the per-trial isotropy loop.
+four-index rotation, the per-trial isotropy loop, and numpy's own
+``SeedSequence`` and ``default_rng`` for the vectorised seed stream.
 """
 
 import math
@@ -21,6 +22,7 @@ from harmonic4 import (
     invariants,
     invariants_oracle,
     isotropy_check,
+    isotropy_suite,
     random_harmonic,
     random_rotation,
     rotate,
@@ -28,7 +30,8 @@ from harmonic4 import (
 from harmonic4 import rotations
 from harmonic4.invariants import invariants_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
-from harmonic4.tensor import DEPENDENT_FLAT, expand_float, independent_float
+from harmonic4.tensor import (DEPENDENT_FLAT, _generators, _seed_stream, expand_float,
+                              independent_float)
 
 #: Relative tolerance of the float engine against the exact oracle, measured
 #: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
@@ -201,3 +204,80 @@ class TestBlockedIsotropy:
         zero = from_independent([0.0] * 9, backend=FLOAT)
         report = isotropy_check(zero, trials=3, seed=9)
         assert report.worst_seed == trial_seeds(9, 3)[0]
+
+
+#: Seeds at the edges of the two 32-bit words the stream hashes.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestSeedStream:
+    @pytest.mark.parametrize("count", [1, 4, 10, 37])
+    def test_equals_seed_sequence(self, count):
+        got = _seed_stream(EDGE_SEEDS, 0, count)
+        assert got.dtype == np.uint64 and got.flags.c_contiguous
+        for row, s in zip(got, EDGE_SEEDS):
+            assert np.array_equal(row, np.random.SeedSequence(s).generate_state(count, np.uint64))
+
+    @pytest.mark.parametrize("start, stop", [(0, 37), (3, 9), (5, 6), (36, 37), (9, 9)])
+    def test_slices_equal_the_full_stream(self, start, stop):
+        got = _seed_stream(EDGE_SEEDS, start, stop)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _seed_stream(EDGE_SEEDS, 0, 37)[:, start:stop])
+
+    def test_far_slice_equals_the_seed_sequence(self):
+        n = 10**6
+        want = np.random.SeedSequence(7).generate_state(n, np.uint64)[-3:]
+        assert np.array_equal(_seed_stream([7], n - 3, n)[0], want)
+
+    def test_generators_draw_what_default_rng_draws(self):
+        for rng, s in zip(_generators(EDGE_SEEDS), EDGE_SEEDS):
+            want = np.random.default_rng(s)
+            assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
+        for rng, s in zip(_generators(EDGE_SEEDS), EDGE_SEEDS):
+            want = np.random.default_rng(s)
+            assert np.array_equal(rng.standard_normal(4), want.standard_normal(4))
+            assert rng.random() == want.random()
+
+    def test_float_tensors_equal_default_rng_draws(self):
+        for s in EDGE_SEEDS:
+            want = np.random.default_rng(s).standard_normal(9).tolist()
+            assert random_harmonic(s, backend=FLOAT).indep == tuple(want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("draw", [
+        random_rotation,
+        lambda s: random_harmonic(s, backend=FLOAT),
+        lambda s: trial_seeds(s, 3),
+        lambda s: haar_matrices([0, s]),
+        lambda s: isotropy_suite(num_tensors=1, trials=1, seed=s),
+        lambda s: isotropy_check(random_harmonic(1, backend=FLOAT), 1, s),
+    ])
+    def test_seeds_outside_the_range_raise(self, draw, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            draw(seed)
+
+
+def loop_suite(num_tensors, trials, seed):
+    """The former per-tensor suite: default_rng tensors, then the per-trial loop."""
+    results = []
+    for ts in np.random.SeedSequence(seed).generate_state(num_tensors, np.uint64).tolist():
+        d = Harmonic4(tuple(np.random.default_rng(ts).standard_normal(9).tolist()))
+        d = d.scale(1.0 / float(d.frobenius_norm_sq()) ** 0.5)
+        results.append(loop_isotropy(d, trials, ts))
+    return results
+
+
+class TestBatchedSuite:
+    @pytest.mark.parametrize("trials", [3, 10])
+    def test_matches_per_tensor_loop(self, monkeypatch, trials):
+        # A block of 7 rows holds two whole tensors of 3 trials, or splits
+        # a tensor of 10 trials into 7 and 3.
+        monkeypatch.setattr(rotations, "ISOTROPY_BLOCK", 7)
+        passed, reports = isotropy_suite(num_tensors=5, trials=trials, seed=2**63 + 5)
+        assert passed
+        for report, (worst, worst_seed) in zip(reports, loop_suite(5, trials, 2**63 + 5),
+                                               strict=True):
+            assert report.trials == trials
+            assert report.deviations == worst
+            assert report.worst_seed == worst_seed
+            assert type(report.worst_seed) is int
