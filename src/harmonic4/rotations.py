@@ -23,12 +23,8 @@ Every seeded draw comes from one vectorised seed stream,
 :func:`tensor._seed_stream`: numpy's SeedSequence hash written out in
 uint32 array arithmetic over all seeds at once.  The master seed's words
 are the tensor seeds, each tensor seed's words are its trial seeds, and
-each trial seed's first four words seed one PCG64 generator, exactly as
-numpy's ``default_rng(seed)`` seeds it.  The generator draws the
-quaternion and the coin flip, and the quaternion is divided by the square
-root of its dot product, which is what ``np.linalg.norm`` computes for a
-1-D array; so every matrix is bit for bit the one ``default_rng`` gives.
-Seeds are integers in [0, 2**64).
+each trial seed's words 0-3 are its Haar matrix (:func:`haar_matrices`),
+with no bit generator.  Seeds are integers in [0, 2**64).
 
 The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
 matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
@@ -238,26 +234,27 @@ def random_rotation(seed: int) -> Orthogonal3:
 def haar_matrices(seeds) -> np.ndarray:
     """(N, 3, 3) stack of Haar-distributed orthogonal matrices, one per seed.
 
-    Each seed draws a uniform unit quaternion, a Haar rotation in SO(3),
-    and a fair coin flip composing it with diag(1, 1, -1), which extends
-    the distribution to O(3).  The quaternion formula runs on columns.
-    Seeds are integers in [0, 2**64).
+    Words 0-2 of ``SeedSequence(seed)`` give uniforms u1, u2, u3, and
+    Shoemake's formula turns them into a uniform unit quaternion,
+    sqrt(1 - u1) (sin, cos)(2 pi u2) and sqrt(u1) (sin, cos)(2 pi u3): a
+    Haar rotation in SO(3).  The top bit of word 3 is a fair coin flip
+    composing it with diag(1, 1, -1), which extends the distribution to
+    O(3).  It runs on columns, and each matrix is a fixed function of its
+    seed's words, whatever stack it is drawn in.
     """
-    quats, flips = [], []
-    for rng in tc._generators(seeds):
-        quat = rng.standard_normal(4)
-        # np.linalg.norm of a 1-D array, bit for bit; one dot per row, since
-        # a dot across rows need not round alike.
-        quats.append(quat / np.sqrt(quat.dot(quat)))
-        flips.append(rng.random() < 0.5)
-    w, x, y, z = np.array(quats).reshape(-1, 4).T
-    out = np.empty((3, 3, len(flips)))
+    words = tc._seed_stream(seeds, 0, 4)
+    u = tc._uniforms(words[:, :3]).T
+    radii = np.sqrt((1 - u[0], u[0]))
+    angles = 2 * np.pi * u[1:]
+    sin, cos = radii * np.sin(angles), radii * np.cos(angles)
+    w, x, y, z = sin[0], cos[0], sin[1], cos[1]
+    out = np.empty((3, 3, len(words)))
     out[...] = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
-    flips = np.array(flips, dtype=bool)
+    flips = (words[:, 3] >> 63).astype(bool)
     out[:, 2, flips] = -out[:, 2, flips]
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
@@ -272,7 +269,12 @@ ISOTROPY_GATES = {name: 1e-8 if INVARIANT_DEGREES[name] <= 6 else 1e-7
 
 @dataclass(frozen=True)
 class IsotropyReport:
-    """Worst-case relative invariant drift over a batch of random rotations."""
+    """Worst-case relative invariant drift over a batch of random rotations.
+
+    ``worst_seed`` is the first trial seed with the largest deviation; the
+    invariants of ``rotate(d, random_rotation(worst_seed))`` reproduce that
+    deviation bit for bit.
+    """
 
     trials: int
     deviations: dict
@@ -300,19 +302,18 @@ def trial_seeds(seed: int, trials: int) -> list:
 def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) -> tuple:
     """:func:`isotropy_check` on seeded random unit-norm tensors, in one pass.
 
-    Tensor n is ``random_harmonic(s_n)`` scaled to unit norm, checked with
-    seed s_n, where s_n = ``trial_seeds(seed, num_tensors)[n]``; every
+    Tensor n is ``random_harmonic(s_n)`` over its Frobenius norm, checked
+    with seed s_n, where s_n = ``trial_seeds(seed, num_tensors)[n]``; every
     (tensor, trial) row runs through the loop of :func:`isotropy_check` in
     shared blocks.  Returns (passed, reports); it passes iff every report
-    passes.
+    passes, and needs at least one tensor and one trial.
     """
+    if num_tensors < 1:
+        raise ValueError("need at least one tensor")
     tensor_seeds = tc._seed_stream([seed], 0, num_tensors)[0]
-    units = []
-    for components in tc._random_components(tensor_seeds).tolist():
-        d = Harmonic4(tuple(components))
-        norm = float(d.frobenius_norm_sq()) ** 0.5
-        units.append(d.scale(1.0 / norm).indep)
-    units = np.array(units).reshape(-1, 9)
+    components = tc._random_components(tensor_seeds)
+    entries = expand_float(components)
+    units = components / np.sqrt((entries * entries).sum(axis=1))[:, None]
     base = invariants_float(expand_float(units))
     reports = _isotropy_reports(units, base, tensor_seeds, trials)
     return all(r.passed for r in reports), reports
@@ -327,6 +328,8 @@ def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
     invariants are measured against the tensor's natural degree-k scale.
     The report passes iff no deviation exceeds its ``ISOTROPY_GATES``
     entry.  Failure is data in the report, never an exception.
+    ``rotate(d, random_rotation(report.worst_seed))`` replays the largest
+    deviation bit for bit.
     """
     vec = invariants(d)
     base = np.array([[float(vec[name]) for name in INVARIANT_NAMES]])

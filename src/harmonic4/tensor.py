@@ -31,6 +31,11 @@ arithmetic, and gathers the ``(N, 81)`` row-major entries D_ijkl with one
 constant index array; :func:`independent_float` gathers the nine
 independent entries back.  :meth:`Harmonic4.to_array` and
 :func:`from_array` are the N = 1 case.
+
+Float draws are made straight from the words of one vectorised seed
+stream, :func:`_seed_stream` (numpy's SeedSequence hash in uint32 array
+arithmetic), with no bit generator: a tensor from words 0-9, a Haar
+matrix (``rotations.haar_matrices``) from words 0-3.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -291,8 +296,9 @@ SEED_LIMIT = 2**64
 # uint32 words, hashed in with INIT_A/MULT_A and out with INIT_B/MULT_B.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+# 0-d arrays rather than numpy scalars: a ufunc takes them with less overhead.
+_MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
+_XSHIFT = np.array(16, np.uint32)
 _MASK32 = 0xFFFFFFFF
 
 #: INIT_A * MULT_A**k: hash k into the pool xors with entry k, multiplies by entry k + 1.
@@ -371,48 +377,37 @@ def _seed_stream(seeds, start: int, stop: int) -> np.ndarray:
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-@cache
-def _words_type() -> type:
-    """A seed sequence type that hands a bit generator precomputed state words.
-
-    PCG64 asks for ``generate_state(4, np.uint64)`` and reads the raw
-    buffer of what it gets, so a row must be C-contiguous uint64.  Defined
-    on first use: importing numpy.random adds ~6 MB to a process that
-    never draws.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return Words
-
-
-def _generators(seeds):
-    """One numpy Generator per seed, drawing exactly what ``default_rng(seed)`` draws.
-
-    An iterator, so that only one generator is alive at a time.
-    """
-    words = _words_type()
-    return (np.random.Generator(np.random.PCG64(words(row))) for row in _seed_stream(seeds, 0, 4))
+def _uniforms(words) -> np.ndarray:
+    """uint64 stream words to uniforms in [0, 1): the top 53 bits times 2**-53, exactly."""
+    u = (words >> 11).astype(float)
+    u *= 2.0**-53
+    return u
 
 
 def _random_components(seeds) -> np.ndarray:
-    """(N, 9) i.i.d. standard normal components, one row per seed."""
-    return np.array([rng.standard_normal(9) for rng in _generators(seeds)]).reshape(-1, 9)
+    """(N, 9) i.i.d. standard normal components, one row per seed.
+
+    Box-Muller on stream words 0-9: the uniforms (u, v) of words 2p and
+    2p + 1 give sqrt(-2 log(1 - u)) * (cos, sin)(2 pi v) as components 2p
+    and 2p + 1; the tenth normal is not used.
+    """
+    u = _uniforms(_seed_stream(seeds, 0, 10))
+    angles = 2 * np.pi * u[:, 1::2]
+    out = np.empty((len(u), 5, 2))
+    np.cos(angles, out=out[:, :, 0])
+    np.sin(angles, out=out[:, :, 1])
+    out *= np.sqrt(-2 * np.log1p(-u[:, 0::2]))[:, :, None]
+    return out.reshape(-1, 10)[:, :9]
 
 
 def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     """Deterministic random harmonic tensor.
 
-    Float backend draws the 9 components i.i.d. standard normal, as
-    numpy's ``default_rng(seed)`` would, and takes a seed in [0, 2**64);
-    the exact backend draws uniform rationals with numerator in [-12, 12]
-    and denominator in [1, 12].  Same seed, same tensor.
+    The float backend takes a seed in [0, 2**64) and draws the 9
+    components i.i.d. standard normal from the words of
+    ``SeedSequence(seed)`` (:func:`_random_components`), the same alone or
+    in a stack; the exact backend draws uniform rationals with numerator
+    in [-12, 12] and denominator in [1, 12].  Same seed, same tensor.
     """
     if backend == FLOAT:
         return Harmonic4(tuple(_random_components([seed])[0].tolist()))

@@ -402,6 +402,18 @@ class TestConsoleScript:
         assert proc.returncode == 141
         assert proc.stderr == ""
 
+    def test_verify_isotropy_never_imports_numpy_random(self):
+        script = ("import sys\n"
+                  "from harmonic4.cli import main\n"
+                  "code = main(['verify', 'isotropy', '--trials', '1'])\n"
+                  "print([m for m in sys.modules if m.startswith('numpy.random')],"
+                  " file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["passed"] is True
+        assert proc.stderr == "[]\n"
+
     def test_closed_pipe_in_process_leaves_descriptors_alone(self, monkeypatch):
         class ClosedPipe:
             def write(self, text):

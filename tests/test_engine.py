@@ -2,11 +2,14 @@
 
 The loops below are the former single-tensor float paths, kept here as
 references: the 81-entry fill of ``Harmonic4.to_array``, a naive
-four-index rotation, the per-trial isotropy loop, and numpy's own
-``SeedSequence`` and ``default_rng`` for the vectorised seed stream.
+four-index rotation and the per-trial isotropy loop.  numpy's own
+``SeedSequence`` is the reference for the vectorised seed stream, and
+each seed's draws are rebuilt from its words one value at a time, with
+numpy ufuncs on 1-element arrays for sqrt, log1p, sin and cos.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +33,7 @@ from harmonic4 import (
 from harmonic4 import rotations
 from harmonic4.invariants import invariants_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
-from harmonic4.tensor import (DEPENDENT_FLAT, _generators, _seed_stream, expand_float,
-                              independent_float)
+from harmonic4.tensor import DEPENDENT_FLAT, _seed_stream, expand_float, independent_float
 
 #: Relative tolerance of the float engine against the exact oracle, measured
 #: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
@@ -113,19 +115,46 @@ class TestBatchedInvariants:
             assert row.tolist() == [vec[name] for name in INVARIANT_NAMES]
 
 
+def stream_words(seed, count):
+    """Words 0 .. count - 1 of ``SeedSequence(seed)``, as Python ints."""
+    return np.random.SeedSequence(seed).generate_state(count, np.uint64).tolist()
+
+
+def uniform(word):
+    """The top 53 bits of a stream word as a float in [0, 1)."""
+    return (word >> 11) / 2**53
+
+
+def ufunc(f, x):
+    """The numpy ufunc ``f`` at one float, on a 1-element array."""
+    return f(np.array([x]))[0].item()
+
+
 def scalar_haar_matrix(seed):
-    """The former per-seed sampler: one unit quaternion in Python floats, then the coin flip."""
-    rng = np.random.default_rng(seed)
-    quat = rng.standard_normal(4)
-    w, x, y, z = (quat / np.linalg.norm(quat)).tolist()
+    """One Haar matrix in Python floats: Shoemake's quaternion, then the coin flip."""
+    words = stream_words(seed, 4)
+    u1, u2, u3 = (uniform(w) for w in words[:3])
+    a, b = ufunc(np.sqrt, 1 - u1), ufunc(np.sqrt, u1)
+    w, x = (a * ufunc(f, 2 * np.pi * u2) for f in (np.sin, np.cos))
+    y, z = (b * ufunc(f, 2 * np.pi * u3) for f in (np.sin, np.cos))
     rows = (
         (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
         (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
         (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
     )
-    if rng.random() < 0.5:
+    if words[3] >> 63:
         rows = tuple((r[0], r[1], -r[2]) for r in rows)
     return np.array(rows)
+
+
+def scalar_components(seed):
+    """One tensor's nine components in Python floats: Box-Muller on words 0-9."""
+    u = [uniform(w) for w in stream_words(seed, 10)]
+    out = []
+    for p in range(5):
+        radius = ufunc(np.sqrt, -2 * ufunc(np.log1p, -u[2 * p]))
+        out += (radius * ufunc(f, 2 * np.pi * u[2 * p + 1]) for f in (np.cos, np.sin))
+    return tuple(out[:9])
 
 
 class TestHaarStack:
@@ -136,6 +165,14 @@ class TestHaarStack:
         for q, s in zip(stack, seeds):
             assert np.array_equal(q, scalar_haar_matrix(s))
             assert np.array_equal(q, random_rotation(s).to_array())
+
+    def test_rows_do_not_depend_on_the_stack(self):
+        seeds = trial_seeds(3, 40)
+        full = haar_matrices(seeds)
+        for start in (0, 1, 5):
+            for count in range(1, 20):
+                part = haar_matrices(seeds[start:start + count])
+                assert np.array_equal(part, full[start:start + count])
 
     def test_reflections_present(self):
         dets = np.linalg.det(haar_matrices(range(40)))
@@ -229,19 +266,15 @@ class TestSeedStream:
         want = np.random.SeedSequence(7).generate_state(n, np.uint64)[-3:]
         assert np.array_equal(_seed_stream([7], n - 3, n)[0], want)
 
-    def test_generators_draw_what_default_rng_draws(self):
-        for rng, s in zip(_generators(EDGE_SEEDS), EDGE_SEEDS):
-            want = np.random.default_rng(s)
-            assert np.array_equal(rng.standard_normal(9), want.standard_normal(9))
-        for rng, s in zip(_generators(EDGE_SEEDS), EDGE_SEEDS):
-            want = np.random.default_rng(s)
-            assert np.array_equal(rng.standard_normal(4), want.standard_normal(4))
-            assert rng.random() == want.random()
+    def test_float_tensors_equal_box_muller_draws(self):
+        for s in EDGE_SEEDS + list(range(20)):
+            assert random_harmonic(s, backend=FLOAT).indep == scalar_components(s)
 
-    def test_float_tensors_equal_default_rng_draws(self):
-        for s in EDGE_SEEDS:
-            want = np.random.default_rng(s).standard_normal(9).tolist()
-            assert random_harmonic(s, backend=FLOAT).indep == tuple(want)
+    def test_src_never_names_numpy_random(self):
+        src = Path(rotations.__file__).resolve().parent
+        for path in src.glob("*.py"):
+            text = path.read_text()
+            assert "np.random" not in text and "numpy.random" not in text, path.name
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("draw", [
@@ -258,12 +291,13 @@ class TestSeedStream:
 
 
 def loop_suite(num_tensors, trials, seed):
-    """The former per-tensor suite: default_rng tensors, then the per-trial loop."""
+    """The per-tensor suite: each tensor drawn and normalised alone, then the per-trial loop."""
     results = []
-    for ts in np.random.SeedSequence(seed).generate_state(num_tensors, np.uint64).tolist():
-        d = Harmonic4(tuple(np.random.default_rng(ts).standard_normal(9).tolist()))
-        d = d.scale(1.0 / float(d.frobenius_norm_sq()) ** 0.5)
-        results.append(loop_isotropy(d, trials, ts))
+    for ts in stream_words(seed, num_tensors):
+        components = np.array([scalar_components(ts)])
+        entries = expand_float(components)
+        unit = components / np.sqrt((entries * entries).sum(axis=1))[:, None]
+        results.append(loop_isotropy(Harmonic4(tuple(unit[0].tolist())), trials, ts))
     return results
 
 
@@ -281,3 +315,8 @@ class TestBatchedSuite:
             assert report.deviations == worst
             assert report.worst_seed == worst_seed
             assert type(report.worst_seed) is int
+
+    @pytest.mark.parametrize("num_tensors", [0, -1])
+    def test_needs_a_tensor(self, num_tensors):
+        with pytest.raises(ValueError, match="at least one tensor"):
+            isotropy_suite(num_tensors=num_tensors, trials=1)

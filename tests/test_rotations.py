@@ -132,6 +132,64 @@ class TestRandomRotation:
         assert abs(mean) <= 3 / math.sqrt(n)
 
 
+#: Matrices drawn for each statistical test.
+DRAWS = 20_000
+#: A sample mean passes when within Z standard errors of the true mean.
+Z = 5.0
+
+
+def mean_within(samples, mean, variance):
+    """Whether the sample mean lies within Z standard errors, sqrt(variance / n), of ``mean``."""
+    return abs(samples.mean() - mean) <= Z * math.sqrt(variance / len(samples))
+
+
+def trace_moment_holds(q):
+    """E[(tr R)^2] = 1 for the rotation part R = det(Q) Q of Haar samples Q.
+
+    tr R is the character of SO(3) on R^3, which is irreducible, so its
+    second moment is 1; its fourth moment is 3 (three irreducible
+    summands in R^3 x R^3), so (tr R)^2 has variance 2.
+    """
+    traces = np.sign(np.linalg.det(q)) * np.trace(q, axis1=1, axis2=2)
+    return mean_within(traces**2, 1.0, 2.0)
+
+
+def axis_angle_matrices(n):
+    """Rotations about a uniform axis by a uniform angle: not Haar (E[(tr R)^2] = 3)."""
+    rng = np.random.default_rng(0)
+    axes = rng.standard_normal((n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angle = rng.uniform(0.0, 2 * math.pi, n)[:, None, None]
+    k = np.zeros((n, 3, 3))
+    k[:, [2, 0, 1], [1, 2, 0]] = axes
+    k -= k.transpose(0, 2, 1)
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+class TestHaarDistribution:
+    @pytest.fixture(scope="class")
+    def haar(self):
+        return haar_matrices(range(DRAWS))
+
+    def test_entry_second_moments(self, haar):
+        # Each entry is a coordinate of a uniform unit vector, uniform on
+        # [-1, 1], so Q_ij^2 has mean 1/3 and variance 1/5 - 1/9.
+        for i in range(3):
+            for j in range(3):
+                assert mean_within(haar[:, i, j] ** 2, 1 / 3, 4 / 45), (i, j)
+
+    def test_trace_second_moment(self, haar):
+        assert trace_moment_holds(haar)
+
+    def test_axis_angle_sampler_fails_the_trace_test(self):
+        q = axis_angle_matrices(DRAWS)
+        assert np.abs(np.linalg.det(q) - 1).max() < 1e-12
+        assert not trace_moment_holds(q)
+
+    def test_half_are_reflections(self, haar):
+        assert mean_within(np.linalg.det(haar) < 0, 0.5, 0.25)
+
+
 class TestIsotropyCheck:
     def test_zero_tensor(self):
         zero = from_independent([0.0] * 9, backend=FLOAT)
@@ -151,6 +209,18 @@ class TestIsotropyCheck:
         for name, dev in report.deviations.items():
             bound = 1e-8 if INVARIANT_DEGREES[name] <= 6 else 1e-7
             assert dev <= bound
+
+    def test_worst_seed_replays_the_largest_deviation(self):
+        d = random_harmonic(17, backend=FLOAT)
+        d = d.scale(1.0 / float(d.frobenius_norm_sq()) ** 0.5)
+        report = isotropy_check(d, trials=1000, seed=17)
+        base = invariants(d)
+        norm = float(base.j2) ** 0.5
+        replay = invariants(rotate(d, random_rotation(report.worst_seed)))
+        deviations = [abs(replay[name] - base[name])
+                      / max(abs(base[name]), norm ** INVARIANT_DEGREES[name])
+                      for name in INVARIANT_NAMES]
+        assert max(deviations) == max(report.deviations.values()) > 0
 
     def test_trial_seeds_are_deterministic(self):
         assert trial_seeds(5, 8) == trial_seeds(5, 8)

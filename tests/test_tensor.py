@@ -22,6 +22,7 @@ from harmonic4 import (
     random_harmonic,
     to_json_dict,
 )
+from harmonic4.tensor import _random_components
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nine_rationals = st.tuples(*([rationals] * 9))
@@ -153,6 +154,18 @@ class TestRandomHarmonic:
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     def test_seed_sensitivity(self, backend):
         assert random_harmonic(7, backend) != random_harmonic(8, backend)
+
+    def test_float_components_are_standard_normal(self):
+        draws = 20_000
+        bound = 5.0 / draws**0.5  # five standard errors of a mean of unit variance
+        comps = _random_components(range(draws))
+        assert comps.shape == (draws, 9)
+        for n in range(9):
+            col = comps[:, n]
+            assert abs(col.mean()) <= bound, n
+            assert abs((col**2).mean() - 1) <= bound * 2**0.5, n  # Var(Z^2) = 2
+            for m in range(n):
+                assert abs((col * comps[:, m]).mean()) <= bound, (m, n)
 
     def test_exact_mode_traceless(self):
         for seed in range(5):
