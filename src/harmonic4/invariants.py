@@ -47,6 +47,7 @@ from .tensor import (EXACT, FLOAT, Harmonic4, _SLOT_ROW, _dependents, _format_sc
 
 #: Canonical invariant order used by every report and serialization.
 INVARIANT_NAMES = ("J2", "J3", "J4", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
+_FIELDS = {name: name.lower() for name in INVARIANT_NAMES}
 
 INVARIANT_DEGREES = {
     "J2": 2, "J3": 3, "J4": 4, "J5": 5, "J6": 6,
@@ -129,7 +130,8 @@ class InvariantVector:
     j10: object
 
     def __getitem__(self, name: str):
-        return getattr(self, name.lower())
+        """The invariant called ``name``; ``KeyError`` for any other name."""
+        return getattr(self, _FIELDS[name])
 
     def as_dict(self) -> dict:
         return {name: self[name] for name in INVARIANT_NAMES}

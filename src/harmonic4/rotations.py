@@ -244,15 +244,15 @@ def haar_matrices(seeds) -> np.ndarray:
     """
     words = tc._seed_stream(seeds, 0, 4)
     u = tc._uniforms(words[:, :3]).T
-    radii = np.sqrt((1 - u[0], u[0]))
+    radii = np.sqrt((1.0 - u[0], u[0]))
     angles = 2 * np.pi * u[1:]
     sin, cos = radii * np.sin(angles), radii * np.cos(angles)
     w, x, y, z = sin[0], cos[0], sin[1], cos[1]
     out = np.empty((3, 3, len(words)))
     out[...] = (
-        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
-        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
-        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
     )
     flips = (words[:, 3] >> 63).astype(bool)
     out[:, 2, flips] = -out[:, 2, flips]

@@ -396,7 +396,7 @@ def _random_components(seeds) -> np.ndarray:
     out = np.empty((len(u), 5, 2))
     np.cos(angles, out=out[:, :, 0])
     np.sin(angles, out=out[:, :, 1])
-    out *= np.sqrt(-2 * np.log1p(-u[:, 0::2]))[:, :, None]
+    out *= np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))[:, :, None]
     return out.reshape(-1, 10)[:, :9]
 
 

@@ -13,7 +13,9 @@ give 18 such (basis, member) cells.
   the invariant values the paper prints for it, and its tolerance row.
 * :func:`check_pair` is the one comparison every cell goes through, with
   agree = basis - {member}.  :func:`verify_witnesses` walks all 18 cells
-  and fails any cell without a passing witness.
+  in one pass: all float tensors in one float-engine stack, each distinct
+  exact tensor once, and each pair's cell-independent checks once.  It
+  fails any cell without a passing witness.
 
 The pairs come from three constructions:
 
@@ -119,18 +121,24 @@ def check_pair(left, right, agree, differ: str, tols: Tolerances) -> tuple:
 
     Returns (passed, relative gap of each of the ten invariants).
     """
+    gaps, separates = _pair_check(left, right, tols)
+    return separates(agree, differ), gaps
+
+
+def _pair_check(left, right, tols: Tolerances) -> tuple:
+    """A pair's gaps and ``separates(agree, differ)``, its test of one cell."""
     gaps = {n: relative_gap(left[n], right[n]) for n in INVARIANT_NAMES}
+    vanished = {n for n in INVARIANT_NAMES
+                if max(abs(float(left[n])), abs(float(right[n]))) <= tols.vanish}
+    flipped = not tols.flip or all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
+                                   for n in INVARIANT_NAMES)
 
-    def vanishes(n):
-        return max(abs(float(left[n])), abs(float(right[n]))) <= tols.vanish
+    def separates(agree, differ: str) -> bool:
+        return (flipped and all(gaps[n] <= tols.agree or n in vanished for n in agree)
+                and all(n in vanished for n in ODD_INVARIANTS if n != differ)
+                and gaps[differ] > SEPARATION * tols.agree and differ not in vanished)
 
-    passed = (all(gaps[n] <= tols.agree or vanishes(n) for n in agree)
-              and all(vanishes(n) for n in ODD_INVARIANTS if n != differ)
-              and gaps[differ] > SEPARATION * tols.agree and not vanishes(differ))
-    if tols.flip:
-        passed = passed and all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
-                                for n in INVARIANT_NAMES)
-    return passed, gaps
+    return gaps, separates
 
 
 def _reproduces(got, printed, tols: Tolerances) -> bool:
@@ -455,29 +463,34 @@ def _grid_seeds(matched) -> list:
 def _gauss_newton(x, matched) -> SolveResult:
     fd_step = 1e-7
     bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
-    r = _system_residuals(x[None], matched)[0]
+
+    def probe(point, bumped=True):  # a full step takes its six bumps along, in one call
+        points = np.vstack((point, point + bumps)) if bumped else point[None]
+        rows = _system_residuals(points, matched)
+        return rows[0], rows[1:] if bumped else None
+
+    r, r_bumped = probe(x)
     r_norm = float(np.linalg.norm(r))
     iterations = 0
     message = ""
     while r_norm > SOLVE_TOL and iterations < MAX_ITER:
-        r_bumped = _system_residuals(x + bumps, matched)
+        if r_bumped is None:  # x came from a halved step
+            r_bumped = _system_residuals(x + bumps, matched)
         jac = ((r_bumped[:3] - r_bumped[3:]) / (2 * fd_step)).T
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             message = "singular Jacobian"
             break
-        accepted = False
-        for _ in range(30):
+        iterations += 1
+        for halving in range(30):
             candidate = x + step
-            r_new = _system_residuals(candidate[None], matched)[0]
+            r_new, bumped_new = probe(candidate, bumped=not halving)
             r_new_norm = float(np.linalg.norm(r_new))
             if r_new_norm < r_norm:
-                x, r, r_norm = candidate, r_new, r_new_norm
-                accepted = True
+                x, r, r_norm, r_bumped = candidate, r_new, r_new_norm, bumped_new
                 break
             step = step / 2
-        iterations += 1
-        if not accepted:
+        else:
             message = "no decrease after 30 step halvings"
             break
 
@@ -554,41 +567,46 @@ def all_cells() -> list:
     return [(basis, member) for basis, members in BASES.items() for member in members]
 
 
+def _table_values(tensors) -> list:
+    """Each tensor's invariants as a dict: float tensors in one stack, distinct exact ones once."""
+    is_float = [t.backend == FLOAT for t in tensors]
+    stack = np.array([t.indep for t, f in zip(tensors, is_float) if f], dtype=float)
+    rows = iter(invariants_float(expand_float(stack.reshape(-1, 9))).tolist())
+    exact = dict.fromkeys(t for t, f in zip(tensors, is_float) if not f)
+    exact = {t: invariants(t).as_dict() for t in exact}
+    return [dict(zip(INVARIANT_NAMES, next(rows))) if f else exact[t]
+            for t, f in zip(tensors, is_float)]
+
+
 def _check_cells(cells, rel_tol: float) -> dict:
     """Report on each cell through the witness ``CELLS`` names for it.
 
-    A witness is built and evaluated once, however many cells it covers.
-    A cell with no witness fails.
+    One pass over the table (see the module docstring); a cell with no witness fails.
     """
-    evaluated, reports = {}, {}
+    labels = dict.fromkeys(CELLS.get(cell) for cell in cells)
+    pairs = {label: WITNESSES[label].build() for label in labels if label in WITNESSES}
+    values = iter(_table_values([t for p in pairs.values() for t in (p.left, p.right)]))
+    checked, reports = {}, {}
+    for label, pair in pairs.items():
+        witness, lv, rv = WITNESSES[label], next(values), next(values)
+        tols = witness.tolerances(rel_tol)
+        pair_ok = pair.solved and all(
+            _reproduces(got[n], want, tols)
+            for got, printed in zip((lv, rv), witness.printed) for n, want in printed.items())
+        checked[label] = (pair, lv, rv, pair_ok, *_pair_check(lv, rv, tols))
     for basis, member in cells:
         agree = tuple(n for n in BASES[basis] if n != member)
         label = CELLS.get((basis, member))
-        witness = WITNESSES.get(label)
-        if witness is None:
+        if label not in checked:
             reports[basis, member] = WitnessReport(
                 label=label, left_values={}, right_values={}, gaps={}, agree=agree,
                 differ=member, passed=False, notes={"error": "no witness for this cell"})
             continue
-        if label not in evaluated:
-            pair = witness.build()
-            evaluated[label] = pair, invariants(pair.left), invariants(pair.right)
-        pair, lv, rv = evaluated[label]
-        tols = witness.tolerances(rel_tol)
-        passed, gaps = check_pair(lv, rv, agree, member, tols)
-        printed_ok = all(_reproduces(values[n], want, tols)
-                         for values, printed in zip((lv, rv), witness.printed)
-                         for n, want in printed.items())
+        pair, lv, rv, pair_ok, gaps, separates = checked[label]
         reports[basis, member] = WitnessReport(
-            label=label,
-            left_values=lv.as_dict(),
-            right_values=rv.as_dict(),
-            gaps=gaps,
-            agree=agree,
-            differ=member,
-            passed=passed and printed_ok and pair.solved,
-            notes=pair.notes,
-        )
+            label=label, left_values=dict(lv), right_values=dict(rv), gaps=dict(gaps),
+            agree=agree, differ=member, passed=pair_ok and separates(agree, member),
+            notes=pair.notes)
     return reports
 
 

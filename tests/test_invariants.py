@@ -253,6 +253,12 @@ class TestInvariantVector:
         assert vec["J4"] == 32
         assert vec["K6"] == 128
 
+    @pytest.mark.parametrize("name", ["J11", "j2", "k6", "", "as_dict"])
+    def test_unknown_name_raises_key_error(self, name):
+        # only the canonical names are keys; field names and methods are not
+        with pytest.raises(KeyError):
+            invariants(D1)[name]
+
     def test_json_uses_fraction_strings(self):
         payload = invariants(J3_WITNESS).to_json_dict()
         assert payload["J3"] == "-6480/1"

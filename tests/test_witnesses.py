@@ -2,6 +2,8 @@
 
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +19,10 @@ from harmonic4 import (
     from_independent,
     h_eval,
     invariants,
+    invariants_oracle,
     j8_family,
     mirror_pair,
+    random_harmonic,
     sign_pair,
     solve_agreement_system,
     verify_catalog,
@@ -28,7 +32,9 @@ from harmonic4 import (
 )
 from harmonic4 import witnesses as w
 from harmonic4.cli import main as cli_main
+from harmonic4.invariants import invariants_float
 from harmonic4.polynomial import RESTRICTED_INDICES
+from harmonic4.tensor import expand_float
 from harmonic4.witnesses import (
     BASES,
     J6_SYSTEMS,
@@ -413,3 +419,83 @@ class TestCells:
         monkeypatch.setattr(w, "SEPARATION", 1.0)
         assert check_pair(lv, rv, agree, "J8", Tolerances(gap * 0.99, 0.0))[0]
         assert not check_pair(lv, rv, agree, "J8", Tolerances(gap, 0.0))[0]
+
+
+def table_tensors():
+    """The 22 tensors of the eleven witness pairs, left then right."""
+    pairs = [row.build() for row in WITNESSES.values()]
+    return [t for pair in pairs for t in (pair.left, pair.right)]
+
+
+def hexed(values):
+    return {n: v.hex() if isinstance(v, float) else v for n, v in values.items()}
+
+
+class TestTablePass:
+    def test_stacked_values_equal_per_tensor_invariants(self):
+        tensors = table_tensors()
+        assert len(tensors) == 22
+        for t, values in zip(tensors, w._table_values(tensors)):
+            assert list(values) == list(INVARIANT_NAMES)
+            if t.backend == EXACT:
+                assert all(type(v) is Fraction for v in values.values())
+                assert values == invariants_oracle(t).as_dict()
+            else:
+                assert all(type(v) is float for v in values.values())
+            assert hexed(values) == hexed(invariants(t).as_dict())
+
+    def test_float_engine_rows_do_not_depend_on_the_stack(self):
+        floats = [t for t in table_tensors() if t.backend != EXACT]
+        tensors = floats + [random_harmonic(s) for s in range(24)]
+        stack = np.array([t.indep for t in tensors])
+        alone = [invariants_float(expand_float(row[None])) for row in stack]
+        for n in (2, 3, 7, 16, 17, len(tensors)):
+            for start in (0, len(tensors) - n):
+                rows = invariants_float(expand_float(stack[start:start + n]))
+                for k, row in enumerate(rows):
+                    assert [v.hex() for v in row.tolist()] == [
+                        v.hex() for v in alone[start + k][0].tolist()]
+
+    def test_each_build_and_each_exact_tensor_runs_once(self, monkeypatch):
+        builds, evaluated = Counter(), Counter()
+
+        def counted(row):
+            def build():
+                builds[row.label] += 1
+                return row.build()
+            return replace(row, build=build)
+
+        table = {label: counted(row) for label, row in WITNESSES.items()}
+        monkeypatch.setattr(w, "WITNESSES", table)
+
+        def counting(t):
+            evaluated[t] += 1
+            return invariants(t)
+
+        monkeypatch.setattr(w, "invariants", counting)
+        reports = verify_witnesses()
+        assert all(r.passed for r in reports.values())
+        assert builds == Counter(set(CELLS.values()))
+        assert all(t.backend == EXACT for t in evaluated)
+        assert len(evaluated) == 5  # D1 is in two pairs; two sign pairs hold the rest
+        assert set(evaluated.values()) == {1}
+
+    def test_reports_own_their_values(self):
+        reports = verify_witnesses()
+        first, second = reports["smith_bao", "J8"], reports["mixed", "J8"]
+        first.left_values["J2"] = first.gaps["J2"] = None
+        assert second.left_values["J2"] is not None and second.gaps["J2"] is not None
+
+    @pytest.mark.parametrize("which", sorted(J6_SYSTEMS))
+    def test_converged_solve_evaluates_one_probe_per_iteration(self, which, monkeypatch):
+        calls = []
+        residuals = w._system_residuals
+
+        def counting(points, matched):
+            calls.append(len(points))
+            return residuals(points, matched)
+
+        monkeypatch.setattr(w, "_system_residuals", counting)
+        result = solve_agreement_system(J6_SYSTEMS[which])
+        assert result.converged and result.iterations == 2
+        assert calls == [7] * (result.iterations + 1)
