@@ -20,11 +20,11 @@ is the one-tensor case of the same loop, and :func:`rotate` and
 :func:`random_rotation` are the N = 1 case.
 
 Every seeded draw comes from one vectorised seed stream,
-:func:`tensor._seed_stream`: numpy's SeedSequence hash written out in
-uint32 array arithmetic over all seeds at once.  The master seed's words
-are the tensor seeds, each tensor seed's words are its trial seeds, and
-each trial seed's words 0-3 are its Haar matrix (:func:`haar_matrices`),
-with no bit generator.  Seeds are integers in [0, 2**64).
+:func:`tensor._seed_stream`: SplitMix64 in uint64 array arithmetic over
+all seeds at once.  The master seed's words are the tensor seeds, each
+tensor seed's words are its trial seeds, and each trial seed's words 0-3
+are its Haar matrix (:func:`haar_matrices`), with no bit generator.
+Seeds are integers in [0, 2**64).
 
 The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
 matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
@@ -234,7 +234,7 @@ def random_rotation(seed: int) -> Orthogonal3:
 def haar_matrices(seeds) -> np.ndarray:
     """(N, 3, 3) stack of Haar-distributed orthogonal matrices, one per seed.
 
-    Words 0-2 of ``SeedSequence(seed)`` give uniforms u1, u2, u3, and
+    The seed's stream words 0-2 give uniforms u1, u2, u3, and
     Shoemake's formula turns them into a uniform unit quaternion,
     sqrt(1 - u1) (sin, cos)(2 pi u2) and sqrt(u1) (sin, cos)(2 pi u3): a
     Haar rotation in SO(3).  The top bit of word 3 is a fair coin flip
@@ -294,7 +294,7 @@ def trial_seeds(seed: int, trials: int) -> list:
     """Per-trial integer seeds derived from one master seed in [0, 2**64).
 
     Deterministic and independent of execution order, so trial results do
-    not depend on scheduling: the words of ``SeedSequence(seed)``.
+    not depend on scheduling: the seed's SplitMix64 stream words.
     """
     return tc._seed_stream([seed], 0, trials)[0].tolist()
 

@@ -33,9 +33,9 @@ independent entries back.  :meth:`Harmonic4.to_array` and
 :func:`from_array` are the N = 1 case.
 
 Float draws are made straight from the words of one vectorised seed
-stream, :func:`_seed_stream` (numpy's SeedSequence hash in uint32 array
-arithmetic), with no bit generator: a tensor from words 0-9, a Haar
-matrix (``rotations.haar_matrices``) from words 0-3.
+stream, :func:`_seed_stream` (SplitMix64 in uint64 array arithmetic),
+with no bit generator: a tensor from words 0-9, a Haar matrix
+(``rotations.haar_matrices``) from words 0-3.
 """
 
 from __future__ import annotations
@@ -289,53 +289,23 @@ def from_array(arr) -> Harmonic4:
     return Harmonic4(tuple(independent_float(arr.reshape(1, 81))[0].tolist()))
 
 
-#: Float draws take seeds in [0, SEED_LIMIT): two 32-bit words of entropy.
+#: Float draws take seeds in [0, SEED_LIMIT): one uint64 word of state.
 SEED_LIMIT = 2**64
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, hashed in with INIT_A/MULT_A and out with INIT_B/MULT_B.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# SplitMix64's increment and finaliser (Steele, Lea & Flood, OOPSLA 2014), as
 # 0-d arrays rather than numpy scalars: a ufunc takes them with less overhead.
-_MIX_MULT_L, _MIX_MULT_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
-_XSHIFT = np.array(16, np.uint32)
-_MASK32 = 0xFFFFFFFF
-
-#: INIT_A * MULT_A**k: hash k into the pool xors with entry k, multiplies by entry k + 1.
-_HASH_A = np.array([_INIT_A * pow(_MULT_A, k, 2**32) & _MASK32 for k in range(17)],
-                   dtype=np.uint32)
-
-
-def _hashmix(value, xor, mult):
-    """numpy's hashmix on uint32 arrays: (value ^ xor) * mult, then a right xor-shift."""
-    value = (value ^ xor) * mult
-    return value ^ (value >> _XSHIFT)
-
-
-#: Pool words 2 and 3 of any seed below 2**64: hashes 2 and 3 of a zero word.
-_ZERO_POOL = _hashmix(np.zeros((2, 1), np.uint32), _HASH_A[2:4, None], _HASH_A[3:5, None])
-
-
-def _mix_round(s):
-    """Round s, in which pool word s hashes itself into the other three in turn.
-
-    Those are hashes 4 + 3s .. 6 + 3s; returns s and them as (4, 1) xor
-    and multiplier columns, zero in row s.
-    """
-    xor, mult = np.zeros((2, 4, 1), np.uint32)
-    others = [d for d in range(4) if d != s]
-    xor[others, 0] = _HASH_A[4 + 3 * s:7 + 3 * s]
-    mult[others, 0] = _HASH_A[5 + 3 * s:8 + 3 * s]
-    return s, xor, mult
-
-
-_MIX_ROUNDS = tuple(_mix_round(s) for s in range(4))
+_GAMMA, _MULT_1, _MULT_2 = (np.array(c, np.uint64) for c in
+                            (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_SHIFT_30, _SHIFT_27, _SHIFT_31 = (np.array(k, np.uint64) for k in (30, 27, 31))
 
 
 def _seed_array(seeds) -> np.ndarray:
     """Seeds as a uint64 array; ``ValueError`` unless each is an integer in [0, 2**64)."""
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
+    seeds = list(seeds)
+    if any(isinstance(s, bool) for s in seeds):
+        raise TypeError("a seed must be an integer, not a boolean")
     seeds = [operator.index(s) for s in seeds]
     for s in seeds:
         if not 0 <= s < SEED_LIMIT:
@@ -344,37 +314,18 @@ def _seed_array(seeds) -> np.ndarray:
 
 
 def _seed_stream(seeds, start: int, stop: int) -> np.ndarray:
-    """Words [start, stop) of ``SeedSequence(s).generate_state(stop, np.uint64)`` per seed s.
+    """Words [start, stop) of each seed's SplitMix64 stream: (N, stop - start) uint64, C order.
 
-    numpy's SeedSequence hash in uint32 array arithmetic, one column per
-    seed.  A seed below 2**64 hashes the same whether its high words are
-    zero or missing, so every seed enters as two words and pool words 2
-    and 3 are constants.  Each mixing round is one (4, N) operation.
-    Output uint32 word i is pool word i % 4 hashed with INIT_B * MULT_B**i,
-    so a slice costs memory in proportion to the slice alone.  Returns an
-    (N, stop - start) C-contiguous uint64 array.
+    Word i of seed s is mix(s + (i + 1) * gamma), output i + 1 of splitmix64.c
+    from state s: it depends on s and i alone, so a slice costs only its own memory.
     """
-    seeds = _seed_array(seeds)
-    mixer = np.empty((4, len(seeds)), dtype=np.uint32)
-    # Rows: the low and the high 32-bit word of each seed.
-    halves = seeds.astype("<u8", copy=False).view("<u4").reshape(-1, 2).T
-    mixer[:2] = _hashmix(halves, _HASH_A[:2, None], _HASH_A[1:3, None])
-    mixer[2:] = _ZERO_POOL
-    for s, xor, mult in _MIX_ROUNDS:
-        # All four rows are mixed and row s is put back: cheaper than
-        # indexing the other three.
-        mixed = _MIX_MULT_L * mixer - _MIX_MULT_R * _hashmix(mixer[s], xor, mult)
-        mixed ^= mixed >> _XSHIFT
-        mixed[s] = mixer[s]
-        mixer = mixed
-    hashes = np.full(2 * (stop - start) + 1, _MULT_B, dtype=np.uint32)
-    hashes[0] = _INIT_B * pow(_MULT_B, 2 * start, 2**32) & _MASK32
-    hashes = np.multiply.accumulate(hashes, dtype=np.uint32)
-    pool = np.ascontiguousarray(mixer.T)
-    words = _hashmix(np.take(pool, np.arange(2 * start, 2 * stop) % 4, axis=1),
-                     hashes[:-1], hashes[1:])
-    # Pairs of uint32 words, low word first, as numpy assembles them.
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    z = _seed_array(seeds)[:, None] + np.arange(start + 1, stop + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> _SHIFT_30
+    z *= _MULT_1
+    z ^= z >> _SHIFT_27
+    z *= _MULT_2
+    z ^= z >> _SHIFT_31
+    return z
 
 
 def _uniforms(words) -> np.ndarray:
@@ -404,9 +355,9 @@ def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     """Deterministic random harmonic tensor.
 
     The float backend takes a seed in [0, 2**64) and draws the 9
-    components i.i.d. standard normal from the words of
-    ``SeedSequence(seed)`` (:func:`_random_components`), the same alone or
-    in a stack; the exact backend draws uniform rationals with numerator
+    components i.i.d. standard normal from the seed's SplitMix64 words
+    (:func:`_random_components`), the same alone or in a stack; the
+    exact backend draws uniform rationals with numerator
     in [-12, 12] and denominator in [1, 12].  Same seed, same tensor.
     """
     if backend == FLOAT:

@@ -38,6 +38,7 @@ independent of the solver path.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -323,11 +324,18 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     Halves the bracket until its width is at most ``tol``, or until its
     ends are adjacent floats, and returns the midpoint, so the iteration
     count is at most ceil(log2((hi-lo)/tol)) and stays finite for any
-    positive ``tol``.
+    positive ``tol``.  A NaN value of ``f`` at an end, a midpoint or the
+    returned root raises ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    flo, fhi = f(lo), f(hi)
+
+    def value(t):
+        if math.isnan(v := f(t)):
+            raise ValueError(f"f is NaN at {t}")
+        return v
+
+    flo, fhi = value(lo), value(hi)
     if flo * fhi > 0:
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     iterations = 0
@@ -335,7 +343,7 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        fm = f(mid)
+        fm = value(mid)
         iterations += 1
         if fm == 0:
             lo = hi = mid
@@ -347,7 +355,7 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     root = 0.5 * (lo + hi)
     return SolveResult(
         solution={"root": root},
-        residual_norm=abs(f(root)),
+        residual_norm=abs(value(root)),
         iterations=iterations,
         converged=True,
     )
@@ -606,7 +614,7 @@ def _check_cells(cells, rel_tol: float) -> dict:
         reports[basis, member] = WitnessReport(
             label=label, left_values=dict(lv), right_values=dict(rv), gaps=dict(gaps),
             agree=agree, differ=member, passed=pair_ok and separates(agree, member),
-            notes=pair.notes)
+            notes=copy.deepcopy(pair.notes) if pair.notes else {})
     return reports
 
 

@@ -2,10 +2,11 @@
 
 The loops below are the former single-tensor float paths, kept here as
 references: the 81-entry fill of ``Harmonic4.to_array``, a naive
-four-index rotation and the per-trial isotropy loop.  numpy's own
-``SeedSequence`` is the reference for the vectorised seed stream, and
-each seed's draws are rebuilt from its words one value at a time, with
-numpy ufuncs on 1-element arrays for sqrt, log1p, sin and cos.
+four-index rotation and the per-trial isotropy loop.  A scalar
+SplitMix64 in Python ints, stepped as in Vigna's splitmix64.c, is the
+reference for the vectorised seed stream, and each seed's draws are
+rebuilt from its words one value at a time, with numpy ufuncs on
+1-element arrays for sqrt, log1p, sin and cos.
 """
 
 import math
@@ -115,9 +116,26 @@ class TestBatchedInvariants:
             assert row.tolist() == [vec[name] for name in INVARIANT_NAMES]
 
 
-def stream_words(seed, count):
-    """Words 0 .. count - 1 of ``SeedSequence(seed)``, as Python ints."""
-    return np.random.SeedSequence(seed).generate_state(count, np.uint64).tolist()
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def stream_words(seed, count, start=0):
+    """Words start .. start + count - 1 of the seed's stream, as Python ints.
+
+    SplitMix64 as splitmix64.c steps it: the state starts at the seed,
+    and each word adds gamma to the state and returns its finalised mix.
+    ``start`` skips ahead by adding start * gamma at once.
+    """
+    state = (seed + start * GAMMA) & MASK64
+    words = []
+    for _ in range(count):
+        state = (state + GAMMA) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        words.append(z ^ (z >> 31))
+    return words
 
 
 def uniform(word):
@@ -243,17 +261,23 @@ class TestBlockedIsotropy:
         assert report.worst_seed == trial_seeds(9, 3)[0]
 
 
-#: Seeds at the edges of the two 32-bit words the stream hashes.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+#: Seeds at the edges of [0, 2**64); from 2**64 - gamma, word 0's state wraps to exactly 0.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - GAMMA, 2**64 - 1]
 
 
 class TestSeedStream:
     @pytest.mark.parametrize("count", [1, 4, 10, 37])
-    def test_equals_seed_sequence(self, count):
+    def test_equals_splitmix64(self, count):
         got = _seed_stream(EDGE_SEEDS, 0, count)
         assert got.dtype == np.uint64 and got.flags.c_contiguous
         for row, s in zip(got, EDGE_SEEDS):
-            assert np.array_equal(row, np.random.SeedSequence(s).generate_state(count, np.uint64))
+            assert row.tolist() == stream_words(s, count)
+
+    def test_known_answer(self):
+        # The first three outputs of splitmix64.c from state 0, as published.
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert stream_words(0, 3) == want
+        assert _seed_stream([0], 0, 3)[0].tolist() == want
 
     @pytest.mark.parametrize("start, stop", [(0, 37), (3, 9), (5, 6), (36, 37), (9, 9)])
     def test_slices_equal_the_full_stream(self, start, stop):
@@ -261,10 +285,9 @@ class TestSeedStream:
         assert got.flags.c_contiguous
         assert np.array_equal(got, _seed_stream(EDGE_SEEDS, 0, 37)[:, start:stop])
 
-    def test_far_slice_equals_the_seed_sequence(self):
+    def test_far_slice_equals_splitmix64(self):
         n = 10**6
-        want = np.random.SeedSequence(7).generate_state(n, np.uint64)[-3:]
-        assert np.array_equal(_seed_stream([7], n - 3, n)[0], want)
+        assert _seed_stream([7], n - 3, n)[0].tolist() == stream_words(7, 3, start=n - 3)
 
     def test_float_tensors_equal_box_muller_draws(self):
         for s in EDGE_SEEDS + list(range(20)):
@@ -287,6 +310,16 @@ class TestSeedStream:
     ])
     def test_seeds_outside_the_range_raise(self, draw, seed):
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            draw(seed)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    @pytest.mark.parametrize("draw", [
+        random_rotation,
+        lambda s: random_harmonic(s, backend=FLOAT),
+        lambda s: isotropy_check(random_harmonic(1, backend=FLOAT), 1, s),
+    ])
+    def test_boolean_seeds_raise(self, draw, seed):
+        with pytest.raises(TypeError, match="boolean"):
             draw(seed)
 
 

@@ -183,6 +183,17 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_root(lambda x: x, -1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("f", [lambda t: math.nan, lambda t: math.nan if t == 1.0 else t])
+    def test_nan_at_an_end_raises(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            bisect_root(f, 0.0, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("nan_at, tol", [(0.75, 1e-3), (0.5, 1.0)])
+    def test_nan_at_a_midpoint_raises(self, nan_at, tol):
+        # With tol = 1 no step is taken, and the NaN is at the returned root.
+        with pytest.raises(ValueError, match=f"NaN at {nan_at}"):
+            bisect_root(lambda t: math.nan if t == nan_at else t - 0.6, 0.0, 1.0, tol)
+
 
 class TestJ8Family:
     @pytest.mark.parametrize("t", [-0.1, 0.0, 0.5, 0.7])
@@ -329,6 +340,19 @@ class TestReports:
         payload = report.to_json_dict()
         assert payload["left"]["J2"] == "8/1"
         json.dumps(payload)  # must be serializable as-is
+
+    def test_reports_of_one_pair_do_not_share_notes(self):
+        reports = verify_witnesses()
+        fresh = verify_witnesses()
+        for one, sibling in ((("smith_bao", "J8"), ("mixed", "J8")),
+                             (("smith_bao", "J3"), ("mixed", "J3"))):
+            assert reports[one].label == reports[sibling].label
+            reports[one].notes["x"] = 1
+            if "solver" in reports[one].notes:
+                reports[one].notes["solver"]["iterations"] = -5
+                reports[one].notes["solver"]["solution"]["root"] = 0.0
+            assert reports[sibling].notes == fresh[sibling].notes
+        assert fresh["mixed", "J8"].notes["solver"]["iterations"] > 0
 
     def test_relative_gap_of_two_zeros(self):
         assert relative_gap(0.0, 0.0) == 0.0
