@@ -22,16 +22,21 @@ p = (i, j), i <= j, with arrangement weights w_p (1 for ii, 2 for ij):
 
     C_pq = sum_r w_r D_pr D_qr,    B_ij = sum_k C_(ik),(jk),    B2 = B B,
 
-J2 = sum_p w_p C_pp, J3 = sum_pq w_p w_q C_pq D_pq, J4 and K6 are weighted
-dot products of B with B and B2, and the other six invariants are
-weighted quadratic forms x_p M_pq y_q with M = D or C.  It runs on any
-commutative ring: symbolic tensors expand in sparse polynomials, and
-exact tensors run in Python integers.  The invariants are homogeneous,
-J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by the least common
-multiple q of its component denominators and each invariant divided by
-q^k once at the end.  :func:`invariants_oracle` is the deliberately naive
-check: unweighted full loops over every raw index combination.  The two
-must agree exactly on exact-backend input.
+with the weighted rows DW = D diag(w) formed once.  J2 = sum_p w_p C_pp
+and J3 = sum_pq w_p w_q C_pq D_pq.  With the weighted vectors Wb and Wb2
+and the four shared matrix-vector products D Wb, D Wb2, C Wb and C Wb2,
+every other invariant is one dot product:
+
+    J4 = Wb . b        J5 = Wb . D Wb     J7 = Wb2 . D Wb     J9  = Wb2 . D Wb2
+    K6 = Wb . b2       J6 = Wb . C Wb     J8 = Wb2 . C Wb     J10 = Wb2 . C Wb2
+
+It runs on any commutative ring: symbolic tensors expand in sparse
+polynomials, and exact tensors run in Python integers.  The invariants
+are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by
+the least common multiple q of its component denominators and each
+invariant divided by q^k once at the end.  :func:`invariants_oracle` is
+the deliberately naive check: unweighted full loops over every raw index
+combination.  The two must agree exactly on exact-backend input.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 import numpy as np
 
@@ -75,13 +81,23 @@ def _pair_view(indep) -> list:
     return [[slots[r] for r in row] for row in _PAIR_ROWS]
 
 
-def _quartic(d) -> list:
-    """C_pq = sum_r w_r D_pr D_qr from the pair view, as a symmetric 6x6 list."""
+def _weighted(x) -> list:
+    """w_p x_p: a symmetric matrix's 6-tuple ready for a full contraction."""
+    return [w * v for w, v in zip(_WEIGHTS, x)]
+
+
+def _quartic(d) -> tuple:
+    """The weighted rows DW = D diag(w) of the pair view ``d``, and C_pq = sum_r w_r D_pr D_qr.
+
+    C is a symmetric 6x6 list, each entry one dot product of a row of DW
+    with a row of D.
+    """
+    dw = [_weighted(row) for row in d]
     c = [[0] * 6 for _ in range(6)]
     for p in range(6):
         for q in range(p, 6):
-            c[p][q] = c[q][p] = sum(w * (x * y) for w, x, y in zip(_WEIGHTS, d[p], d[q]))
-    return c
+            c[p][q] = c[q][p] = sum(map(mul, dw[p], d[q]))
+    return dw, c
 
 
 def _partial_trace(c) -> tuple:
@@ -94,12 +110,17 @@ def _square(b) -> tuple:
     return tuple(sum(b[u] * b[v] for u, v in row) for row in _ROW_PAIRS)
 
 
+def _apply(m, x) -> list:
+    """The matrix-vector product M x of a 6x6 ``m``."""
+    return [sum(map(mul, row, x)) for row in m]
+
+
 def _quartic_of(d: Harmonic4) -> tuple:
     """C of ``d``, run on qD in integers when exact, and the map back: C(D) = C(qD) / q^2."""
     if d.backend != EXACT:
-        return _quartic(_pair_view(d.indep)), lambda v: v
+        return _quartic(_pair_view(d.indep))[1], lambda v: v
     indep, q = clear_denominators(d.indep)
-    return _quartic(_pair_view(indep)), lambda v: Fraction(v, q * q)
+    return _quartic(_pair_view(indep))[1], lambda v: Fraction(v, q * q)
 
 
 def quartic_C(d: Harmonic4) -> list:
@@ -140,38 +161,29 @@ class InvariantVector:
         return {name: _format_scalar(self[name]) for name in INVARIANT_NAMES}
 
 
-def _dot(x, y):
-    """sum_p w_p x_p y_p: the full contraction x_ij y_ij of two symmetric matrices."""
-    return sum(w * (a * b) for w, a, b in zip(_WEIGHTS, x, y))
-
-
-def _quad_form(x, m, y):
-    """x_ij M_ijkl y_kl = sum_q w_q (sum_p w_p x_p M_pq) y_q on the pair view.
-
-    The grouping keeps intermediate polynomial products small on the
-    symbolic path.
-    """
-    wx = [w * v for w, v in zip(_WEIGHTS, x)]
-    return _dot([sum(a * row[q] for a, row in zip(wx, m)) for q in range(6)], y)
-
-
 def _invariants_generic(indep) -> InvariantVector:
-    """The ten invariants of the tensor with nine components ``indep``, over any ring."""
+    """The ten invariants of the tensor with nine components ``indep``, over any ring.
+
+    Forming M (W x) before the final dot product keeps intermediate
+    polynomial products small on the symbolic path.
+    """
     d = _pair_view(indep)
-    c = _quartic(d)
+    dw, c = _quartic(d)
     b = _partial_trace(c)
     b2 = _square(b)
+    wb, wb2 = _weighted(b), _weighted(b2)
+    d_wb, d_wb2, c_wb, c_wb2 = _apply(d, wb), _apply(d, wb2), _apply(c, wb), _apply(c, wb2)
     return InvariantVector(
         j2=sum(w * c[p][p] for p, w in enumerate(_WEIGHTS)),
-        j3=sum(w * _dot(cp, dp) for w, cp, dp in zip(_WEIGHTS, c, d)),
-        j4=_dot(b, b),
-        j5=_quad_form(b, d, b),
-        j6=_quad_form(b, c, b),
-        k6=_dot(b, b2),
-        j7=_quad_form(b2, d, b),
-        j8=_quad_form(b2, c, b),
-        j9=_quad_form(b2, d, b2),
-        j10=_quad_form(b2, c, b2),
+        j3=sum(w * sum(map(mul, cp, dwp)) for w, cp, dwp in zip(_WEIGHTS, c, dw)),
+        j4=sum(map(mul, wb, b)),
+        j5=sum(map(mul, wb, d_wb)),
+        j6=sum(map(mul, wb, c_wb)),
+        k6=sum(map(mul, wb, b2)),
+        j7=sum(map(mul, wb2, d_wb)),
+        j8=sum(map(mul, wb2, c_wb)),
+        j9=sum(map(mul, wb2, d_wb2)),
+        j10=sum(map(mul, wb2, c_wb2)),
     )
 
 
@@ -220,10 +232,10 @@ def invariants(d: Harmonic4) -> InvariantVector:
 
     The engine follows :attr:`Harmonic4.backend`.  Float tensors (any
     float component) go through numpy contractions and return Python
-    floats.  Exact tensors (ints and Fractions) run the generic ring code
-    on the integer tensor qD and return Fractions; every other scalar type
-    (polynomials) runs it directly.  The generic path is pinned against
-    :func:`invariants_oracle` by tests.
+    floats.  Exact tensors (ints, numpy ints and Fractions) run the
+    generic ring code on the integer tensor qD and return Fractions; every
+    other scalar type (polynomials) runs it directly.  The generic path is
+    pinned against :func:`invariants_oracle` by tests.
     """
     if d.backend == FLOAT:
         return _invariants_float(d)

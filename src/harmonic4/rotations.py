@@ -30,17 +30,22 @@ The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
 matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
 to :data:`ORTHO_TOL` per entry.  Exact and symbolic tensors need a
 rational Q with Q^T Q = I exactly, and take one ring-generic contraction:
-four mode products u[a, ...] = sum_l M_al t[..., l] over the 81 row-major
-entries, 972 products in all.  It runs with the matrix's denominators
-cleared, Q = M / den, and an exact tensor's too, D = D' / q; the nine
-components are divided by q * den^4 once at the end.  The orthogonality
-check runs on the cleared matrix as well: M^T M = den^2 I in Python ints.
+four symmetric mode products u[a, ...] = sum_l M_al t[..., l].  After pass
+s the partial tensor is symmetric in its s new indices and in its 4 - s
+old ones, for any matrix, so the passes keep 30, 36, 30 and 15 distinct
+entries: 333 products in all, where the 81 entries of each pass took 972
+(Schatz, Low, van de Geijn & Kolda, SIAM J. Sci. Comput. 2014).  It runs
+with the matrix's denominators cleared, Q = M / den, and an exact
+tensor's too, D = D' / q; the nine components are divided by q * den^4
+once at the end.  The orthogonality check runs on the cleared matrix as
+well: M^T M = den^2 I in Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -136,10 +141,31 @@ def _require_orthogonal(m, tol, den=1):
         raise ValueError(f"matrix is not orthogonal: defect {defect / unit:.3e} > {tol}")
 
 
-#: Row of the 15 slots (independent, then dependent) behind each of the 81 entries.
-_ENTRY_ROWS = tuple(tc._ENTRY_ROWS.tolist())
-_INDEPENDENT_FLAT = tuple(tc.INDEPENDENT_FLAT.tolist())
-_DEPENDENT_FLAT = tuple(tc.DEPENDENT_FLAT.tolist())
+def _mode_product_tables() -> tuple:
+    """Index tables of the four symmetric mode products, and where the slots end up.
+
+    Pass s keeps one entry u[N; O] per sorted tuple N of s new indices
+    and sorted tuple O of 4 - s old ones.  Entry (a + N, O) is
+    sum_l M_al u[N; O + l]; its table row holds the three positions of
+    u[N; O + l] in the previous pass, grouped by the matrix row a.  Pass 0
+    is the 15-slot tuple (independent, then dependent); pass 4 holds the
+    slots in ``ALL_SLOTS`` order.
+    """
+    position = {((), slot): n for slot, n in tc._SLOT_ROW.items()}
+    passes = []
+    for s in range(1, 5):
+        keys = [(new, old) for new in combinations_with_replacement((1, 2, 3), s)
+                for old in combinations_with_replacement((1, 2, 3), 4 - s)]
+        passes.append(tuple(
+            tuple(tuple(position[new[1:], tuple(sorted(old + (l,)))] for l in (1, 2, 3))
+                  for new, old in keys if new[0] == a)
+            for a in (1, 2, 3)))
+        position = {key: n for n, key in enumerate(keys)}
+    return (tuple(passes), tuple(position[slot, ()] for slot in tc.INDEPENDENT_SLOTS),
+            tuple(position[slot, ()] for slot in tc.DEPENDENT_SLOTS))
+
+
+_MODE_PASSES, _INDEPENDENT_OUT, _DEPENDENT_OUT = _mode_product_tables()
 
 
 def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
@@ -159,7 +185,7 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
         _require_orthogonal(m.tolist(), ORTHO_TOL)
         rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))
-    if not all(isinstance(v, (int, Fraction)) for row in q.rows for v in row):
+    if not all(isinstance(v, tc.EXACT_SCALARS) for row in q.rows for v in row):
         raise ValueError(f"a {backend} tensor needs a matrix of ints and Fractions")
     m, den = clear_denominators(v for row in q.rows for v in row)
     m = (m[0:3], m[3:6], m[6:9])
@@ -172,23 +198,30 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     return Harmonic4(tuple(v * Fraction(1, divisor) for v in out))
 
 
+def _mode_products(indep, m) -> list:
+    """M_ai M_bj M_ck M_dl D_ijkl at the 15 sorted slots of ``tensor.ALL_SLOTS``, over any ring.
+
+    The four symmetric mode products of :func:`_mode_product_tables`, for
+    any 3x3 matrix M, orthogonal or not.
+    """
+    t = tuple(indep) + tc._dependents(*indep)
+    for blocks in _MODE_PASSES:
+        t = [x * t[i] + y * t[j] + z * t[k]
+             for (x, y, z), block in zip(m, blocks) for i, j, k in block]
+    return t
+
+
 def _contract(indep, m) -> tuple:
     """The nine components of M_ai M_bj M_ck M_dl D_ijkl, over any ring.
 
-    Four mode products, each u[a, i, j, k] = sum_l M_al t[i, j, k, l] on
-    81 row-major entries.  Each puts the new index in front, so the last
-    leaves D' with its indices reversed, which full symmetry makes D'
-    itself.  In debug builds the six dependent slots must equal their
-    trace completion exactly.
+    In debug builds the six dependent slots of :func:`_mode_products`
+    must equal their trace completion exactly.
     """
-    slots = tuple(indep) + tc._dependents(*indep)
-    t = [slots[r] for r in _ENTRY_ROWS]
-    for _ in range(4):
-        t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
-    out = tuple(t[n] for n in _INDEPENDENT_FLAT)
+    t = _mode_products(indep, m)
+    out = tuple(t[n] for n in _INDEPENDENT_OUT)
     if __debug__:
         completed = tc._dependents(*out)
-        for slot, n, value in zip(tc.DEPENDENT_SLOTS, _DEPENDENT_FLAT, completed):
+        for slot, n, value in zip(tc.DEPENDENT_SLOTS, _DEPENDENT_OUT, completed):
             assert t[n] == value, f"rotated tensor lost tracelessness at {slot}"
     return out
 

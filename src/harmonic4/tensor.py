@@ -54,6 +54,10 @@ import numpy as np
 EXACT = "exact"
 FLOAT = "float"
 
+#: Scalars of the exact backend.  Numpy integers count too; the exact engines
+#: clear them to Python ints first (:func:`clear_denominators`).
+EXACT_SCALARS = (int, Fraction, np.integer)
+
 #: The nine independent slots, in the canonical component order.
 INDEPENDENT_SLOTS = (
     (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 3),
@@ -147,9 +151,10 @@ class Harmonic4:
         """Scalar backend, the one rule every engine follows.
 
         ``float`` if any component is a float (Python or numpy), ``exact``
-        if all are ints and Fractions, ``generic`` otherwise.
+        if all are ints (Python or numpy) and Fractions, ``generic``
+        otherwise.
         """
-        if all(isinstance(v, (int, Fraction)) for v in self.indep):
+        if all(isinstance(v, EXACT_SCALARS) for v in self.indep):
             return EXACT
         if any(isinstance(v, (float, np.floating)) for v in self.indep):
             return FLOAT
@@ -227,6 +232,8 @@ def _fraction(text: str) -> Fraction:
 def _coerce_exact(value):
     if isinstance(value, bool):
         raise TypeError(f"exact backend rejects boolean input {value!r}")
+    if isinstance(value, np.integer):
+        value = int(value)
     if isinstance(value, float):
         raise TypeError(
             f"exact backend rejects float input {value!r}; pass an int, Fraction, or 'p/q' string"
@@ -241,6 +248,8 @@ def _coerce_exact(value):
 def _coerce_float(value):
     if isinstance(value, bool):
         raise TypeError(f"float backend rejects boolean input {value!r}")
+    if isinstance(value, np.integer):
+        value = int(value)
     if isinstance(value, str):
         value = _fraction(value) if "/" in value else float(value)
     if isinstance(value, (int, float, Fraction)):
@@ -251,12 +260,13 @@ def _coerce_float(value):
 def clear_denominators(values) -> tuple:
     """Integers n_i and the least common denominator q with values[i] = n_i / q.
 
-    ``values`` are ints and Fractions.  Homogeneous maps of degree k then
-    run in integers: f(values) = f(n) / q^k.
+    ``values`` are :data:`EXACT_SCALARS`, and the n_i are Python ints, so
+    numpy integers cannot wrap.  Homogeneous maps of degree k then run in
+    integers: f(values) = f(n) / q^k.
     """
     values = tuple(values)
     q = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (q // v.denominator) for v in values), q
+    return tuple(int(v.numerator) * (q // v.denominator) for v in values), q
 
 
 def from_independent(values, backend: str = FLOAT) -> Harmonic4:

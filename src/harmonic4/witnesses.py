@@ -321,11 +321,12 @@ def h_eval(t):
 def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     """Bracketing bisection; needs f(lo), f(hi) of opposite sign.
 
-    Halves the bracket until its width is at most ``tol``, or until its
-    ends are adjacent floats, and returns the midpoint, so the iteration
-    count is at most ceil(log2((hi-lo)/tol)) and stays finite for any
-    positive ``tol``.  A NaN value of ``f`` at an end, a midpoint or the
-    returned root raises ``ValueError``.
+    An end where f is exactly 0 is the root, found after 0 iterations.
+    Otherwise it halves the bracket until its width is at most ``tol``,
+    or until its ends are adjacent floats, and returns the midpoint, so
+    the iteration count is at most ceil(log2((hi-lo)/tol)) and stays
+    finite for any positive ``tol``.  A NaN value of ``f`` at an end, a
+    midpoint or the returned root raises ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -338,6 +339,9 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     flo, fhi = value(lo), value(hi)
     if flo * fhi > 0:
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
+    if flo == 0 or fhi == 0:
+        return SolveResult(solution={"root": lo if flo == 0 else hi}, residual_norm=0.0,
+                           iterations=0, converged=True)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -4,6 +4,8 @@
 index tuples, one sorted-tuple lookup and four products per term.  The
 integer engine must reproduce it with zero tolerance on dense rational
 (Cayley) matrices, both determinant signs, small and large heights.
+``loop_mode_products`` is the four-pass contraction over all 81 row-major
+entries that the symmetric mode products replaced.
 """
 
 import random
@@ -26,7 +28,9 @@ from harmonic4 import (
     rotate,
 )
 from harmonic4 import rotations
-from harmonic4.tensor import ALL_SLOTS, INDEPENDENT_SLOTS
+from harmonic4 import tensor as tc
+from harmonic4.invariants import bilinear_B, quartic_C
+from harmonic4.tensor import ALL_SLOTS, INDEPENDENT_SLOTS, clear_denominators
 
 
 def loop_rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
@@ -47,6 +51,21 @@ def loop_rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
                         acc = acc + qc * q.entry(e, l) * full[tuple(sorted((i, j, k, l)))]
         transformed[slot] = acc
     return Harmonic4(tuple(transformed[s] for s in INDEPENDENT_SLOTS))
+
+
+def loop_mode_products(indep, m) -> list:
+    """The former contraction: four passes over all 81 entries, read at the 15 sorted slots."""
+    slots = tuple(indep) + tc._dependents(*indep)
+    t = [slots[r] for r in tc._ENTRY_ROWS.tolist()]
+    for _ in range(4):
+        t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
+    return [t[np.ravel_multi_index(np.array(slot) - 1, (3, 3, 3, 3))] for slot in ALL_SLOTS]
+
+
+def cleared_rows(q: Orthogonal3) -> tuple:
+    """The integer matrix M = den * Q that ``rotate`` hands to the contraction."""
+    m, _ = clear_denominators(v for row in q.rows for v in row)
+    return m[0:3], m[3:6], m[6:9]
 
 
 def cayley(a, b, c, reflect=False) -> Orthogonal3:
@@ -164,7 +183,51 @@ class TestRotate:
             rotate(d, q)
 
 
+SYMBOLS = tuple(SparsePoly.variable(i) for i in range(9))
+
+
+class TestModeProducts:
+    @pytest.mark.parametrize("q", MATRICES)
+    def test_integer_tensors_under_cayley_matrices(self, q):
+        m = cleared_rows(q)
+        for d in TENSORS:
+            indep, _ = clear_denominators(d.indep)
+            reference = loop_mode_products(indep, m)
+            assert rotations._mode_products(indep, m) == reference
+            assert rotations._contract(indep, m) == tuple(
+                reference[ALL_SLOTS.index(slot)] for slot in INDEPENDENT_SLOTS)
+
+    @pytest.mark.parametrize("m", [((2, -3, 5), (7, 1, -4), (0, 6, 9)),
+                                   ((1, 1, 0), (0, 1, 1), (0, 0, 1))])
+    def test_any_matrix_keeps_the_stage_symmetry(self, m):
+        assert sum(m[k][0] * m[k][1] for k in range(3)) != 0  # M^T M is not diagonal
+        for d in TENSORS:
+            indep, _ = clear_denominators(d.indep)
+            assert rotations._mode_products(indep, m) == loop_mode_products(indep, m)
+
+    @pytest.mark.parametrize("q", MATRICES[:2])
+    def test_symbolic_components(self, q):
+        m = cleared_rows(q)
+        assert rotations._mode_products(SYMBOLS, m) == loop_mode_products(SYMBOLS, m)
+
+
+def oracle_contractions(d: Harmonic4) -> tuple:
+    """B_ij and C_ijkl by unweighted loops over every raw index, on the sorted pairs."""
+    rng = (1, 2, 3)
+    pairs = [(i, j) for i in rng for j in rng if i <= j]
+    comp = d.component
+    b = tuple(sum(comp(i, k, l, n) * comp(j, k, l, n) for k in rng for l in rng for n in rng)
+              for i, j in pairs)
+    c = [[sum(comp(i, j, m, n) * comp(k, l, m, n) for m in rng for n in rng)
+          for k, l in pairs] for i, j in pairs]
+    return b, c
+
+
 class TestInvariants:
+    @pytest.mark.parametrize("d", TENSORS)
+    def test_contractions_equal_the_oracle(self, d):
+        assert (bilinear_B(d), quartic_C(d)) == oracle_contractions(d)
+
     @pytest.mark.parametrize("d", TENSORS)
     def test_equal_to_oracle_and_fractions(self, d):
         vec = invariants(d)
@@ -177,3 +240,34 @@ class TestInvariants:
         base, scaled = invariants(d), invariants(d.scale(c))
         for name in INVARIANT_NAMES:
             assert scaled[name] == c ** INVARIANT_DEGREES[name] * base[name]
+
+
+class TestNumpyIntegers:
+    """Numpy integer components are exact scalars and never wrap in int64."""
+
+    INTS = (1000, 2, 3, 4, 5, 6, 7, 8, 9)
+
+    def test_equal_their_python_int_twin(self):
+        wrapped = Harmonic4(tuple(np.int64(v) for v in self.INTS))
+        plain = Harmonic4(self.INTS)
+        assert wrapped.backend == EXACT
+        assert invariants(wrapped) == invariants(plain)
+        assert invariants(wrapped).j10 == 642556781488578686740928839680
+        assert rotate(wrapped, MATRICES[0]) == rotate(plain, MATRICES[0])
+        assert bilinear_B(wrapped) == bilinear_B(plain)
+        assert quartic_C(wrapped) == quartic_C(plain)
+
+    def test_are_cleared_to_python_ints(self):
+        ints, q = clear_denominators(np.array(self.INTS, dtype=np.int64))
+        assert (ints, q) == (self.INTS, 1)
+        assert all(type(v) is int for v in ints)
+
+    def test_numpy_integer_matrix_rotates_exactly(self):
+        rows = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
+        d = TENSORS[0]
+        assert rotate(d, Orthogonal3(np.array(rows))) == rotate(d, Orthogonal3(rows))
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_from_independent_reads_them(self, backend):
+        assert from_independent(np.array(self.INTS), backend) == from_independent(self.INTS,
+                                                                                 backend)

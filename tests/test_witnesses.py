@@ -175,6 +175,12 @@ class TestBisection:
         result = bisect_root(lambda x: x, -1.0, 1.0, 1e-12)
         assert result.solution["root"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)])
+    def test_root_at_a_bracket_end_is_returned(self, lo, hi):
+        result = bisect_root(lambda t: t, lo, hi, 1e-3)
+        assert result.solution["root"] == 0.0
+        assert (result.residual_norm, result.iterations, result.converged) == (0.0, 0, True)
+
     def test_bracket_error(self):
         with pytest.raises(ValueError):
             bisect_root(lambda x: x * x + 1, -1.0, 1.0, 1e-12)
