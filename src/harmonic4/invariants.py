@@ -14,24 +14,25 @@ and the invariants, with their homogeneity degrees in D:
     J5 = B_ij D_ijkl B_kl     (5)     J9  = B2_ij D_ijkl B2_kl    (9)
     J6 = B_ij C_ijkl B_kl     (6)     J10 = B2_ij C_ijkl B2_kl    (10)
 
-Both engines read D as a matrix over index pairs.  The batched float
-engine, :func:`invariants_float`, evaluates a whole ``(N, 81)`` stack at
-once from the 9x9 view D_(ij),(kl); one float tensor is the N = 1 case.
-The generic-ring engine folds that view to 6x6 over the sorted pairs
-p = (i, j), i <= j, with arrangement weights w_p (1 for ii, 2 for ij):
+Both engines read D as the 6x6 pair view D_(p),(q) over the sorted pairs
+p = (i, j), i <= j, with arrangement weights w_p (1 for ii, 2 for ij): the
+Voigt/Mandel form of the tensor (Mehrabadi & Cowin, Q. J. Mech. Appl.
+Math. 1990).  On it
 
     C_pq = sum_r w_r D_pr D_qr,    B_ij = sum_k C_(ik),(jk),    B2 = B B,
 
 with the weighted rows DW = D diag(w) formed once.  J2 = sum_p w_p C_pp
-and J3 = sum_pq w_p w_q C_pq D_pq.  With the weighted vectors Wb and Wb2
-and the four shared matrix-vector products D Wb, D Wb2, C Wb and C Wb2,
-every other invariant is one dot product:
+and J3 = sum_pq w_p w_q C_pq D_pq.  With b and b2 the pair entries of B
+and B2, weighted as Wb and Wb2, every other invariant is one product:
 
     J4 = Wb . b        J5 = Wb . D Wb     J7 = Wb2 . D Wb     J9  = Wb2 . D Wb2
     K6 = Wb . b2       J6 = Wb . C Wb     J8 = Wb2 . C Wb     J10 = Wb2 . C Wb2
 
-It runs on any commutative ring: symbolic tensors expand in sparse
-polynomials, and exact tensors run in Python integers.  The invariants
+The float engine, :func:`invariants_float`, runs them on a whole (N, 9)
+stack of components at once; one float tensor is the N = 1 case.  The
+generic engine runs them on lists over any commutative ring, with four
+shared products D Wb, D Wb2, C Wb and C Wb2: symbolic tensors expand in
+sparse polynomials, and exact tensors run in Python integers.  The invariants
 are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by
 the least common multiple q of its component denominators and each
 invariant divided by q^k once at the end.  :func:`invariants_oracle` is
@@ -49,7 +50,7 @@ from operator import mul
 import numpy as np
 
 from .tensor import (EXACT, FLOAT, Harmonic4, _SLOT_ROW, _dependents, _format_scalar,
-                     clear_denominators, multiplicity)
+                     clear_denominators, multiplicity, slots_float)
 
 #: Canonical invariant order used by every report and serialization.
 INVARIANT_NAMES = ("J2", "J3", "J4", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -73,6 +74,23 @@ _PAIR_ROWS = tuple(tuple(_SLOT_ROW[tuple(sorted(p + q))] for q in _PAIRS) for p 
 _ROW_PAIRS = tuple(tuple((_PAIRS.index(tuple(sorted((i, k)))),
                           _PAIRS.index(tuple(sorted((j, k))))) for k in (1, 2, 3))
                    for i, j in _PAIRS)
+
+
+#: Float-engine tables: weights, W^-1, the slot behind each pair-view entry,
+#: the entries C_(ik),(jk) of B_ij as (k, ij), the pairs' places in a 3x3, and
+#: J4..J10's places in the forms [Wb, Wb2] [W^-1 | D | C] [Wb, Wb2]^T.
+_W = np.array(_WEIGHTS, dtype=float)
+_INVERSE_W = np.diag(1 / _W)
+_PAIR_COLS = np.array(_PAIR_ROWS).ravel()
+_TRACE_COLS = np.array([[6 * u + v for u, v in _ROW_PAIRS[_PAIRS.index(tuple(sorted((i, j))))]]
+                        for i in (1, 2, 3) for j in (1, 2, 3)]).T.copy()
+_SORTED_IN_3X3 = np.array([3 * i + j - 4 for i, j in _PAIRS])
+_FORM_COLS = np.array([0, 2, 4, 6, 8, 10, 9, 11])
+
+
+def pair_view_float(components) -> np.ndarray:
+    """(N, 9) float components to the (N, 6, 6) pair views D_(p),(q), gathered from the slots."""
+    return np.take(slots_float(components), _PAIR_COLS, axis=1).reshape(-1, 6, 6)
 
 
 def _pair_view(indep) -> list:
@@ -187,37 +205,37 @@ def _invariants_generic(indep) -> InvariantVector:
     )
 
 
-def invariants_float(entries) -> np.ndarray:
-    """The ten invariants of an (N, 81) stack of row-major entries, as (N, 10).
+def invariants_float(components) -> np.ndarray:
+    """The ten invariants of an (N, 9) stack of float components, as (N, 10).
 
-    Columns follow :data:`INVARIANT_NAMES`.  With D the (N, 9, 9) matrix
-    view D_(ij),(kl) and D3 the (N, 3, 27) view, B = D3 D3^T, C = D D^T
-    and B2 = B B.  J2 = tr C and J3 = C:D; every other invariant is a
-    9-vector quadratic form in b = vec B and b2 = vec B2 with the
-    identity (J4, K6), D (J5, J7, J9) or C (J6, J8, J10) in the middle.
+    Columns follow :data:`INVARIANT_NAMES`.  The module's formulas on
+    (N, 6, 6) pair views, with B2 = B B as a 3x3, J2 = tr B, and the eight
+    forms from two products with [W^-1 | D | C] (Wb . W^-1 Wb = Wb . b).
+    Every gather keeps C order, so each row takes the same path at any N.
     """
-    a = np.asarray(entries, dtype=float)
-    n = a.shape[0]
-    d = a.reshape(n, 9, 9)
-    d3 = a.reshape(n, 3, 27)
-    b = d3 @ d3.transpose(0, 2, 1)
-    c = d @ d.transpose(0, 2, 1)
-    v = np.empty((n, 9, 2))
-    v[:, :, 0] = b.reshape(n, 9)
-    v[:, :, 1] = (b @ b).reshape(n, 9)
-    vt = v.transpose(0, 2, 1)
-    plain, dv, cv = vt @ v, vt @ d @ v, vt @ c @ v
+    d = pair_view_float(components)
+    n = len(d)
+    dw = d * _W
+    c = dw @ d.transpose(0, 2, 1)
+    m = np.empty((n, 6, 3, 6))
+    m[:, :, 0] = _INVERSE_W
+    m[:, :, 1] = d
+    m[:, :, 2] = c
+    b = np.take(c.reshape(n, 36), _TRACE_COLS, axis=1).sum(axis=1).reshape(n, 3, 3)
+    v = np.empty((n, 2, 9))
+    v[:, 0] = b.reshape(n, 9)
+    v[:, 1] = (b @ b).reshape(n, 9)
+    wv = np.take(v, _SORTED_IN_3X3, axis=2) * _W
+    forms = (wv @ m.reshape(n, 6, 18)).reshape(n, 6, 6) @ wv.transpose(0, 2, 1)
     out = np.empty((n, 10))
-    out[:, 0] = c.reshape(n, 81)[:, ::10].sum(axis=1)
-    out[:, 1] = (c * d).sum(axis=(1, 2))
-    out[:, 2], out[:, 5] = plain[:, 0, 0], plain[:, 1, 0]
-    out[:, 3], out[:, 6], out[:, 8] = dv[:, 0, 0], dv[:, 1, 0], dv[:, 1, 1]
-    out[:, 4], out[:, 7], out[:, 9] = cv[:, 0, 0], cv[:, 1, 0], cv[:, 1, 1]
+    out[:, 0] = v[:, 0, ::4].sum(axis=1)
+    out[:, 1] = (c * dw * _W[:, None]).sum(axis=(1, 2))
+    out[:, 2:] = np.take(forms.reshape(n, 12), _FORM_COLS, axis=1)
     return out
 
 
 def _invariants_float(d: Harmonic4) -> InvariantVector:
-    return InvariantVector(*invariants_float(d.to_array().reshape(1, 81))[0].tolist())
+    return InvariantVector(*invariants_float([d.indep])[0].tolist())
 
 
 def _invariants_exact(d: Harmonic4) -> InvariantVector:

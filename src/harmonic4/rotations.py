@@ -10,9 +10,10 @@ O(3), not just the rotation subgroup.  :func:`isotropy_check` hammers a
 tensor with Haar-random orthogonal matrices and reports the worst
 relative drift of each invariant.
 
-Float tensors are rotated by the batched float engine: with D the 9x9
-matrix view D_(ij),(kl), a stack of matrices acts as (Q x Q) D (Q x Q)^T
-(:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
+Float tensors are rotated by the batched float engine on the pair view
+of ``invariants``, where Q acts as K D K^T with K_(ab),(kl) = Q_ak Q_bl +
+[k < l] Q_al Q_bk (Mehrabadi & Cowin, Q. J. Mech. Appl. Math. 1990;
+:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
 per trial seed.  :func:`isotropy_suite` samples, rotates and evaluates
 all its tensors x trials in shared blocks of at most
 :data:`ISOTROPY_BLOCK` rows through that engine; :func:`isotropy_check`
@@ -50,9 +51,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import tensor as tc
-from .invariants import INVARIANT_DEGREES, INVARIANT_NAMES, invariants, invariants_float
-from .tensor import (EXACT, FLOAT, Harmonic4, clear_denominators, expand_float,
-                     independent_float)
+from .invariants import (_PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, invariants,
+                         invariants_float, pair_view_float)
+from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
 ORTHO_TOL = 1e-12
@@ -226,35 +227,48 @@ def _contract(indep, m) -> tuple:
     return out
 
 
+#: Places in Q, with a zero appended at 9, of the factors Q_ak, Q_bl, Q_al, Q_bk
+#: of each K_(ab),(kl); the last two read the zero when k = l.
+_K_FACTORS = np.array([[[3 * (a, b)[r] + (k, l)[c] - 4 if r == c or k < l else 9
+                         for k, l in _PAIRS] for a, b in _PAIRS]
+                       for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))])
+#: Places of the independent and of the dependent slots in a flat pair view.
+_INDEPENDENT_PAIRS, _DEPENDENT_PAIRS = (
+    np.array([6 * _PAIRS.index(s[:2]) + _PAIRS.index(s[2:]) for s in slots])
+    for slots in (tc.INDEPENDENT_SLOTS, tc.DEPENDENT_SLOTS))
+
+
 def rotate_float(components, matrices) -> np.ndarray:
     """Rotate a stack of float tensors: (N, 9) components by (N, 3, 3) matrices.
 
     A single tensor, shape (1, 9), is rotated by every matrix of the
-    stack.  Returns the (N, 9) components of (Q x Q) D (Q x Q)^T, read
-    back from the independent slots; in debug builds the dependent slots
-    of the transform are checked against their trace completion.
+    stack.  Returns the (N, 9) components of K D K^T on the pair view,
+    read back from the independent slots; in debug builds the dependent
+    slots of the transform are checked against their trace completion.
     """
-    q = np.asarray(matrices, dtype=float)
-    n = q.shape[0]
-    kron = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(n, 9, 9)
-    d = expand_float(components).reshape(-1, 9, 9)
-    entries = (kron @ d @ kron.transpose(0, 2, 1)).reshape(n, 81)
+    padded = np.zeros((len(matrices), 10))
+    padded[:, :9] = np.reshape(matrices, (-1, 9))
+    f = np.take(padded, _K_FACTORS, axis=1)
+    k = f[:, 0] * f[:, 1]
+    k += f[:, 2] * f[:, 3]
+    rotated = (k @ pair_view_float(components) @ k.transpose(0, 2, 1)).reshape(-1, 36)
+    out = np.take(rotated, _INDEPENDENT_PAIRS, axis=1)
     if __debug__:
-        _assert_traceless(entries)
-    return independent_float(entries)
+        _assert_traceless(rotated, out)
+    return out
 
 
-def _assert_traceless(entries):
-    """Check each dependent slot of (N, 81) entries against its completion.
+def _assert_traceless(rotated, indep):
+    """Check the dependent slots of (N, 36) pair views against the completion of ``indep``.
 
     The bound is 1e-10 * max(1, largest |entry|) per tensor, so only a
     broken contraction trips it, never rounding.
     """
-    completed = expand_float(independent_float(entries))[:, tc.DEPENDENT_FLAT]
-    scale = np.maximum(1.0, np.abs(entries).max(axis=1))
-    bad = np.abs(entries[:, tc.DEPENDENT_FLAT] - completed) > 1e-10 * scale[:, None]
+    completed = np.array(tc._dependents(*indep.T))
+    scale = 1e-10 * np.maximum(1.0, np.abs(rotated).max(axis=1))
+    bad = np.abs(rotated[:, _DEPENDENT_PAIRS].T - completed) > scale
     if bad.any():
-        row, col = np.argwhere(bad)[0]
+        row, col = np.argwhere(bad.T)[0]
         raise AssertionError(f"rotated tensor {row} lost tracelessness at "
                              f"{tc.DEPENDENT_SLOTS[col]}")
 
@@ -298,6 +312,7 @@ _DEGREES = np.array([INVARIANT_DEGREES[name] for name in INVARIANT_NAMES])
 #: show, 1e-8 up to degree 6 and 1e-7 above.
 ISOTROPY_GATES = {name: 1e-8 if INVARIANT_DEGREES[name] <= 6 else 1e-7
                   for name in INVARIANT_NAMES}
+_GATES = np.array([ISOTROPY_GATES[name] for name in INVARIANT_NAMES])
 
 
 @dataclass(frozen=True)
@@ -345,9 +360,9 @@ def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) ->
         raise ValueError("need at least one tensor")
     tensor_seeds = tc._seed_stream([seed], 0, num_tensors)[0]
     components = tc._random_components(tensor_seeds)
-    entries = expand_float(components)
-    units = components / np.sqrt((entries * entries).sum(axis=1))[:, None]
-    base = invariants_float(expand_float(units))
+    d = pair_view_float(components)
+    units = components / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
+    base = invariants_float(units)
     reports = _isotropy_reports(units, base, tensor_seeds, trials)
     return all(r.passed for r in reports), reports
 
@@ -387,7 +402,7 @@ def _isotropy_reports(components, base, seeds, trials: int) -> list:
     scales = np.maximum(np.abs(base), norms[:, None] ** _DEGREES)
     worst = np.zeros(base.shape)
     worst_dev = np.full(len(seeds), -1.0)
-    worst_seed = [-1] * len(seeds)
+    worst_seed = np.zeros(len(seeds), dtype=np.uint64)
     tensors_per_block = max(1, ISOTROPY_BLOCK // trials)
     trials_per_block = min(trials, ISOTROPY_BLOCK)
     for first in range(0, len(seeds), tensors_per_block):
@@ -397,7 +412,7 @@ def _isotropy_reports(components, base, seeds, trials: int) -> list:
             count, width = words.shape
             rotated = rotate_float(np.repeat(components[rows], width, axis=0),
                                    haar_matrices(words.ravel()))
-            got = invariants_float(expand_float(rotated)).reshape(count, width, -1)
+            got = invariants_float(rotated).reshape(count, width, -1)
             delta = np.abs(got - base[rows, None])
             with np.errstate(divide="ignore", invalid="ignore"):
                 dev = np.where(delta == 0.0, 0.0, delta / scales[rows, None])
@@ -405,16 +420,10 @@ def _isotropy_reports(components, base, seeds, trials: int) -> list:
             per_trial = dev.max(axis=2)
             at = per_trial.argmax(axis=1)
             top = per_trial[np.arange(count), at]
-            for n in np.flatnonzero(top > worst_dev[rows]):
-                worst_dev[first + n] = top[n]
-                worst_seed[first + n] = int(words[n, at[n]])
-    reports = []
-    for deviations, seed in zip(worst.tolist(), worst_seed):
-        deviations = dict(zip(INVARIANT_NAMES, deviations))
-        reports.append(IsotropyReport(
-            trials=trials,
-            deviations=deviations,
-            worst_seed=seed,
-            passed=all(v <= ISOTROPY_GATES[name] for name, v in deviations.items()),
-        ))
-    return reports
+            better = top > worst_dev[rows]
+            worst_dev[rows] = np.where(better, top, worst_dev[rows])
+            worst_seed[rows] = np.where(better, words[np.arange(count), at], worst_seed[rows])
+    passed = (worst <= _GATES).all(axis=1).tolist()
+    return [IsotropyReport(trials=trials, deviations=dict(zip(INVARIANT_NAMES, deviations)),
+                           worst_seed=seed, passed=ok)
+            for deviations, seed, ok in zip(worst.tolist(), worst_seed.tolist(), passed)]

@@ -25,12 +25,12 @@ also be elements of any commutative ring (the symbolic layer exploits
 this by feeding sparse polynomials through the same code path).
 
 Float tensors also have a batched form, the first layer of the float
-engine: :func:`expand_float` takes an ``(N, 9)`` stack of components,
-completes the six dependent slots with the same trace rules as column
-arithmetic, and gathers the ``(N, 81)`` row-major entries D_ijkl with one
-constant index array; :func:`independent_float` gathers the nine
-independent entries back.  :meth:`Harmonic4.to_array` and
-:func:`from_array` are the N = 1 case.
+engine: :func:`slots_float` completes an ``(N, 9)`` stack of components to
+the 15 slots with the same trace rules, as column arithmetic.  Both
+engines read D from the slots as one 6x6 pair view D_(ij),(kl), the
+Voigt/Mandel form (Mehrabadi & Cowin, Q. J. Mech. Appl. Math. 1990), on
+which Q acts as K D K^T (``invariants``, ``rotations``).  Only
+:meth:`Harmonic4.to_array` and :func:`from_array` use the 81 entries.
 
 Float draws are made straight from the words of one vectorised seed
 stream, :func:`_seed_stream` (SplitMix64 in uint64 array arithmetic),
@@ -94,11 +94,8 @@ def _dependents(d1111, d1112, d1113, d1122, d1123, d1222, d1223, d2222, d2223):
 
 
 _SLOT_ROW = {slot: n for n, slot in enumerate(INDEPENDENT_SLOTS + DEPENDENT_SLOTS)}
-#: Row of the 15-slot array (independent, then dependent) behind each of the 81 entries.
+#: Column of the 15-slot array (independent, then dependent) behind each of the 81 entries.
 _ENTRY_ROWS = np.array([_SLOT_ROW[tuple(sorted(ix))] for ix in product((1, 2, 3), repeat=4)])
-#: Row-major positions of the independent and of the dependent slots among the 81 entries.
-INDEPENDENT_FLAT = np.ravel_multi_index(np.array(INDEPENDENT_SLOTS).T - 1, (3, 3, 3, 3))
-DEPENDENT_FLAT = np.ravel_multi_index(np.array(DEPENDENT_SLOTS).T - 1, (3, 3, 3, 3))
 
 
 def canonical_index(i: int, j: int, k: int, l: int) -> tuple:
@@ -162,12 +159,13 @@ class Harmonic4:
 
     @cached_property
     def _full(self) -> dict:
-        d = dict(zip(INDEPENDENT_SLOTS, self.indep))
-        d.update(zip(DEPENDENT_SLOTS, _dependents(*self.indep)))
+        indep = tuple(int(v) if isinstance(v, np.integer) else v for v in self.indep)
+        d = dict(zip(INDEPENDENT_SLOTS, indep))
+        d.update(zip(DEPENDENT_SLOTS, _dependents(*indep)))
         return d
 
     def expand(self) -> dict:
-        """All 15 canonical slots, dependent ones filled in by the trace rules."""
+        """All 15 canonical slots, trace-completed; numpy integers come back as ints."""
         return dict(self._full)
 
     def component(self, i: int, j: int, k: int, l: int):
@@ -201,25 +199,19 @@ class Harmonic4:
         return self._array
 
 
+def slots_float(components) -> np.ndarray:
+    """(N, 9) float components to the (N, 15) slots: each the binary64 value,
+    signed zeros included, that :meth:`Harmonic4.expand` gives."""
+    rows = np.asarray(components, dtype=float)
+    slots = np.empty((len(rows), 15))
+    slots[:, :9] = rows
+    slots.T[9:] = _dependents(*rows.T)
+    return slots
+
+
 def expand_float(components) -> np.ndarray:
-    """(N, 9) float components to the (N, 81) row-major entries D_ijkl.
-
-    The dependent slots are completed column by column with the same
-    expressions as the scalar path, so each entry is the binary64 value
-    :meth:`Harmonic4.expand` gives, signed zeros included.  The gather
-    copies values, never multiplies them, so infinities and -0.0 pass
-    through unchanged.
-    """
-    rows = np.asarray(components, dtype=float).T
-    slots = np.empty((15, rows.shape[1]))
-    slots[:9] = rows
-    slots[9:] = _dependents(*rows)
-    return np.ascontiguousarray(slots[_ENTRY_ROWS].T)
-
-
-def independent_float(entries) -> np.ndarray:
-    """(N, 81) row-major entries to the (N, 9) independent components."""
-    return np.asarray(entries, dtype=float)[:, INDEPENDENT_FLAT]
+    """(N, 9) float components to the (N, 81) row-major entries D_ijkl, copied from the slots."""
+    return np.take(slots_float(components), _ENTRY_ROWS, axis=1)
 
 
 def _fraction(text: str) -> Fraction:
@@ -296,7 +288,8 @@ def from_array(arr) -> Harmonic4:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (3, 3, 3, 3):
         raise ValueError(f"expected shape (3,3,3,3), got {arr.shape}")
-    return Harmonic4(tuple(independent_float(arr.reshape(1, 81))[0].tolist()))
+    return Harmonic4(tuple(float(arr[i - 1, j - 1, k - 1, l - 1])
+                           for i, j, k, l in INDEPENDENT_SLOTS))
 
 
 #: Float draws take seeds in [0, SEED_LIMIT): one uint64 word of state.
@@ -400,7 +393,7 @@ def check_traceless(tensor):
 def _format_scalar(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    return value
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def to_json_dict(tensor: Harmonic4) -> dict:

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .invariants import INVARIANT_NAMES, ODD_INVARIANTS, invariants, invariants_float
-from .tensor import EXACT, FLOAT, Harmonic4, _format_scalar, expand_float, from_independent
+from .tensor import EXACT, FLOAT, Harmonic4, _format_scalar, from_independent
 
 SMITH_BAO_BASIS = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 MIXED_BASIS = ("J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -436,7 +436,7 @@ def _system_residuals(points, matched) -> np.ndarray:
     All 2P tensors go through the float engine in one call.
     """
     comps = _mirror_components(points)
-    values = invariants_float(expand_float(comps.reshape(-1, 9))).reshape(2, comps.shape[1], -1)
+    values = invariants_float(comps.reshape(-1, 9)).reshape(2, comps.shape[1], -1)
     cols = [INVARIANT_NAMES.index(name) for name in matched]
     left, right = values[0][:, cols], values[1][:, cols]
     return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
@@ -583,7 +583,7 @@ def _table_values(tensors) -> list:
     """Each tensor's invariants as a dict: float tensors in one stack, distinct exact ones once."""
     is_float = [t.backend == FLOAT for t in tensors]
     stack = np.array([t.indep for t, f in zip(tensors, is_float) if f], dtype=float)
-    rows = iter(invariants_float(expand_float(stack.reshape(-1, 9))).tolist())
+    rows = iter(invariants_float(stack.reshape(-1, 9)).tolist())
     exact = dict.fromkeys(t for t, f in zip(tensors, is_float) if not f)
     exact = {t: invariants(t).as_dict() for t in exact}
     return [dict(zip(INVARIANT_NAMES, next(rows))) if f else exact[t]

@@ -10,6 +10,7 @@ rebuilt from its words one value at a time, with numpy ufuncs on
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,10 @@ from harmonic4 import (
     rotate,
 )
 from harmonic4 import rotations
-from harmonic4.invariants import invariants_float
+from harmonic4.invariants import _W, invariants_float, pair_view_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
-from harmonic4.tensor import DEPENDENT_FLAT, _seed_stream, expand_float, independent_float
+from harmonic4.tensor import (ALL_SLOTS, INDEPENDENT_SLOTS, _random_components, _seed_stream,
+                              expand_float)
 
 #: Relative tolerance of the float engine against the exact oracle, measured
 #: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
@@ -54,6 +56,13 @@ def loop_array(d: Harmonic4) -> np.ndarray:
                 for l in range(1, 4):
                     arr[i - 1, j - 1, k - 1, l - 1] = full[tuple(sorted((i, j, k, l)))]
     return arr
+
+
+#: Stack sizes of the float engine's callers: one tensor, a bisection pair,
+#: a Gauss-Newton probe (7 points x 2), the witness table, and isotropy blocks.
+STACK_SIZES = (1, 2, 14, 16, 200, 1024)
+#: The sorted index pairs, the rows and columns of the pair view.
+PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 def natural_scale(vec, name):
@@ -91,16 +100,26 @@ class TestArrayView:
 
     def test_independent_gather_inverts_expand(self):
         comps = np.random.default_rng(4).standard_normal((6, 9))
-        assert np.array_equal(independent_float(expand_float(comps)), comps)
+        for row, entries in zip(comps, expand_float(comps)):
+            assert from_array(entries.reshape(3, 3, 3, 3)).indep == tuple(row.tolist())
         d = random_harmonic(11, backend=FLOAT)
         assert from_array(loop_array(d)) == d
+
+    def test_pair_view_holds_the_array_entries(self):
+        tensors = [random_harmonic(s, backend=FLOAT) for s in range(5)]
+        tensors.append(Harmonic4((-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0)))
+        for d, view in zip(tensors, pair_view_float([d.indep for d in tensors])):
+            arr = d.to_array()
+            for p, (i, j) in enumerate(PAIRS):
+                for q, (k, l) in enumerate(PAIRS):
+                    assert view[p, q].tobytes() == arr[i - 1, j - 1, k - 1, l - 1].tobytes()
 
 
 class TestBatchedInvariants:
     @pytest.mark.parametrize("n", [1, 7])
     def test_matches_oracle(self, n):
         exact = [random_harmonic(100 + s, backend=EXACT) for s in range(n)]
-        values = invariants_float(expand_float([[float(v) for v in d.indep] for d in exact]))
+        values = invariants_float([[float(v) for v in d.indep] for d in exact])
         assert values.shape == (n, len(INVARIANT_NAMES))
         for row, d in zip(values, exact):
             want = invariants_oracle(d)
@@ -109,11 +128,49 @@ class TestBatchedInvariants:
                 assert err <= ORACLE_RTOL * natural_scale(want, name), name
 
     def test_single_tensor_path_is_the_n1_case(self):
-        tensors = [random_harmonic(s, backend=FLOAT) for s in range(7)]
-        stack = invariants_float(expand_float([d.indep for d in tensors]))
-        for row, d in zip(stack, tensors):
-            vec = invariants(d)
-            assert row.tolist() == [vec[name] for name in INVARIANT_NAMES]
+        comps = _random_components(range(max(STACK_SIZES)))
+        alone = [invariants(Harmonic4(tuple(c.tolist()))) for c in comps]
+        alone = [[vec[name] for name in INVARIANT_NAMES] for vec in alone]
+        for n in STACK_SIZES:
+            for start in (0, len(comps) - n):
+                rows = invariants_float(comps[start:start + n]).tolist()
+                assert rows == alone[start:start + n], n
+
+
+#: binary64 unit roundoff.
+U = 2.0**-53
+#: The golden CLI tensor (tests/test_cli_golden.py) as binary64 components.
+GOLDEN = tuple(float(Fraction(v)) for v in ("1/2", "-3", "0", "2", "1/3", "-1", "0", "5/4", "2"))
+
+
+class TestAccuracy:
+    """The float engine against exact arithmetic on the same binary64 inputs.
+
+    The bounds are measured, not derived: over 301 tensors the worst
+    invariant error was 2.9u ||D||_F^k and the worst rotated component
+    was 6.5u max |D_i|; on these 65 inputs they are 2.4u and 4.7u.  They
+    hold the float engine to a few rounding errors whatever its formula;
+    ROADMAP item 2(b) will derive them.
+    """
+
+    COMPONENTS = np.vstack([_random_components(range(64)), [GOLDEN]])
+
+    def test_invariants_within_8u_of_the_exact_values(self):
+        for row, comps in zip(invariants_float(self.COMPONENTS), self.COMPONENTS):
+            exact = invariants(Harmonic4(tuple(Fraction(v) for v in comps.tolist())))
+            norm = float(exact.j2) ** 0.5
+            for value, name in zip(row.tolist(), INVARIANT_NAMES):
+                err = abs(Fraction(value) - exact[name])
+                assert err <= 8 * U * norm ** INVARIANT_DEGREES[name], name
+
+    def test_rotation_within_16u_of_the_exact_mode_products(self):
+        qs = haar_matrices(range(100, 100 + len(self.COMPONENTS)))
+        at = [ALL_SLOTS.index(slot) for slot in INDEPENDENT_SLOTS]
+        for row, comps, q in zip(rotate_float(self.COMPONENTS, qs), self.COMPONENTS, qs):
+            m = [[Fraction(x) for x in r] for r in q.tolist()]
+            slots = rotations._mode_products([Fraction(v) for v in comps.tolist()], m)
+            err = max(abs(Fraction(v) - slots[n]) for v, n in zip(row.tolist(), at))
+            assert err <= 16 * U * np.abs(comps).max()
 
 
 MASK64 = 2**64 - 1
@@ -209,19 +266,32 @@ class TestBatchedRotation:
 
     def test_one_tensor_broadcasts_over_matrices(self):
         d = random_harmonic(8, backend=FLOAT)
-        qs = haar_matrices(range(5))
-        stack = rotate_float([d.indep], qs)
-        for comps, s in zip(stack, range(5)):
-            assert tuple(comps.tolist()) == rotate(d, random_rotation(s)).indep
+        seeds = range(max(STACK_SIZES))
+        alone = [rotate(d, random_rotation(s)).indep for s in seeds]
+        qs = haar_matrices(seeds)
+        for n in STACK_SIZES:
+            for start in (0, len(qs) - n):
+                stack = rotate_float([d.indep], qs[start:start + n])
+                assert [tuple(row) for row in stack.tolist()] == alone[start:start + n], n
+
+    def test_stacked_rows_are_the_n1_case(self):
+        n = max(STACK_SIZES)
+        comps, qs = _random_components(range(n)), haar_matrices(range(n, 2 * n))
+        alone = [rotate_float(c[None], q[None])[0].tolist() for c, q in zip(comps, qs)]
+        for n in STACK_SIZES:
+            for start in (0, len(qs) - n):
+                stack = rotate_float(comps[start:start + n], qs[start:start + n])
+                assert stack.tolist() == alone[start:start + n], n
 
     @pytest.mark.skipif(not __debug__, reason="the check runs in debug builds only")
     @pytest.mark.parametrize("slot", range(6))
     def test_debug_check_catches_broken_completion(self, slot):
-        entries = expand_float(np.random.default_rng(slot).standard_normal((3, 9)))
-        rotations._assert_traceless(entries)
-        entries[1, DEPENDENT_FLAT[slot]] += 1e-6
-        with pytest.raises(AssertionError):
-            rotations._assert_traceless(entries)
+        comps = np.random.default_rng(slot).standard_normal((3, 9))
+        views = pair_view_float(comps).reshape(3, 36)
+        rotations._assert_traceless(views, comps)
+        views[1, rotations._DEPENDENT_PAIRS[slot]] += 1e-6
+        with pytest.raises(AssertionError, match=str(rotations.tc.DEPENDENT_SLOTS[slot])):
+            rotations._assert_traceless(views, comps)
 
 
 def loop_isotropy(d, trials, seed):
@@ -328,8 +398,8 @@ def loop_suite(num_tensors, trials, seed):
     results = []
     for ts in stream_words(seed, num_tensors):
         components = np.array([scalar_components(ts)])
-        entries = expand_float(components)
-        unit = components / np.sqrt((entries * entries).sum(axis=1))[:, None]
+        d = pair_view_float(components)
+        unit = components / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
         results.append(loop_isotropy(Harmonic4(tuple(unit[0].tolist())), trials, ts))
     return results
 

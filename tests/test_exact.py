@@ -8,6 +8,7 @@ integer engine must reproduce it with zero tolerance on dense rational
 entries that the symmetric mode products replaced.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,11 +22,14 @@ from harmonic4 import (
     Harmonic4,
     Orthogonal3,
     SparsePoly,
+    check_traceless,
     from_independent,
     invariants,
     invariants_oracle,
+    isotropy_check,
     random_harmonic,
     rotate,
+    to_json_dict,
 )
 from harmonic4 import rotations
 from harmonic4 import tensor as tc
@@ -256,6 +260,27 @@ class TestNumpyIntegers:
         assert rotate(wrapped, MATRICES[0]) == rotate(plain, MATRICES[0])
         assert bilinear_B(wrapped) == bilinear_B(plain)
         assert quartic_C(wrapped) == quartic_C(plain)
+
+    def test_every_public_function_agrees_with_the_python_int_twin(self):
+        # 3e9 squared overflows int64: every sum of products must run in Python ints.
+        big = (3 * 10**9, 2, 3, 4, 5, 6, 7, 8, 9)
+        wrapped, plain = Harmonic4(tuple(np.int64(v) for v in big)), Harmonic4(big)
+        assert wrapped.frobenius_norm_sq() == plain.frobenius_norm_sq() == 72000000240000004736
+        assert invariants_oracle(wrapped) == invariants_oracle(plain) == invariants(plain)
+        assert invariants(wrapped) == invariants(plain)
+        assert wrapped.expand() == plain.expand()
+        for slot in ALL_SLOTS:
+            assert type(wrapped.component(*slot)) is int
+            assert wrapped.component(*slot) == plain.component(*slot)
+        assert check_traceless(wrapped) == check_traceless(plain) == 0
+        assert bilinear_B(wrapped) == bilinear_B(plain)
+        assert quartic_C(wrapped) == quartic_C(plain)
+        assert rotate(wrapped, MATRICES[1]) == rotate(plain, MATRICES[1])
+        assert wrapped.scale(Fraction(1, 7)) == plain.scale(Fraction(1, 7))
+        assert -wrapped == -plain
+        assert json.dumps(to_json_dict(wrapped)) == json.dumps(to_json_dict(plain))
+        assert wrapped.to_array().tobytes() == plain.to_array().tobytes()
+        assert isotropy_check(wrapped, 3, 5) == isotropy_check(plain, 3, 5)
 
     def test_are_cleared_to_python_ints(self):
         ints, q = clear_denominators(np.array(self.INTS, dtype=np.int64))

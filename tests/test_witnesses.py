@@ -34,7 +34,6 @@ from harmonic4 import witnesses as w
 from harmonic4.cli import main as cli_main
 from harmonic4.invariants import invariants_float
 from harmonic4.polynomial import RESTRICTED_INDICES
-from harmonic4.tensor import expand_float
 from harmonic4.witnesses import (
     BASES,
     J6_SYSTEMS,
@@ -478,10 +477,10 @@ class TestTablePass:
         floats = [t for t in table_tensors() if t.backend != EXACT]
         tensors = floats + [random_harmonic(s) for s in range(24)]
         stack = np.array([t.indep for t in tensors])
-        alone = [invariants_float(expand_float(row[None])) for row in stack]
+        alone = [invariants_float(row[None]) for row in stack]
         for n in (2, 3, 7, 16, 17, len(tensors)):
             for start in (0, len(tensors) - n):
-                rows = invariants_float(expand_float(stack[start:start + n]))
+                rows = invariants_float(stack[start:start + n])
                 for k, row in enumerate(rows):
                     assert [v.hex() for v in row.tolist()] == [
                         v.hex() for v in alone[start + k][0].tolist()]
