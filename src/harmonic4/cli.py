@@ -59,7 +59,7 @@ def _load_tensor(args):
             tensor = from_json_dict(_read_json(args.input), backend=args.backend)
         else:
             raise InputError("no tensor given: pass --input FILE or nine --component values")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
     if args.backend == FLOAT and not all(math.isfinite(v) for v in tensor.indep):
         raise InputError("float components must be finite numbers")
@@ -75,8 +75,11 @@ def _json(payload) -> str:
 
 def _emit(text: str, args):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text, flush=True)
 
@@ -110,7 +113,7 @@ def cmd_rotate(args) -> int:
         entries = [coerce(v) for v in args.matrix]
         rows = tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3))
         rotated = rotate(tensor, Orthogonal3(rows))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
     _emit(_json(to_json_dict(rotated)), args)
     return 0

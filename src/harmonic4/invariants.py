@@ -21,19 +21,22 @@ Math. 1990).  On it
 
     C_pq = sum_r w_r D_pr D_qr,    B_ij = sum_k C_(ik),(jk),    B2 = B B,
 
-with the weighted rows DW = D diag(w) formed once.  J2 = sum_p w_p C_pp
-and J3 = sum_pq w_p w_q C_pq D_pq.  With b and b2 the pair entries of B
-and B2, weighted as Wb and Wb2, every other invariant is one product:
+with the weighted rows DW = D diag(w) formed once.  J2 = tr B and
+J3 = sum_pq w_p w_q C_pq D_pq.  With b and b2 the pair entries of B and
+B2, weighted as Wb and Wb2, every other invariant is one product:
 
     J4 = Wb . b        J5 = Wb . D Wb     J7 = Wb2 . D Wb     J9  = Wb2 . D Wb2
     K6 = Wb . b2       J6 = Wb . C Wb     J8 = Wb2 . C Wb     J10 = Wb2 . C Wb2
 
-The float engine, :func:`invariants_float`, runs them on a whole (N, 9)
-stack of components at once; one float tensor is the N = 1 case.  The
-generic engine runs them on lists over any commutative ring, with four
-shared products D Wb, D Wb2, C Wb and C Wb2: symbolic tensors expand in
-sparse polynomials, and exact tensors run in Python integers.  The invariants
-are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by
+The float engine, :func:`invariants_float`, runs these forms through
+[W^-1 | D | C] on a whole (N, 9) stack of components at once; one float
+tensor is the N = 1 case.  The generic engine runs them on lists over any
+commutative ring: symbolic tensors expand in sparse polynomials, and exact
+tensors run in Python integers.  As C = D W D with D symmetric, it reads
+J6, J8 and J10 as weighted Gram forms of y1 = D Wb and y2 = D Wb2:
+J6 = sum_r w_r y1_r^2, J8 = sum_r w_r y1_r y2_r and J10 = sum_r w_r y2_r^2,
+367 ring products in all.  The invariants are homogeneous,
+J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by
 the least common multiple q of its component denominators and each
 invariant divided by q^k once at the end.  :func:`invariants_oracle` is
 the deliberately naive check: unweighted full loops over every raw index
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import mul
 
 import numpy as np
@@ -70,9 +73,9 @@ _PAIRS = tuple(combinations_with_replacement((1, 2, 3), 2))
 _WEIGHTS = tuple(multiplicity(p) for p in _PAIRS)
 #: Row of the 15-slot tuple (independent, then dependent) behind D_(p),(q).
 _PAIR_ROWS = tuple(tuple(_SLOT_ROW[tuple(sorted(p + q))] for q in _PAIRS) for p in _PAIRS)
-#: For each pair (i, j), the positions of the pairs (i, k) and (j, k), k = 1..3.
-_ROW_PAIRS = tuple(tuple((_PAIRS.index(tuple(sorted((i, k)))),
-                          _PAIRS.index(tuple(sorted((j, k))))) for k in (1, 2, 3))
+#: For each pair (i, j), the positions of the pairs (i, k) and (j, k), flat over k = 1..3.
+_ROW_PAIRS = tuple(tuple(_PAIRS.index(tuple(sorted(pair)))
+                         for k in (1, 2, 3) for pair in ((i, k), (j, k)))
                    for i, j in _PAIRS)
 
 
@@ -82,8 +85,8 @@ _ROW_PAIRS = tuple(tuple((_PAIRS.index(tuple(sorted((i, k)))),
 _W = np.array(_WEIGHTS, dtype=float)
 _INVERSE_W = np.diag(1 / _W)
 _PAIR_COLS = np.array(_PAIR_ROWS).ravel()
-_TRACE_COLS = np.array([[6 * u + v for u, v in _ROW_PAIRS[_PAIRS.index(tuple(sorted((i, j))))]]
-                        for i in (1, 2, 3) for j in (1, 2, 3)]).T.copy()
+_TRACE_COLS = np.array([[6 * r[n] + r[n + 1] for n in (0, 2, 4)] for r in _ROW_PAIRS])[
+    [_PAIRS.index(tuple(sorted(ij))) for ij in product((1, 2, 3), repeat=2)]].T.copy()
 _SORTED_IN_3X3 = np.array([3 * i + j - 4 for i, j in _PAIRS])
 _FORM_COLS = np.array([0, 2, 4, 6, 8, 10, 9, 11])
 
@@ -100,7 +103,7 @@ def _pair_view(indep) -> list:
 
 
 def _weighted(x) -> list:
-    """w_p x_p: a symmetric matrix's 6-tuple ready for a full contraction."""
+    """W x: w_p x_p over the six pairs, ready for a full contraction."""
     return [w * v for w, v in zip(_WEIGHTS, x)]
 
 
@@ -120,17 +123,12 @@ def _quartic(d) -> tuple:
 
 def _partial_trace(c) -> tuple:
     """B_ij = sum_k C_(ik),(jk), as a 6-tuple over the sorted pairs."""
-    return tuple(sum(c[u][v] for u, v in row) for row in _ROW_PAIRS)
+    return tuple(c[p][q] + c[r][s] + c[t][u] for p, q, r, s, t, u in _ROW_PAIRS)
 
 
 def _square(b) -> tuple:
     """B2_ij = sum_k B_ik B_kj of a symmetric 6-tuple ``b``."""
-    return tuple(sum(b[u] * b[v] for u, v in row) for row in _ROW_PAIRS)
-
-
-def _apply(m, x) -> list:
-    """The matrix-vector product M x of a 6x6 ``m``."""
-    return [sum(map(mul, row, x)) for row in m]
+    return tuple(b[p] * b[q] + b[r] * b[s] + b[t] * b[u] for p, q, r, s, t, u in _ROW_PAIRS)
 
 
 def _quartic_of(d: Harmonic4) -> tuple:
@@ -182,26 +180,27 @@ class InvariantVector:
 def _invariants_generic(indep) -> InvariantVector:
     """The ten invariants of the tensor with nine components ``indep``, over any ring.
 
-    Forming M (W x) before the final dot product keeps intermediate
-    polynomial products small on the symbolic path.
+    Forming y1 = D Wb and y2 = D Wb2 before the final dot products keeps
+    intermediate polynomial products small on the symbolic path.
     """
     d = _pair_view(indep)
     dw, c = _quartic(d)
     b = _partial_trace(c)
     b2 = _square(b)
     wb, wb2 = _weighted(b), _weighted(b2)
-    d_wb, d_wb2, c_wb, c_wb2 = _apply(d, wb), _apply(d, wb2), _apply(c, wb), _apply(c, wb2)
+    y1, y2 = ([sum(map(mul, row, x)) for row in d] for x in (wb, wb2))
+    wy1, wy2 = _weighted(y1), _weighted(y2)
     return InvariantVector(
-        j2=sum(w * c[p][p] for p, w in enumerate(_WEIGHTS)),
+        j2=b[0] + b[3] + b[5],  # tr B, at the pairs 11, 22 and 33
         j3=sum(w * sum(map(mul, cp, dwp)) for w, cp, dwp in zip(_WEIGHTS, c, dw)),
         j4=sum(map(mul, wb, b)),
-        j5=sum(map(mul, wb, d_wb)),
-        j6=sum(map(mul, wb, c_wb)),
+        j5=sum(map(mul, wb, y1)),
+        j6=sum(map(mul, wy1, y1)),
         k6=sum(map(mul, wb, b2)),
-        j7=sum(map(mul, wb2, d_wb)),
-        j8=sum(map(mul, wb2, c_wb)),
-        j9=sum(map(mul, wb2, d_wb2)),
-        j10=sum(map(mul, wb2, c_wb2)),
+        j7=sum(map(mul, wb2, y1)),
+        j8=sum(map(mul, wy1, y2)),
+        j9=sum(map(mul, wb2, y2)),
+        j10=sum(map(mul, wy2, y2)),
     )
 
 
@@ -234,17 +233,6 @@ def invariants_float(components) -> np.ndarray:
     return out
 
 
-def _invariants_float(d: Harmonic4) -> InvariantVector:
-    return InvariantVector(*invariants_float([d.indep])[0].tolist())
-
-
-def _invariants_exact(d: Harmonic4) -> InvariantVector:
-    scaled, q = clear_denominators(d.indep)
-    vec = _invariants_generic(scaled)
-    return InvariantVector(*(Fraction(vec[name], q ** INVARIANT_DEGREES[name])
-                             for name in INVARIANT_NAMES))
-
-
 def invariants(d: Harmonic4) -> InvariantVector:
     """All ten invariants of ``d`` via the symmetry-weighted evaluator.
 
@@ -256,10 +244,13 @@ def invariants(d: Harmonic4) -> InvariantVector:
     pinned against :func:`invariants_oracle` by tests.
     """
     if d.backend == FLOAT:
-        return _invariants_float(d)
-    if d.backend == EXACT:
-        return _invariants_exact(d)
-    return _invariants_generic(d.indep)
+        return InvariantVector(*invariants_float([d.indep])[0].tolist())
+    if d.backend != EXACT:
+        return _invariants_generic(d.indep)
+    scaled, q = clear_denominators(d.indep)
+    vec = _invariants_generic(scaled)
+    return InvariantVector(*(Fraction(vec[name], q ** INVARIANT_DEGREES[name])
+                             for name in INVARIANT_NAMES))
 
 
 def invariants_oracle(d: Harmonic4) -> InvariantVector:

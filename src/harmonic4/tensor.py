@@ -127,6 +127,11 @@ def multiplicity(slot) -> int:
 SLOT_WEIGHTS = {slot: multiplicity(slot) for slot in ALL_SLOTS}
 
 
+def _python_int(value):
+    """``value``, with a numpy integer turned into a Python int, which cannot wrap."""
+    return int(value) if isinstance(value, np.integer) else value
+
+
 @dataclass(frozen=True)
 class Harmonic4:
     """A harmonic fourth-order tensor, stored by its 9 independent components.
@@ -159,7 +164,7 @@ class Harmonic4:
 
     @cached_property
     def _full(self) -> dict:
-        indep = tuple(int(v) if isinstance(v, np.integer) else v for v in self.indep)
+        indep = tuple(map(_python_int, self.indep))
         d = dict(zip(INDEPENDENT_SLOTS, indep))
         d.update(zip(DEPENDENT_SLOTS, _dependents(*indep)))
         return d
@@ -173,11 +178,12 @@ class Harmonic4:
         return self._full[canonical_index(i, j, k, l)]
 
     def __neg__(self) -> "Harmonic4":
-        return Harmonic4(tuple(-v for v in self.indep))
+        return self.scale(-1)
 
     def scale(self, c) -> "Harmonic4":
-        """Componentwise multiple c*D."""
-        return Harmonic4(tuple(c * v for v in self.indep))
+        """Componentwise multiple c*D; numpy integers are multiplied as Python ints."""
+        c = _python_int(c)
+        return Harmonic4(tuple(c * _python_int(v) for v in self.indep))
 
     def frobenius_norm_sq(self):
         """Sum of the squares of all 81 entries (equals the degree-2 invariant)."""
@@ -224,8 +230,7 @@ def _fraction(text: str) -> Fraction:
 def _coerce_exact(value):
     if isinstance(value, bool):
         raise TypeError(f"exact backend rejects boolean input {value!r}")
-    if isinstance(value, np.integer):
-        value = int(value)
+    value = _python_int(value)
     if isinstance(value, float):
         raise TypeError(
             f"exact backend rejects float input {value!r}; pass an int, Fraction, or 'p/q' string"
@@ -240,8 +245,7 @@ def _coerce_exact(value):
 def _coerce_float(value):
     if isinstance(value, bool):
         raise TypeError(f"float backend rejects boolean input {value!r}")
-    if isinstance(value, np.integer):
-        value = int(value)
+    value = _python_int(value)
     if isinstance(value, str):
         value = _fraction(value) if "/" in value else float(value)
     if isinstance(value, (int, float, Fraction)):
@@ -393,7 +397,7 @@ def check_traceless(tensor):
 def _format_scalar(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    return int(value) if isinstance(value, np.integer) else value
+    return _python_int(value)
 
 
 def to_json_dict(tensor: Harmonic4) -> dict:

@@ -336,8 +336,23 @@ def expect_input_error(argv, capsys, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
     assert message in captured.err
     assert "Warning" not in captured.err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["invariants", *inline(D1_COMPONENTS)],
+        ["verify", "isotropy", "--trials", "1"],
+        ["rotate", *inline(D1_COMPONENTS), "--matrix", *IDENTITY],
+        ["solve", "smith-bao-j6"],
+    ])
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+    def test_exits_2_with_one_error_line(self, argv, target, tmp_path, capsys):
+        path = str(tmp_path / target)
+        expect_input_error(argv + ["--out", path], capsys, f"cannot write {path}")
+        assert not (tmp_path / "missing-dir").exists()
 
 
 class TestNonFiniteAndBooleanInput:
@@ -345,6 +360,12 @@ class TestNonFiniteAndBooleanInput:
     def test_non_finite_inline_component_exits_2(self, value, capsys):
         argv = ["invariants"] + inline([value] + ["0"] * 8)
         expect_input_error(argv, capsys, "finite")
+
+    def test_rational_too_large_for_binary64_exits_2(self, capsys):
+        big = "1" + "0" * 400 + "/1"
+        expect_input_error(["invariants", *inline([big] + ["0"] * 8)], capsys, "too large")
+        expect_input_error(["rotate", *inline(D1_COMPONENTS), "--matrix", big, *IDENTITY[1:]],
+                           capsys, "too large")
 
     def test_json_infinity_component_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inf.json"

@@ -5,12 +5,16 @@ index tuples, one sorted-tuple lookup and four products per term.  The
 integer engine must reproduce it with zero tolerance on dense rational
 (Cayley) matrices, both determinant signs, small and large heights.
 ``loop_mode_products`` is the four-pass contraction over all 81 row-major
-entries that the symmetric mode products replaced.
+entries that the symmetric mode products replaced, and ``matrix_vector_engine``
+the generic engine that formed C Wb and C Wb2 before J6, J8 and J10 became
+Gram forms of D Wb and D Wb2.  ``Counted`` integers bound the ring operations
+of both kernels.
 """
 
 import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from harmonic4 import (
 )
 from harmonic4 import rotations
 from harmonic4 import tensor as tc
-from harmonic4.invariants import bilinear_B, quartic_C
+from harmonic4.invariants import _PAIR_ROWS, _WEIGHTS, _invariants_generic, bilinear_B, quartic_C
 from harmonic4.tensor import ALL_SLOTS, INDEPENDENT_SLOTS, clear_denominators
 
 
@@ -64,6 +68,61 @@ def loop_mode_products(indep, m) -> list:
     for _ in range(4):
         t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
     return [t[np.ravel_multi_index(np.array(slot) - 1, (3, 3, 3, 3))] for slot in ALL_SLOTS]
+
+
+def matrix_vector_engine(indep) -> tuple:
+    """The former generic engine: B, C and the ten invariants, J6/J8/J10 as Wb . C Wb etc."""
+    pairs = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    rows = [[(pairs.index(tuple(sorted((i, k)))), pairs.index(tuple(sorted((j, k)))))
+             for k in (1, 2, 3)] for i, j in pairs]
+    slots = tuple(indep) + tc._dependents(*indep)
+    d = [[slots[r] for r in row] for row in _PAIR_ROWS]
+    dw = [[w * v for w, v in zip(_WEIGHTS, row)] for row in d]
+    c = [[sum(map(mul, dw[p], d[q])) for q in range(6)] for p in range(6)]
+    b = tuple(sum(c[u][v] for u, v in row) for row in rows)
+    b2 = tuple(sum(b[u] * b[v] for u, v in row) for row in rows)
+    wb, wb2 = [w * v for w, v in zip(_WEIGHTS, b)], [w * v for w, v in zip(_WEIGHTS, b2)]
+    d_wb, d_wb2, c_wb, c_wb2 = ([sum(map(mul, row, x)) for row in m]
+                                for m, x in ((d, wb), (d, wb2), (c, wb), (c, wb2)))
+    dot = lambda x, y: sum(map(mul, x, y))  # noqa: E731
+    j2 = sum(w * c[p][p] for p, w in enumerate(_WEIGHTS))
+    j3 = sum(w * dot(cp, dwp) for w, cp, dwp in zip(_WEIGHTS, c, dw))
+    return b, c, (j2, j3, dot(wb, b), dot(wb, d_wb), dot(wb, c_wb), dot(wb, b2),
+                  dot(wb2, d_wb), dot(wb2, c_wb), dot(wb2, d_wb2), dot(wb2, c_wb2))
+
+
+class Counted(int):
+    """An int that counts the ring products and sums it takes part in."""
+
+    products = sums = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(int(self) * int(other))
+
+    def __add__(self, other):
+        Counted.sums += 1
+        return Counted(int(self) + int(other))
+
+    def __sub__(self, other):
+        Counted.sums += 1
+        return Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        Counted.sums += 1
+        return Counted(int(other) - int(self))
+
+    def __neg__(self):
+        return Counted(-int(self))
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
+def count_operations(kernel, *args) -> tuple:
+    """The result of ``kernel(*args)`` on Counted ints, and its products and sums."""
+    Counted.products = Counted.sums = 0
+    result = kernel(*args)
+    return result, Counted.products, Counted.sums
 
 
 def cleared_rows(q: Orthogonal3) -> tuple:
@@ -246,6 +305,45 @@ class TestInvariants:
             assert scaled[name] == c ** INVARIANT_DEGREES[name] * base[name]
 
 
+class TestGramForms:
+    """J6, J8 and J10 as Gram forms of D Wb and D Wb2 equal the former C Wb products."""
+
+    @pytest.mark.parametrize("d", TENSORS + [-d for d in TENSORS[:6]])
+    def test_equal_the_matrix_vector_engine(self, d):
+        indep, q = clear_denominators(d.indep)
+        b, c, vec = matrix_vector_engine(indep)
+        assert tuple(_invariants_generic(indep).as_dict().values()) == vec
+        assert bilinear_B(d) == tuple(Fraction(v, q * q) for v in b)
+        assert quartic_C(d) == [[Fraction(v, q * q) for v in row] for row in c]
+
+    def test_symbolic_components(self):
+        x, y, z = (SparsePoly.variable(i) for i in range(3))
+        indep = (x, 2, -y, z, 0, x, -3, y, 1)
+        assert tuple(_invariants_generic(indep).as_dict().values()) == \
+            matrix_vector_engine(indep)[2]
+
+
+class TestRingOperations:
+    """The kernels' ring products and sums on one integer tensor stay at their counts."""
+
+    INDEP = (3, -1, 0, 2, 5, -7, 1, 4, -2)
+
+    def test_generic_engine(self):
+        vec, products, sums = count_operations(
+            _invariants_generic, tuple(Counted(v) for v in self.INDEP))
+        assert vec == _invariants_generic(self.INDEP)
+        assert products <= 367
+        assert sums <= 321
+
+    def test_contract(self):
+        m = ((1, 2, 2), (2, 1, -2), (2, -2, 1))  # 3 Q, Q orthogonal
+        counted_m = tuple(tuple(Counted(v) for v in row) for row in m)
+        out, products, _ = count_operations(
+            rotations._contract, tuple(Counted(v) for v in self.INDEP), counted_m)
+        assert out == rotations._contract(self.INDEP, m)
+        assert products <= 335
+
+
 class TestNumpyIntegers:
     """Numpy integer components are exact scalars and never wrap in int64."""
 
@@ -281,6 +379,18 @@ class TestNumpyIntegers:
         assert json.dumps(to_json_dict(wrapped)) == json.dumps(to_json_dict(plain))
         assert wrapped.to_array().tobytes() == plain.to_array().tobytes()
         assert isotropy_check(wrapped, 3, 5) == isotropy_check(plain, 3, 5)
+
+    @pytest.mark.parametrize("c", [10**10, np.int64(10**10), Fraction(-10**10, 7), -1])
+    def test_scale_and_negation_agree_with_the_python_int_twin(self, c):
+        # 3e9 * 1e10 overflows int64 (warnings are errors here).
+        big = (3 * 10**9, 2, 3, 4, 5, 6, 7, 8, 9)
+        wrapped, plain = Harmonic4(tuple(np.int64(v) for v in big)), Harmonic4(big)
+        k = int(c) if isinstance(c, np.integer) else c
+        for result, expected in ((wrapped.scale(c), plain.scale(k)), (-wrapped, -plain)):
+            assert result == expected
+            assert all(type(v) in (int, Fraction) for v in result.indep)
+            assert invariants(result) == invariants(expected)
+        assert invariants(wrapped.scale(c)).j2 == k**2 * invariants(plain).j2
 
     def test_are_cleared_to_python_ints(self):
         ints, q = clear_denominators(np.array(self.INTS, dtype=np.int64))
