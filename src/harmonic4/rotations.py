@@ -10,10 +10,10 @@ O(3), not just the rotation subgroup.  :func:`isotropy_check` hammers a
 tensor with Haar-random orthogonal matrices and reports the worst
 relative drift of each invariant.
 
-Float tensors are rotated by the batched float engine on the pair view
-of ``invariants``, where Q acts as K D K^T with K_(ab),(kl) = Q_ak Q_bl +
-[k < l] Q_al Q_bk (Mehrabadi & Cowin, Q. J. Mech. Appl. Math. 1990;
-:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
+One formula serves every ring: on the pair view of ``invariants``, Q acts
+as K D K^T with K_(ab),(kl) = Q_ak Q_bl + [k < l] Q_al Q_bk (Mehrabadi &
+Cowin, Q. J. Mech. Appl. Math. 1990).  Float tensors take it batched
+(:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
 per trial seed.  :func:`isotropy_suite` samples, rotates and evaluates
 all its tensors x trials in shared blocks of at most
 :data:`ISOTROPY_BLOCK` rows through that engine; :func:`isotropy_check`
@@ -30,13 +30,9 @@ Seeds are integers in [0, 2**64).
 The tensor decides the arithmetic (:attr:`Harmonic4.backend`) and the
 matrix follows it.  A float tensor casts Q to float and needs Q^T Q = I
 to :data:`ORTHO_TOL` per entry.  Exact and symbolic tensors need a
-rational Q with Q^T Q = I exactly, and take one ring-generic contraction:
-four symmetric mode products u[a, ...] = sum_l M_al t[..., l].  After pass
-s the partial tensor is symmetric in its s new indices and in its 4 - s
-old ones, for any matrix, so the passes keep 30, 36, 30 and 15 distinct
-entries: 333 products in all, where the 81 entries of each pass took 972
-(Schatz, Low, van de Geijn & Kolda, SIAM J. Sci. Comput. 2014).  It runs
-with the matrix's denominators cleared, Q = M / den, and an exact
+rational Q with Q^T Q = I exactly, and take the same K D K^T on lists
+(:func:`_contract`), forming only the four rows of K D that are read.  It
+runs with the matrix's denominators cleared, Q = M / den, and an exact
 tensor's too, D = D' / q; the nine components are divided by q * den^4
 once at the end.  The orthogonality check runs on the cleared matrix as
 well: M^T M = den^2 I in Python ints.
@@ -46,12 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import tensor as tc
-from .invariants import (_PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, invariants,
+from .invariants import (_PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view, invariants,
                          invariants_float, pair_view_float)
 from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
@@ -81,19 +76,10 @@ class Orthogonal3:
             raise ValueError("expected a 3x3 matrix")
         object.__setattr__(self, "rows", rows)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i - 1][j - 1]
-
     def __matmul__(self, other: "Orthogonal3") -> "Orthogonal3":
-        return Orthogonal3(tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(3))
-                  for j in range(3))
-            for i in range(3)
-        ))
-
-    def transpose(self) -> "Orthogonal3":
-        return Orthogonal3(tuple(tuple(self.rows[j][i] for j in range(3))
-                                 for i in range(3)))
+        cols = tuple(zip(*other.rows))
+        return Orthogonal3(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                                 for row in self.rows))
 
     def orthogonality_defect(self):
         """max |(Q^T Q - I)_ij| over all entries; NaN if any of them is NaN."""
@@ -142,43 +128,31 @@ def _require_orthogonal(m, tol, den=1):
         raise ValueError(f"matrix is not orthogonal: defect {defect / unit:.3e} > {tol}")
 
 
-def _mode_product_tables() -> tuple:
-    """Index tables of the four symmetric mode products, and where the slots end up.
-
-    Pass s keeps one entry u[N; O] per sorted tuple N of s new indices
-    and sorted tuple O of 4 - s old ones.  Entry (a + N, O) is
-    sum_l M_al u[N; O + l]; its table row holds the three positions of
-    u[N; O + l] in the previous pass, grouped by the matrix row a.  Pass 0
-    is the 15-slot tuple (independent, then dependent); pass 4 holds the
-    slots in ``ALL_SLOTS`` order.
-    """
-    position = {((), slot): n for slot, n in tc._SLOT_ROW.items()}
-    passes = []
-    for s in range(1, 5):
-        keys = [(new, old) for new in combinations_with_replacement((1, 2, 3), s)
-                for old in combinations_with_replacement((1, 2, 3), 4 - s)]
-        passes.append(tuple(
-            tuple(tuple(position[new[1:], tuple(sorted(old + (l,)))] for l in (1, 2, 3))
-                  for new, old in keys if new[0] == a)
-            for a in (1, 2, 3)))
-        position = {key: n for n, key in enumerate(keys)}
-    return (tuple(passes), tuple(position[slot, ()] for slot in tc.INDEPENDENT_SLOTS),
-            tuple(position[slot, ()] for slot in tc.DEPENDENT_SLOTS))
-
-
-_MODE_PASSES, _INDEPENDENT_OUT, _DEPENDENT_OUT = _mode_product_tables()
+#: Places in Q, with a zero appended at 9, of the factors Q_ak, Q_bl, Q_al, Q_bk
+#: of each K_(ab),(kl); the last two read the zero when k = l.  ``_K_ROWS``
+#: holds the same places as lists, [row][column] -> (ak, bl, al, bk).
+_K_FACTORS = np.array([[[3 * (a, b)[r] + (k, l)[c] - 4 if r == c or k < l else 9
+                         for k, l in _PAIRS] for a, b in _PAIRS]
+                       for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))])
+_K_ROWS = _K_FACTORS.transpose(1, 2, 0).tolist()
+#: (row, column) in the pair view of each independent slot, then of each dependent
+#: one, read transposed: ij33 at (33, ij).  So only the rows 11, 12, 22 and 33 are read.
+_SLOT_PLACES = (tuple((_PAIRS.index(s[:2]), _PAIRS.index(s[2:])) for s in tc.INDEPENDENT_SLOTS)
+                + tuple((_PAIRS.index(s[2:]), _PAIRS.index(s[:2])) for s in tc.DEPENDENT_SLOTS))
+_READ_ROWS = sorted({row for row, _ in _SLOT_PLACES})
+#: The same places, flat in a 36-entry pair view.
+_INDEPENDENT_PAIRS, _DEPENDENT_PAIRS = (np.array([6 * row + col for row, col in places])
+                                        for places in (_SLOT_PLACES[:9], _SLOT_PLACES[9:]))
 
 
 def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
-    """Transform all four indices of ``d`` by the orthogonal matrix ``q``.
+    """Transform all four indices of ``d`` by the orthogonal matrix ``q``, as K D K^T.
 
-    The full tensor is transformed, the 9 independent slots are read back,
-    and (in debug builds) the dependent slots of the transform are checked
-    against their trace-completion values -- a free consistency check on
-    the contraction.  A float tensor takes the float engine with ``q``
-    cast to float.  Exact and symbolic tensors need a matrix of ints and
-    Fractions that is exactly orthogonal; anything else raises
-    ``ValueError``.
+    In debug builds the dependent slots of the transform are checked against
+    the trace completion of the nine read back.  A float tensor takes the
+    float engine with ``q`` cast to float.  Exact and symbolic tensors need
+    a matrix of ints and Fractions that is exactly orthogonal; anything else
+    raises ``ValueError``.
     """
     backend = d.backend
     if backend == FLOAT:
@@ -199,43 +173,33 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     return Harmonic4(tuple(v * Fraction(1, divisor) for v in out))
 
 
-def _mode_products(indep, m) -> list:
-    """M_ai M_bj M_ck M_dl D_ijkl at the 15 sorted slots of ``tensor.ALL_SLOTS``, over any ring.
-
-    The four symmetric mode products of :func:`_mode_product_tables`, for
-    any 3x3 matrix M, orthogonal or not.
-    """
-    t = tuple(indep) + tc._dependents(*indep)
-    for blocks in _MODE_PASSES:
-        t = [x * t[i] + y * t[j] + z * t[k]
-             for (x, y, z), block in zip(m, blocks) for i, j, k in block]
-    return t
-
-
 def _contract(indep, m) -> tuple:
-    """The nine components of M_ai M_bj M_ck M_dl D_ijkl, over any ring.
+    """The nine components of M_ai M_bj M_ck M_dl D_ijkl as K D K^T, over any ring.
 
-    In debug builds the six dependent slots of :func:`_mode_products`
-    must equal their trace completion exactly.
+    Only the rows of K D that :data:`_SLOT_PLACES` reads are formed; the
+    pair view D is symmetric, so its rows serve as its columns.  In debug
+    builds the six dependent slots must equal their trace completion.
     """
-    t = _mode_products(indep, m)
-    out = tuple(t[n] for n in _INDEPENDENT_OUT)
+    flat = [v for row in m for v in row] + [0]
+    k = [tuple(flat[ak] * flat[bl] + flat[al] * flat[bk] for ak, bl, al, bk in row)
+         for row in _K_ROWS]
+    d = _pair_view(indep)
+    kd = {}
+    for p in _READ_ROWS:
+        a, b, c, e, f, g = k[p]
+        kd[p] = [a * x + b * y + c * z + e * u + f * v + g * w for x, y, z, u, v, w in d]
+
+    def entry(row, col):
+        a, b, c, e, f, g = kd[row]
+        x, y, z, u, v, w = k[col]
+        return a * x + b * y + c * z + e * u + f * v + g * w
+
+    out = tuple(entry(row, col) for row, col in _SLOT_PLACES[:9])
     if __debug__:
         completed = tc._dependents(*out)
-        for slot, n, value in zip(tc.DEPENDENT_SLOTS, _DEPENDENT_OUT, completed):
-            assert t[n] == value, f"rotated tensor lost tracelessness at {slot}"
+        for slot, (row, col), value in zip(tc.DEPENDENT_SLOTS, _SLOT_PLACES[9:], completed):
+            assert entry(row, col) == value, f"rotated tensor lost tracelessness at {slot}"
     return out
-
-
-#: Places in Q, with a zero appended at 9, of the factors Q_ak, Q_bl, Q_al, Q_bk
-#: of each K_(ab),(kl); the last two read the zero when k = l.
-_K_FACTORS = np.array([[[3 * (a, b)[r] + (k, l)[c] - 4 if r == c or k < l else 9
-                         for k, l in _PAIRS] for a, b in _PAIRS]
-                       for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))])
-#: Places of the independent and of the dependent slots in a flat pair view.
-_INDEPENDENT_PAIRS, _DEPENDENT_PAIRS = (
-    np.array([6 * _PAIRS.index(s[:2]) + _PAIRS.index(s[2:]) for s in slots])
-    for slots in (tc.INDEPENDENT_SLOTS, tc.DEPENDENT_SLOTS))
 
 
 def rotate_float(components, matrices) -> np.ndarray:

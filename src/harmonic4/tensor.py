@@ -361,16 +361,16 @@ def _random_components(seeds) -> np.ndarray:
 def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     """Deterministic random harmonic tensor.
 
-    The float backend takes a seed in [0, 2**64) and draws the 9
-    components i.i.d. standard normal from the seed's SplitMix64 words
-    (:func:`_random_components`), the same alone or in a stack; the
-    exact backend draws uniform rationals with numerator
+    Both backends take a seed in [0, 2**64) (:func:`_seed_array`).  The
+    float backend draws the 9 components i.i.d. standard normal from the
+    seed's SplitMix64 words (:func:`_random_components`), the same alone or
+    in a stack; the exact backend draws uniform rationals with numerator
     in [-12, 12] and denominator in [1, 12].  Same seed, same tensor.
     """
     if backend == FLOAT:
         return Harmonic4(tuple(_random_components([seed])[0].tolist()))
     if backend == EXACT:
-        rng = random.Random(seed)
+        rng = random.Random(int(_seed_array([seed])[0]))
         return Harmonic4(tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12))
                                for _ in range(9)))
     raise ValueError(f"unknown backend {backend!r}")

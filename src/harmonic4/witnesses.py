@@ -325,11 +325,12 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     Otherwise it halves the bracket until its width is at most ``tol``,
     or until its ends are adjacent floats, and returns the midpoint, so
     the iteration count is at most ceil(log2((hi-lo)/tol)) and stays
-    finite for any positive ``tol``.  A NaN value of ``f`` at an end, a
-    midpoint or the returned root raises ``ValueError``.
+    finite for any positive ``tol``.  It raises ``ValueError`` unless
+    lo < hi and tol > 0, and on a NaN value of ``f`` at an end, a midpoint
+    or the returned root.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (lo < hi and tol > 0):
+        raise ValueError(f"need lo < hi and a positive tolerance, got [{lo}, {hi}] and {tol}")
 
     def value(t):
         if math.isnan(v := f(t)):
@@ -450,9 +451,14 @@ def solve_agreement_system(matched) -> SolveResult:
     2..10.  The printed solution digits seed the two known systems; a
     coarse grid search seeds any other.  Non-convergence (including
     collapse onto the trivial delta=0 manifold) is reported in the result,
-    never raised.
+    never raised.  Unknown names raise ``ValueError``, as does a set of
+    J2 and odd invariants only: every mirror pair agrees on those.
     """
     matched = tuple(matched)
+    if unknown := [name for name in matched if name not in INVARIANT_NAMES]:
+        raise ValueError(f"unknown invariants {unknown}; expected {INVARIANT_NAMES}")
+    if not set(matched) - {"J2", *ODD_INVARIANTS}:
+        raise ValueError(f"{matched} constrains nothing: every mirror pair agrees on it")
     guess = _PAPER_GUESS.get(frozenset(matched))
     result = None
     for candidate in [guess] if guess else _grid_seeds(matched):

@@ -11,6 +11,7 @@ rebuilt from its words one value at a time, with numpy ufuncs on
 
 import math
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,7 @@ from harmonic4 import (
 from harmonic4 import rotations
 from harmonic4.invariants import _W, invariants_float, pair_view_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
-from harmonic4.tensor import (ALL_SLOTS, INDEPENDENT_SLOTS, _random_components, _seed_stream,
-                              expand_float)
+from harmonic4.tensor import INDEPENDENT_SLOTS, _random_components, _seed_stream, expand_float
 
 #: Relative tolerance of the float engine against the exact oracle, measured
 #: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
@@ -56,6 +56,20 @@ def loop_array(d: Harmonic4) -> np.ndarray:
                 for l in range(1, 4):
                     arr[i - 1, j - 1, k - 1, l - 1] = full[tuple(sorted((i, j, k, l)))]
     return arr
+
+
+def exact_rotation(components, q) -> list:
+    """Q_ai Q_bj Q_ck Q_dl D_ijkl at the nine independent slots, in Fractions, for any 3x3 Q.
+
+    Four passes over all 81 row-major entries; each sums out the last index
+    against a row of Q and puts the new index first.
+    """
+    full = Harmonic4(tuple(Fraction(v) for v in components)).expand()
+    t = [full[tuple(sorted(ix))] for ix in product((1, 2, 3), repeat=4)]
+    m = [[Fraction(v) for v in row] for row in q]
+    for _ in range(4):
+        t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
+    return [t[27 * i + 9 * j + 3 * k + l - 40] for i, j, k, l in INDEPENDENT_SLOTS]
 
 
 #: Stack sizes of the float engine's callers: one tensor, a bisection pair,
@@ -165,11 +179,9 @@ class TestAccuracy:
 
     def test_rotation_within_16u_of_the_exact_mode_products(self):
         qs = haar_matrices(range(100, 100 + len(self.COMPONENTS)))
-        at = [ALL_SLOTS.index(slot) for slot in INDEPENDENT_SLOTS]
         for row, comps, q in zip(rotate_float(self.COMPONENTS, qs), self.COMPONENTS, qs):
-            m = [[Fraction(x) for x in r] for r in q.tolist()]
-            slots = rotations._mode_products([Fraction(v) for v in comps.tolist()], m)
-            err = max(abs(Fraction(v) - slots[n]) for v, n in zip(row.tolist(), at))
+            exact = exact_rotation(comps.tolist(), q.tolist())
+            err = max(abs(Fraction(v) - x) for v, x in zip(row.tolist(), exact))
             assert err <= 16 * U * np.abs(comps).max()
 
 

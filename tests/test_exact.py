@@ -5,12 +5,13 @@ index tuples, one sorted-tuple lookup and four products per term.  The
 integer engine must reproduce it with zero tolerance on dense rational
 (Cayley) matrices, both determinant signs, small and large heights.
 ``loop_mode_products`` is the four-pass contraction over all 81 row-major
-entries that the symmetric mode products replaced, and ``matrix_vector_engine``
-the generic engine that formed C Wb and C Wb2 before J6, J8 and J10 became
-Gram forms of D Wb and D Wb2.  ``Counted`` integers bound the ring operations
-of both kernels.
+entries, the reference for the pair-view contraction K D K^T on integer and
+symbolic components, and ``matrix_vector_engine`` the generic engine that
+formed C Wb and C Wb2 before J6, J8 and J10 became Gram forms of D Wb and
+D Wb2.  ``Counted`` integers bound the ring operations of both kernels.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -47,16 +48,16 @@ def loop_rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     transformed = {}
     rng = (1, 2, 3)
     for slot in ALL_SLOTS:
-        a, b, c, e = slot
+        qa, qb, qc, qe = (q.rows[n - 1] for n in slot)
         acc = 0
         for i in rng:
-            qa = q.entry(a, i)
+            ti = qa[i - 1]
             for j in rng:
-                qb = qa * q.entry(b, j)
+                tj = ti * qb[j - 1]
                 for k in rng:
-                    qc = qb * q.entry(c, k)
+                    tk = tj * qc[k - 1]
                     for l in rng:
-                        acc = acc + qc * q.entry(e, l) * full[tuple(sorted((i, j, k, l)))]
+                        acc = acc + tk * qe[l - 1] * full[tuple(sorted((i, j, k, l)))]
         transformed[slot] = acc
     return Harmonic4(tuple(transformed[s] for s in INDEPENDENT_SLOTS))
 
@@ -68,6 +69,13 @@ def loop_mode_products(indep, m) -> list:
     for _ in range(4):
         t = [a * t[n] + b * t[n + 1] + c * t[n + 2] for a, b, c in m for n in range(0, 81, 3)]
     return [t[np.ravel_multi_index(np.array(slot) - 1, (3, 3, 3, 3))] for slot in ALL_SLOTS]
+
+
+def assert_contract_is_the_loop(indep, m):
+    """``rotations._contract`` must give the nine independent slots of ``loop_mode_products``."""
+    reference = loop_mode_products(indep, m)
+    assert rotations._contract(indep, m) == tuple(
+        reference[ALL_SLOTS.index(slot)] for slot in INDEPENDENT_SLOTS)
 
 
 def matrix_vector_engine(indep) -> tuple:
@@ -250,28 +258,34 @@ SYMBOLS = tuple(SparsePoly.variable(i) for i in range(9))
 
 
 class TestModeProducts:
+    """K D K^T on the pair view against the 81-entry mode-product loop, exactly."""
+
     @pytest.mark.parametrize("q", MATRICES)
     def test_integer_tensors_under_cayley_matrices(self, q):
         m = cleared_rows(q)
         for d in TENSORS:
-            indep, _ = clear_denominators(d.indep)
-            reference = loop_mode_products(indep, m)
-            assert rotations._mode_products(indep, m) == reference
-            assert rotations._contract(indep, m) == tuple(
-                reference[ALL_SLOTS.index(slot)] for slot in INDEPENDENT_SLOTS)
-
-    @pytest.mark.parametrize("m", [((2, -3, 5), (7, 1, -4), (0, 6, 9)),
-                                   ((1, 1, 0), (0, 1, 1), (0, 0, 1))])
-    def test_any_matrix_keeps_the_stage_symmetry(self, m):
-        assert sum(m[k][0] * m[k][1] for k in range(3)) != 0  # M^T M is not diagonal
-        for d in TENSORS:
-            indep, _ = clear_denominators(d.indep)
-            assert rotations._mode_products(indep, m) == loop_mode_products(indep, m)
+            assert_contract_is_the_loop(clear_denominators(d.indep)[0], m)
 
     @pytest.mark.parametrize("q", MATRICES[:2])
     def test_symbolic_components(self, q):
-        m = cleared_rows(q)
-        assert rotations._mode_products(SYMBOLS, m) == loop_mode_products(SYMBOLS, m)
+        assert_contract_is_the_loop(SYMBOLS, cleared_rows(q))
+
+    # In debug builds the trace check in _contract trips first; under -O the comparison does.
+    def test_a_corrupted_k_entry_fails_the_loop_comparison(self, monkeypatch):
+        k_rows = copy.deepcopy(rotations._K_ROWS)
+        k_rows[4][0][1] += 1  # K_(23),(11) reads Q_21 Q_32, not Q_21 Q_31
+        monkeypatch.setattr(rotations, "_K_ROWS", k_rows)
+        with pytest.raises(AssertionError):
+            assert_contract_is_the_loop(clear_denominators(TENSORS[1].indep)[0],
+                                        cleared_rows(MATRICES[1]))
+
+    def test_a_corrupted_place_fails_the_loop_comparison(self, monkeypatch):
+        places = list(rotations._SLOT_PLACES)
+        places[6] = (0, 1)  # D1223 read at (11, 12), not (12, 23)
+        monkeypatch.setattr(rotations, "_SLOT_PLACES", tuple(places))
+        with pytest.raises(AssertionError):
+            assert_contract_is_the_loop(clear_denominators(TENSORS[1].indep)[0],
+                                        cleared_rows(MATRICES[1]))
 
 
 def oracle_contractions(d: Harmonic4) -> tuple:
@@ -341,7 +355,7 @@ class TestRingOperations:
         out, products, _ = count_operations(
             rotations._contract, tuple(Counted(v) for v in self.INDEP), counted_m)
         assert out == rotations._contract(self.INDEP, m)
-        assert products <= 335
+        assert products <= 290
 
 
 class TestNumpyIntegers:

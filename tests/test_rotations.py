@@ -240,7 +240,7 @@ class TestIsotropyCheck:
 class TestOrthogonal3:
     def test_matmul_and_transpose(self):
         q = signed_permutation((2, 3, 1))
-        qt = q.transpose()
+        qt = Orthogonal3(tuple(zip(*q.rows)))
         assert (q @ qt).rows == Orthogonal3.identity().rows
 
     def test_numpy_rows_are_stored_as_tuples(self):

@@ -1,5 +1,6 @@
 """Construction, trace completion, and algebra of harmonic tensors."""
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -170,6 +171,18 @@ class TestRandomHarmonic:
     def test_exact_mode_traceless(self):
         for seed in range(5):
             assert check_traceless(random_harmonic(seed, EXACT)) == 0
+
+    def test_exact_draw_is_pinned(self):
+        f = Fraction
+        assert random_harmonic(2**64 - 1, EXACT).indep == (
+            f(-3), f(-1, 5), f(-3, 4), f(7, 2), f(-1, 12), f(5, 6), f(-11, 12), f(-1, 2), f(5, 8))
+
+    @pytest.mark.parametrize("seed", [-1, True, "x", 1.5, 2**70])
+    def test_exact_seed_follows_the_float_rule(self, seed):
+        with pytest.raises((TypeError, ValueError)) as floated:
+            random_harmonic(seed, FLOAT)
+        with pytest.raises(floated.type, match=f"^{re.escape(str(floated.value))}$"):
+            random_harmonic(seed, EXACT)
 
 
 class TestConstruction:

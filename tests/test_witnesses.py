@@ -188,6 +188,15 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_root(lambda x: x, -1.0, 1.0, 0.0)
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ValueError, match="positive tolerance"):
+            bisect_root(h_eval, 0.15, 0.2, math.nan)
+
+    @pytest.mark.parametrize("lo, hi", [(0.2, 0.15), (0.15, 0.15), (math.nan, 0.2)])
+    def test_rejects_a_bracket_not_in_order(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            bisect_root(h_eval, lo, hi, 1e-14)
+
     @pytest.mark.parametrize("f", [lambda t: math.nan, lambda t: math.nan if t == 1.0 else t])
     def test_nan_at_an_end_raises(self, f):
         with pytest.raises(ValueError, match="NaN"):
@@ -289,6 +298,16 @@ class TestAgreementSystems:
         left, right = invariants(pair.left), invariants(pair.right)
         for name in J6_SYSTEMS["smith_bao"]:
             assert relative_gap(left[name], right[name]) <= 1e-11
+
+    @pytest.mark.parametrize("matched", [(), ("J3",), ("J3", "J5", "J7"), ("J2", "J9")])
+    def test_rejects_a_set_the_mirror_pairs_satisfy_identically(self, matched):
+        with pytest.raises(ValueError, match="constrains nothing"):
+            solve_agreement_system(matched)
+
+    @pytest.mark.parametrize("matched", [("J2", "X9"), ("J4", "j6")])
+    def test_rejects_an_unknown_name(self, matched):
+        with pytest.raises(ValueError, match=rf"unknown invariants \['{matched[1]}'\]"):
+            solve_agreement_system(matched)
 
     def test_grid_seed_discovers_solution_without_guess(self):
         # no printed guess exists for this system, so the grid seeds the solve
