@@ -6,7 +6,7 @@ the two bases give 18 (basis, member) cells, and the table ``h4.CELLS``
 names the witness pair that covers each one.  This script walks through
 the pairs: the sign flips for the odd degrees, the hand-built catalog
 pairs for degrees 2, 4 and 10, the one-parameter root construction for
-degree 8, and the Gauss-Newton solved systems for the two sextics; then
+degree 8, and the Newton-solved systems for the two sextics; then
 it checks all 18 cells at once.
 
 Run with:  python demos/separation_witnesses.py
@@ -55,7 +55,7 @@ closed = h4.j8_family(0.2)
 lv, rv = h4.invariants(closed.left), h4.invariants(closed.right)
 print("at t = 0.2 the J8 gap closes:", abs(lv.j8 - rv.j8) <= 1e-9 * abs(lv.j8))
 
-# --- Degree 6, twice: agreement systems solved by damped Gauss-Newton in
+# --- Degree 6, twice: agreement systems solved by damped Newton in
 #     the restricted family with the D1223 branch mirrored about -1/4.
 for which, matched in h4.witnesses.J6_SYSTEMS.items():
     report = h4.verify_j6_separation(which)

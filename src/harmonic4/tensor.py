@@ -148,9 +148,9 @@ class Harmonic4:
         if len(self.indep) != 9:
             raise ValueError(f"expected 9 independent components, got {len(self.indep)}")
 
-    @property
+    @cached_property
     def backend(self) -> str:
-        """Scalar backend, the one rule every engine follows.
+        """Scalar backend, the one rule every engine follows; computed once per tensor.
 
         ``float`` if any component is a float (Python or numpy), ``exact``
         if all are ints (Python or numpy) and Fractions, ``generic``

@@ -29,8 +29,7 @@ The pairs come from three constructions:
   identically, D1113 = 1, and D1223 = -1/4 +- delta makes the degree-2
   invariant agree for free.  The remaining agreements are a
   one-parameter root for the degree-8 witness (:func:`j8_family`) and a
-  4-equation/3-unknown Gauss-Newton solve for the two degree-6 witnesses,
-  one per basis.
+  square 3x3 Newton solve for the two degree-6 witnesses, one per basis.
 
 Solved witnesses are validated post hoc by direct invariant evaluation,
 independent of the solver path.
@@ -38,7 +37,6 @@ independent of the solver path.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -408,9 +406,8 @@ def j8_family(t: float) -> WitnessPair:
     return mirror_pair(-sqrt_t, math.sqrt(radicand) / (-4 + 8 * t), (1 + 5 * t) / (4 * sqrt_t))
 
 
-# Gauss-Newton solve of the agreement systems.  Parameters are
-# x = (D1123, delta, D2223) of :func:`mirror_pair`; four residuals, three
-# unknowns, consistent at the separating solution.
+# Newton solve of the agreement systems in x = (D1123, delta, D2223) of
+# :func:`mirror_pair`: three live residuals in three unknowns.
 
 #: Printed solution digits (D1123, D1223 + 1/4, D2223), keyed by the set of
 #: matched invariants: the order of the equations does not change the solution.
@@ -419,10 +416,10 @@ _PAPER_GUESS = {
     frozenset(J6_SYSTEMS["mixed"]): (-0.405381, 0.67075 + 0.25, 1.12345),
 }
 
-#: Norm of the normalized residuals at which the Gauss-Newton solve stops.
+#: Norm of the normalized residuals at which the Newton solve stops.
 SOLVE_TOL = 1e-12
 
-#: Gauss-Newton iterations before a solve is reported as not converged.
+#: Newton iterations before a solve is reported as not converged.
 MAX_ITER = 200
 
 #: Solutions with |delta| below this are treated as collapses onto the
@@ -444,25 +441,28 @@ def _system_residuals(points, matched) -> np.ndarray:
 
 
 def solve_agreement_system(matched) -> SolveResult:
-    """Damped Gauss-Newton on the four matched-invariant residuals.
+    """Damped Newton on the three live residuals; the norm covers all of ``matched``.
 
     Residuals are normalized per equation by max(1, |J_k|) so the
     convergence tolerance :data:`SOLVE_TOL` is meaningful across degrees
     2..10.  The printed solution digits seed the two known systems; a
     coarse grid search seeds any other.  Non-convergence (including
     collapse onto the trivial delta=0 manifold) is reported in the result,
-    never raised.  Unknown names raise ``ValueError``, as does a set of
-    J2 and odd invariants only: every mirror pair agrees on those.
+    never raised.  A name given twice counts once.  ``ValueError`` is raised
+    on unknown names and unless exactly three names are live (not J2, not odd).
     """
     matched = tuple(matched)
     if unknown := [name for name in matched if name not in INVARIANT_NAMES]:
         raise ValueError(f"unknown invariants {unknown}; expected {INVARIANT_NAMES}")
-    if not set(matched) - {"J2", *ODD_INVARIANTS}:
+    matched = tuple(dict.fromkeys(matched))
+    live = [k for k, name in enumerate(matched) if name not in {"J2", *ODD_INVARIANTS}]
+    if not live:
         raise ValueError(f"{matched} constrains nothing: every mirror pair agrees on it")
+    if len(live) != 3:
+        raise ValueError(f"{matched} is not square: {len(live)} live equations in 3 unknowns")
     guess = _PAPER_GUESS.get(frozenset(matched))
-    result = None
     for candidate in [guess] if guess else _grid_seeds(matched):
-        result = _gauss_newton(np.asarray(candidate, dtype=float), matched)
+        result = _newton(list(candidate), matched, live)
         if result.converged:
             break
     return result
@@ -478,60 +478,55 @@ def _grid_seeds(matched) -> list:
     return [tuple(points[i].tolist()) for i in best]
 
 
-def _gauss_newton(x, matched) -> SolveResult:
+def _cramer(a, b) -> list:
+    """x with a x = b, for a 3x3 matrix a given by rows, by Cramer's rule; NaNs if det(a) = 0."""
+    def det(m):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+    d = det(a) or math.nan
+    return [det([row[:j] + [v] + row[j + 1:] for row, v in zip(a, b)]) / d for j in range(3)]
+
+
+def _newton(x, matched, live) -> SolveResult:
+    """Damped Newton from ``x``, stepping on the ``live`` columns of the residuals."""
     fd_step = 1e-7
     bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
 
-    def probe(point, bumped=True):  # a full step takes its six bumps along, in one call
-        points = np.vstack((point, point + bumps)) if bumped else point[None]
-        rows = _system_residuals(points, matched)
-        return rows[0], rows[1:] if bumped else None
+    def probe(point):  # every probe, a halved retry too, takes its 6 bumps along in one call
+        rows = _system_residuals(np.vstack((point, point + bumps)), matched)
+        return float(np.linalg.norm(rows[0])), rows[:, live].T.tolist()
 
-    r, r_bumped = probe(x)
-    r_norm = float(np.linalg.norm(r))
-    iterations = 0
-    message = ""
+    r_norm, r_live = probe(x)
+    iterations, message = 0, ""
     while r_norm > SOLVE_TOL and iterations < MAX_ITER:
-        if r_bumped is None:  # x came from a halved step
-            r_bumped = _system_residuals(x + bumps, matched)
-        jac = ((r_bumped[:3] - r_bumped[3:]) / (2 * fd_step)).T
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = _cramer([[(row[1 + j] - row[4 + j]) / (2 * fd_step) for j in range(3)]
+                        for row in r_live], [-row[0] for row in r_live])
+        if not all(map(math.isfinite, step)):
             message = "singular Jacobian"
             break
         iterations += 1
-        for halving in range(30):
-            candidate = x + step
-            r_new, bumped_new = probe(candidate, bumped=not halving)
-            r_new_norm = float(np.linalg.norm(r_new))
-            if r_new_norm < r_norm:
-                x, r, r_norm, r_bumped = candidate, r_new, r_new_norm, bumped_new
+        for _ in range(30):
+            candidate = [a + s for a, s in zip(x, step)]
+            new_norm, new_live = probe(candidate)
+            if new_norm < r_norm:
+                x, r_norm, r_live = candidate, new_norm, new_live
                 break
-            step = step / 2
+            step = [s / 2 for s in step]
         else:
             message = "no decrease after 30 step halvings"
             break
 
-    b, delta, d = (float(v) for v in x)
+    b, delta, d = x
     converged = r_norm <= SOLVE_TOL
     if converged and abs(delta) < _DELTA_FLOOR:
         converged = False
         message = "collapsed onto the trivial (left == right) solution"
     if not converged and not message:
         message = f"residual {r_norm:.3e} after {iterations} iterations"
-    return SolveResult(
-        solution={
-            "D1113": 1.0,
-            "D1123": b,
-            "D1223": -0.25 + delta,
-            "D2223": d,
-            "D1223_hat": -0.25 - delta,
-        },
-        residual_norm=r_norm,
-        iterations=iterations,
-        converged=converged,
-        message=message,
-    )
+    solution = {"D1113": 1.0, "D1123": b, "D1223": -0.25 + delta, "D2223": d,
+                "D1223_hat": -0.25 - delta}
+    return SolveResult(solution, r_norm, iterations, converged, message)
 
 
 def pair_from_solution(result: SolveResult) -> WitnessPair:
@@ -586,14 +581,18 @@ def all_cells() -> list:
 
 
 def _table_values(tensors) -> list:
-    """Each tensor's invariants as a dict: float tensors in one stack, distinct exact ones once."""
-    is_float = [t.backend == FLOAT for t in tensors]
-    stack = np.array([t.indep for t, f in zip(tensors, is_float) if f], dtype=float)
+    """Each tensor's invariants as a dict: float tensors in one stack, each exact object once."""
+    stack = np.array([t.indep for t in tensors if t.backend == FLOAT], dtype=float)
     rows = iter(invariants_float(stack.reshape(-1, 9)).tolist())
-    exact = dict.fromkeys(t for t, f in zip(tensors, is_float) if not f)
-    exact = {t: invariants(t).as_dict() for t in exact}
-    return [dict(zip(INVARIANT_NAMES, next(rows))) if f else exact[t]
-            for t, f in zip(tensors, is_float)]
+    exact = {id(t): t for t in tensors if t.backend != FLOAT}
+    exact = {key: invariants(t).as_dict() for key, t in exact.items()}
+    return [dict(zip(INVARIANT_NAMES, next(rows))) if t.backend == FLOAT else exact[id(t)]
+            for t in tensors]
+
+
+def _copy_notes(notes: dict) -> dict:
+    """A copy of ``notes``, nested dicts of scalars, that shares no dict with it."""
+    return {k: _copy_notes(v) if isinstance(v, dict) else v for k, v in notes.items()}
 
 
 def _check_cells(cells, rel_tol: float) -> dict:
@@ -624,7 +623,7 @@ def _check_cells(cells, rel_tol: float) -> dict:
         reports[basis, member] = WitnessReport(
             label=label, left_values=dict(lv), right_values=dict(rv), gaps=dict(gaps),
             agree=agree, differ=member, passed=pair_ok and separates(agree, member),
-            notes=copy.deepcopy(pair.notes) if pair.notes else {})
+            notes=_copy_notes(pair.notes))
     return reports
 
 

@@ -73,7 +73,7 @@ def exact_rotation(components, q) -> list:
 
 
 #: Stack sizes of the float engine's callers: one tensor, a bisection pair,
-#: a Gauss-Newton probe (7 points x 2), the witness table, and isotropy blocks.
+#: a Newton probe (7 points x 2), the witness table, and isotropy blocks.
 STACK_SIZES = (1, 2, 14, 16, 200, 1024)
 #: The sorted index pairs, the rows and columns of the pair view.
 PAIRS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))

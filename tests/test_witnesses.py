@@ -12,8 +12,10 @@ import pytest
 from harmonic4 import (
     CELLS,
     EXACT,
+    FLOAT,
     INVARIANT_NAMES,
     WITNESSES,
+    Harmonic4,
     bisect_root,
     check_pair,
     from_independent,
@@ -281,9 +283,21 @@ class TestAgreementSystems:
         assert abs(sol["D1223_hat"]) == pytest.approx(1.17075, abs=1e-4)
 
     def test_far_guess_reports_non_convergence(self):
-        result = w._gauss_newton(np.array([40.0, 55.0, -38.0]), J6_SYSTEMS["smith_bao"])
+        # the square step converges onto delta ~ -3e-7; only the collapse guard rejects it
+        live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
+        result = w._newton([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)
         assert not result.converged
-        assert result.message
+        assert result.message == "collapsed onto the trivial (left == right) solution"
+        assert result.residual_norm <= w.SOLVE_TOL
+        assert abs(result.solution["D1223"] + 0.25) < w._DELTA_FLOOR
+
+    def test_singular_jacobian_is_reported(self, monkeypatch):
+        monkeypatch.setattr(w, "_system_residuals", lambda points, matched: np.ones(
+            (len(points), len(matched))))
+        result = solve_agreement_system(J6_SYSTEMS["smith_bao"])
+        assert not result.converged
+        assert result.iterations == 0
+        assert result.message == "singular Jacobian"
 
     def test_iteration_cap_reports_the_residual(self, monkeypatch):
         monkeypatch.setattr(w, "MAX_ITER", 1)
@@ -304,10 +318,30 @@ class TestAgreementSystems:
         with pytest.raises(ValueError, match="constrains nothing"):
             solve_agreement_system(matched)
 
+    @pytest.mark.parametrize("matched", [
+        ("J2", "J4", "J8"),
+        ("J4", "J6", "J8", "J10"),
+        ("J4", "J3"),
+        ("J2", "J4", "K6", "J6", "J8", "J10"),
+    ])
+    def test_rejects_a_set_that_is_not_square(self, matched):
+        live = len(set(matched) - {"J2", *ODD_INVARIANTS})
+        with pytest.raises(ValueError, match=f"is not square: {live} live equations"):
+            solve_agreement_system(matched)
+
+    def test_a_name_given_twice_counts_once(self):
+        repeated = solve_agreement_system(("J2", "J4", "J4", "J8", "J10"))
+        assert repeated == solve_agreement_system(J6_SYSTEMS["smith_bao"])
+        assert repeated.converged and repeated.iterations == 2
+
     @pytest.mark.parametrize("matched", [("J2", "X9"), ("J4", "j6")])
     def test_rejects_an_unknown_name(self, matched):
         with pytest.raises(ValueError, match=rf"unknown invariants \['{matched[1]}'\]"):
             solve_agreement_system(matched)
+
+    def test_rejects_an_unhashable_name(self):
+        with pytest.raises(ValueError, match=r"unknown invariants \[\['J6'\]\]"):
+            solve_agreement_system(("J4", ["J6"]))
 
     def test_grid_seed_discovers_solution_without_guess(self):
         # no printed guess exists for this system, so the grid seeds the solve
@@ -531,11 +565,22 @@ class TestTablePass:
     def test_reports_own_their_values(self):
         reports = verify_witnesses()
         first, second = reports["smith_bao", "J8"], reports["mixed", "J8"]
+        notes = json.dumps(second.notes)
         first.left_values["J2"] = first.gaps["J2"] = None
+        first.notes["solver"]["solution"]["root"] = None
+        first.notes["solver"]["solution"]["x"] = 1
         assert second.left_values["J2"] is not None and second.gaps["J2"] is not None
+        assert json.dumps(second.notes) == notes
 
-    @pytest.mark.parametrize("which", sorted(J6_SYSTEMS))
-    def test_converged_solve_evaluates_one_probe_per_iteration(self, which, monkeypatch):
+    def test_backend_is_scanned_once_per_tensor(self):
+        tensors = [Harmonic4(t.indep) for t in table_tensors()]  # none scanned yet
+        assert not any("backend" in vars(t) for t in tensors)
+        w._table_values(tensors)
+        assert Counter(vars(t)["backend"] for t in tensors) == {FLOAT: 16, EXACT: 6}
+
+    @pytest.fixture
+    def probe_sizes(self, monkeypatch):
+        """The number of points in each residual call, in call order."""
         calls = []
         residuals = w._system_residuals
 
@@ -544,6 +589,17 @@ class TestTablePass:
             return residuals(points, matched)
 
         monkeypatch.setattr(w, "_system_residuals", counting)
+        return calls
+
+    @pytest.mark.parametrize("which", sorted(J6_SYSTEMS))
+    def test_converged_solve_evaluates_one_probe_per_iteration(self, which, probe_sizes):
         result = solve_agreement_system(J6_SYSTEMS[which])
         assert result.converged and result.iterations == 2
-        assert calls == [7] * (result.iterations + 1)
+        assert probe_sizes == [7] * (result.iterations + 1)
+
+    def test_halved_retries_carry_their_bumps(self, probe_sizes):
+        result = solve_agreement_system(("J2", "J4", "J6", "J10"))  # grid-seeded
+        assert result.converged and result.iterations == 31
+        probes = probe_sizes[1:]  # after the grid
+        assert len(probes) > result.iterations + 1  # some steps were halved
+        assert set(probes) == {7}
