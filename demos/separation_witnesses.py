@@ -25,7 +25,7 @@ print("sign pair J3 values:", h4.invariants(pair.left).j3, "/", h4.invariants(pa
 #     tolerance row.
 left, right = h4.invariants(pair.left), h4.invariants(pair.right)
 agree = tuple(n for n in h4.witnesses.SMITH_BAO_BASIS if n != "J3")
-tols = h4.WITNESSES["j3-sign-pair"].tolerances(1e-9)
+tols = h4.WITNESSES["j3-sign-pair"].tolerances
 print("check_pair separates J3 in Smith-Bao's basis:",
       h4.check_pair(left, right, agree, "J3", tols)[0])
 

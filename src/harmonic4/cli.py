@@ -147,7 +147,7 @@ def _suite_isotropy(args):
 
 
 def _suite_witnesses(args):
-    reports = witnesses.verify_witnesses(rel_tol=args.tol)
+    reports = witnesses.verify_witnesses()
     cells = {}
     for (basis, member), report in reports.items():
         cells.setdefault(basis, {})[member] = {"witness": report.label,
@@ -179,24 +179,13 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.which == "j8-root":
-        report = verify_j8_separation(rel_tol=args.tol)
+        report = verify_j8_separation()
     else:
         which = {"smith-bao-j6": "smith_bao", "mixed-j6": "mixed"}[args.which]
-        report = verify_j6_separation(which, rel_tol=args.tol)
+        report = verify_j6_separation(which)
     payload = {"solve": report.notes["solver"], "report": report.to_json_dict()}
     _emit(_json(payload), args)
     return 0 if report.passed else 1
-
-
-def _tolerance(text: str) -> float:
-    """Parse a --tol value: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
-    return value
 
 
 def _seed(text: str) -> int:
@@ -228,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def add_tol(p, what):
-        p.add_argument("--tol", type=_tolerance, default=witnesses.REL_TOL,
-                       help=f"{what}, a positive finite number (default: 1e-9)")
-
     def add_tensor(p, component_help):
         p.add_argument("--input", help='tensor JSON file: {"components": [9 values]}')
         p.add_argument("-c", "--component", action="append", default=[],
@@ -258,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
             p_suite.add_argument("--seed", type=_seed, default=42,
                                  help="master seed for the isotropy suite, an integer "
                                       "in [0, 2**64) (default: 42)")
-        if name in ("witnesses", "all"):
-            add_tol(p_suite, "relative agreement tolerance of the witnesses suite")
 
     p_rot = add_parser("rotate", cmd_rotate, "apply an orthogonal matrix to a tensor")
     add_tensor(p_rot, "inline component (nine occurrences)")
@@ -270,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sol = add_parser("solve", cmd_solve, "reproduce a solved witness")
     p_sol.add_argument("which", choices=("smith-bao-j6", "mixed-j6", "j8-root"))
-    add_tol(p_sol, "relative agreement tolerance of the solved witness")
     return parser
 
 

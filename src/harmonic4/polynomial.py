@@ -3,9 +3,10 @@
 The nine independent components are the symbols, in the same fixed order
 as everywhere else.  A monomial is a 9-tuple of exponents, a polynomial a
 hash map monomial -> nonzero coefficient (int or Fraction -- Python's
-numeric tower keeps mixed arithmetic exact).  Canonical form is automatic:
-zero coefficients are pruned on every operation, so equal polynomials have
-equal term maps.  Graded-lex ordering is applied only at output.
+numeric tower keeps mixed arithmetic exact; a numpy coefficient is stored
+as its Python scalar).  Canonical form is automatic: zero coefficients
+are pruned on every operation, so equal polynomials have equal term maps.
+Graded-lex ordering is applied only at output.
 
 Feeding symbol polynomials through the generic contraction pipeline turns
 every invariant into its exact expanded polynomial; that single shared
@@ -25,7 +26,7 @@ from .invariants import (
     ODD_INVARIANTS,
     _invariants_generic,
 )
-from .tensor import COMPONENT_NAMES, clear_denominators
+from .tensor import COMPONENT_NAMES, _python_scalar, clear_denominators
 
 NUM_SYMBOLS = 9
 
@@ -50,7 +51,7 @@ class SparsePoly:
                     raise ValueError(f"bad monomial {mono!r}: need {NUM_SYMBOLS} "
                                      "nonnegative exponents")
                 if coeff:
-                    data[mono] = coeff
+                    data[mono] = _python_scalar(coeff)
         self._terms = data
 
     @classmethod
@@ -59,10 +60,6 @@ class SparsePoly:
         p = cls.__new__(cls)
         p._terms = data
         return p
-
-    @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls._raw({})
 
     @classmethod
     def constant(cls, c) -> "SparsePoly":

@@ -64,14 +64,15 @@ class Orthogonal3:
     """A 3x3 orthogonal matrix, row-major.  det may be +1 or -1.
 
     ``rows`` is any 3x3 nested sequence (a numpy array included) and is
-    stored as a tuple of row tuples.  Whether Q^T Q = I exactly or to
-    :data:`ORTHO_TOL` depends on the tensor it acts on (:func:`rotate`).
+    stored as a tuple of row tuples, numpy scalars turned into Python
+    scalars.  Whether Q^T Q = I exactly or to :data:`ORTHO_TOL` depends on
+    the tensor it acts on (:func:`rotate`).
     """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(tuple(map(tc._python_scalar, row)) for row in self.rows)
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("expected a 3x3 matrix")
         object.__setattr__(self, "rows", rows)
@@ -87,10 +88,6 @@ class Orthogonal3:
 
     def to_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=float)
-
-    @classmethod
-    def identity(cls) -> "Orthogonal3":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def reflection(axis: int = 3) -> Orthogonal3:
@@ -160,7 +157,7 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
         _require_orthogonal(m.tolist(), ORTHO_TOL)
         rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))
-    if not all(isinstance(v, tc.EXACT_SCALARS) for row in q.rows for v in row):
+    if not all(isinstance(v, (int, Fraction)) for row in q.rows for v in row):
         raise ValueError(f"a {backend} tensor needs a matrix of ints and Fractions")
     m, den = clear_denominators(v for row in q.rows for v in row)
     m = (m[0:3], m[3:6], m[6:9])
@@ -292,14 +289,6 @@ class IsotropyReport:
     deviations: dict
     worst_seed: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "deviations": {k: self.deviations[k] for k in INVARIANT_NAMES},
-            "worst_seed": self.worst_seed,
-            "passed": self.passed,
-        }
 
 
 def trial_seeds(seed: int, trials: int) -> list:

@@ -17,12 +17,16 @@ unviolable by construction:
     D3333 =  D1111 + 2*D1122 + D2222    D1233 = -D1112 - D1222
 
 Two scalar backends are supported: ``exact`` (arbitrary-precision
-`fractions.Fraction`) and ``float`` (binary64).  :attr:`Harmonic4.backend`
-is the one rule that classifies a tensor's scalars, and every engine
-dispatches on it: one float component makes the whole tensor a float
-tensor.  The algebra below is written generically, so components may
-also be elements of any commutative ring (the symbolic layer exploits
-this by feeding sparse polynomials through the same code path).
+`fractions.Fraction`) and ``float`` (binary64).  Scalars have one normal
+form, fixed when a value is built: a numpy scalar becomes the Python
+scalar of the same value (:func:`_python_scalar`), so a numpy integer is
+a Python int that cannot wrap and a float32 a binary64 float.
+:attr:`Harmonic4.backend` is the one rule that classifies a tensor's
+scalars, and every engine dispatches on it: one float component makes
+the whole tensor a float tensor.  The algebra below is written
+generically, so components may also be elements of any commutative ring
+(the symbolic layer exploits this by feeding sparse polynomials through
+the same code path).
 
 Float tensors also have a batched form, the first layer of the float
 engine: :func:`slots_float` completes an ``(N, 9)`` stack of components to
@@ -53,10 +57,6 @@ import numpy as np
 
 EXACT = "exact"
 FLOAT = "float"
-
-#: Scalars of the exact backend.  Numpy integers count too; the exact engines
-#: clear them to Python ints first (:func:`clear_denominators`).
-EXACT_SCALARS = (int, Fraction, np.integer)
 
 #: The nine independent slots, in the canonical component order.
 INDEPENDENT_SLOTS = (
@@ -127,9 +127,9 @@ def multiplicity(slot) -> int:
 SLOT_WEIGHTS = {slot: multiplicity(slot) for slot in ALL_SLOTS}
 
 
-def _python_int(value):
-    """``value``, with a numpy integer turned into a Python int, which cannot wrap."""
-    return int(value) if isinstance(value, np.integer) else value
+def _python_scalar(value):
+    """``value``, with a numpy scalar turned into the Python scalar of the same value."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -139,38 +139,39 @@ class Harmonic4:
     Instances are immutable values; all derived views (the 15-slot
     expansion, the float array) are cached on first use.  Prefer
     :func:`from_independent` for validated construction; the raw
-    constructor accepts arbitrary ring elements.
+    constructor accepts arbitrary ring elements and stores ``indep`` as a
+    tuple of them, numpy scalars turned into Python scalars.
     """
 
     indep: tuple
 
     def __post_init__(self):
-        if len(self.indep) != 9:
-            raise ValueError(f"expected 9 independent components, got {len(self.indep)}")
+        indep = tuple(map(_python_scalar, self.indep))
+        if len(indep) != 9:
+            raise ValueError(f"expected 9 independent components, got {len(indep)}")
+        object.__setattr__(self, "indep", indep)
 
     @cached_property
     def backend(self) -> str:
         """Scalar backend, the one rule every engine follows; computed once per tensor.
 
-        ``float`` if any component is a float (Python or numpy), ``exact``
-        if all are ints (Python or numpy) and Fractions, ``generic``
-        otherwise.
+        ``float`` if any component is a float, ``exact`` if all are ints
+        and Fractions, ``generic`` otherwise.
         """
-        if all(isinstance(v, EXACT_SCALARS) for v in self.indep):
+        if all(isinstance(v, (int, Fraction)) for v in self.indep):
             return EXACT
-        if any(isinstance(v, (float, np.floating)) for v in self.indep):
+        if any(isinstance(v, float) for v in self.indep):
             return FLOAT
         return "generic"
 
     @cached_property
     def _full(self) -> dict:
-        indep = tuple(map(_python_int, self.indep))
-        d = dict(zip(INDEPENDENT_SLOTS, indep))
-        d.update(zip(DEPENDENT_SLOTS, _dependents(*indep)))
+        d = dict(zip(INDEPENDENT_SLOTS, self.indep))
+        d.update(zip(DEPENDENT_SLOTS, _dependents(*self.indep)))
         return d
 
     def expand(self) -> dict:
-        """All 15 canonical slots, trace-completed; numpy integers come back as ints."""
+        """All 15 canonical slots, trace-completed."""
         return dict(self._full)
 
     def component(self, i: int, j: int, k: int, l: int):
@@ -181,9 +182,9 @@ class Harmonic4:
         return self.scale(-1)
 
     def scale(self, c) -> "Harmonic4":
-        """Componentwise multiple c*D; numpy integers are multiplied as Python ints."""
-        c = _python_int(c)
-        return Harmonic4(tuple(c * _python_int(v) for v in self.indep))
+        """Componentwise multiple c*D; a numpy scalar c acts as its Python scalar."""
+        c = _python_scalar(c)
+        return Harmonic4(tuple(c * v for v in self.indep))
 
     def frobenius_norm_sq(self):
         """Sum of the squares of all 81 entries (equals the degree-2 invariant)."""
@@ -230,7 +231,6 @@ def _fraction(text: str) -> Fraction:
 def _coerce_exact(value):
     if isinstance(value, bool):
         raise TypeError(f"exact backend rejects boolean input {value!r}")
-    value = _python_int(value)
     if isinstance(value, float):
         raise TypeError(
             f"exact backend rejects float input {value!r}; pass an int, Fraction, or 'p/q' string"
@@ -245,7 +245,6 @@ def _coerce_exact(value):
 def _coerce_float(value):
     if isinstance(value, bool):
         raise TypeError(f"float backend rejects boolean input {value!r}")
-    value = _python_int(value)
     if isinstance(value, str):
         value = _fraction(value) if "/" in value else float(value)
     if isinstance(value, (int, float, Fraction)):
@@ -256,13 +255,12 @@ def _coerce_float(value):
 def clear_denominators(values) -> tuple:
     """Integers n_i and the least common denominator q with values[i] = n_i / q.
 
-    ``values`` are :data:`EXACT_SCALARS`, and the n_i are Python ints, so
-    numpy integers cannot wrap.  Homogeneous maps of degree k then run in
-    integers: f(values) = f(n) / q^k.
+    ``values`` are ints and Fractions.  Homogeneous maps of degree k then
+    run in integers: f(values) = f(n) / q^k.
     """
     values = tuple(values)
     q = math.lcm(*(v.denominator for v in values))
-    return tuple(int(v.numerator) * (q // v.denominator) for v in values), q
+    return tuple(v.numerator * (q // v.denominator) for v in values), q
 
 
 def from_independent(values, backend: str = FLOAT) -> Harmonic4:
@@ -274,10 +272,11 @@ def from_independent(values, backend: str = FLOAT) -> Harmonic4:
         In the order (D1111, D1112, D1113, D1122, D1123, D1222, D1223,
         D2222, D2223).  The exact backend accepts ints, Fractions and
         "p/q" strings and rejects floats; the float backend converts
-        anything numeric to binary64.
+        anything numeric to binary64.  Numpy scalars are read as their
+        Python scalars.
     backend : {"exact", "float"}
     """
-    values = tuple(values)
+    values = tuple(map(_python_scalar, values))
     if len(values) != 9:
         raise ValueError(f"expected 9 independent components, got {len(values)}")
     if backend == EXACT:
@@ -397,7 +396,7 @@ def check_traceless(tensor):
 def _format_scalar(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    return _python_int(value)
+    return value
 
 
 def to_json_dict(tensor: Harmonic4) -> dict:

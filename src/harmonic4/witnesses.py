@@ -79,8 +79,8 @@ CELLS = {
     ("mixed", "J10"): "j10-separation",
 }
 
-#: Default relative agreement tolerance; a separating gap must exceed
-#: SEPARATION times it.
+#: Relative agreement tolerance of every witness; a separating gap must
+#: exceed SEPARATION times it.
 REL_TOL = 1e-9
 SEPARATION = 1e3
 
@@ -168,8 +168,7 @@ class Witness:
 
     ``printed`` holds the invariant values the paper gives for the left and
     the right tensor.  ``vanish`` and ``flip`` are the row's own
-    :class:`Tolerances` fields; the relative ones follow the suite's
-    ``rel_tol``.
+    :class:`Tolerances` fields; the relative ones are :data:`REL_TOL`.
     """
 
     label: str
@@ -178,8 +177,9 @@ class Witness:
     vanish: float = ZERO_TOL
     flip: bool = False
 
-    def tolerances(self, rel_tol: float) -> Tolerances:
-        return Tolerances(rel_tol, self.vanish, self.flip)
+    @property
+    def tolerances(self) -> Tolerances:
+        return Tolerances(REL_TOL, self.vanish, self.flip)
 
 
 @dataclass(frozen=True)
@@ -595,7 +595,7 @@ def _copy_notes(notes: dict) -> dict:
     return {k: _copy_notes(v) if isinstance(v, dict) else v for k, v in notes.items()}
 
 
-def _check_cells(cells, rel_tol: float) -> dict:
+def _check_cells(cells) -> dict:
     """Report on each cell through the witness ``CELLS`` names for it.
 
     One pass over the table (see the module docstring); a cell with no witness fails.
@@ -606,7 +606,7 @@ def _check_cells(cells, rel_tol: float) -> dict:
     checked, reports = {}, {}
     for label, pair in pairs.items():
         witness, lv, rv = WITNESSES[label], next(values), next(values)
-        tols = witness.tolerances(rel_tol)
+        tols = witness.tolerances
         pair_ok = pair.solved and all(
             _reproduces(got[n], want, tols)
             for got, printed in zip((lv, rv), witness.printed) for n, want in printed.items())
@@ -627,36 +627,36 @@ def _check_cells(cells, rel_tol: float) -> dict:
     return reports
 
 
-def verify_witnesses(rel_tol: float = REL_TOL) -> dict:
+def verify_witnesses() -> dict:
     """Every cell of both bases, keyed by (basis, member)."""
-    return _check_cells(all_cells(), rel_tol)
+    return _check_cells(all_cells())
 
 
-def _covered_by(labels, rel_tol: float) -> list:
+def _covered_by(labels) -> list:
     cells = [cell for cell in all_cells() if CELLS.get(cell) in labels]
-    return list(_check_cells(cells, rel_tol).values())
+    return list(_check_cells(cells).values())
 
 
-def verify_catalog(rel_tol: float = REL_TOL) -> list:
+def verify_catalog() -> list:
     """The cells the catalog pairs cover, with their printed values."""
-    return _covered_by(CATALOG_PAIRS, rel_tol)
+    return _covered_by(CATALOG_PAIRS)
 
 
 def verify_sign_pairs() -> list:
     """The cells the sign pairs cover: evens fixed, the one odd flips."""
-    return _covered_by(SIGN_PAIRS, REL_TOL)
+    return _covered_by(SIGN_PAIRS)
 
 
-def verify_j8_separation(rel_tol: float = REL_TOL) -> WitnessReport:
+def verify_j8_separation() -> WitnessReport:
     """The Smith-Bao J8 cell: root-find t*, then check the branch pair there.
 
     The bisection's :class:`SolveResult` is in ``notes["solver"]``.
     """
-    return _check_cells([("smith_bao", "J8")], rel_tol)["smith_bao", "J8"]
+    return _check_cells([("smith_bao", "J8")])["smith_bao", "J8"]
 
 
-def verify_j6_separation(which: str = "smith_bao", rel_tol: float = REL_TOL) -> WitnessReport:
+def verify_j6_separation(which: str = "smith_bao") -> WitnessReport:
     """The J6 cell of basis ``which``, through its solved agreement system."""
     if which not in J6_SYSTEMS:
         raise ValueError(f"unknown system {which!r}; expected one of {sorted(J6_SYSTEMS)}")
-    return _check_cells([(which, "J6")], rel_tol)[which, "J6"]
+    return _check_cells([(which, "J6")])[which, "J6"]

@@ -41,7 +41,7 @@ def test_criterion_2_parity_and_restriction():
 
 
 def test_criterion_3_paper_value_regression():
-    reports = h4.verify_catalog(rel_tol=1e-9)
+    reports = h4.verify_catalog()
     failures = [r.label for r in reports if not r.passed]
 
     # exact-mode spot checks on the rational witnesses
@@ -88,7 +88,7 @@ def test_criterion_6_j8_witness():
     bracket_ok = 0.15 < t_star < 0.2 and abs(h4.h_eval(t_star)) <= 1e-10
     endpoints_ok = (abs(h4.h_eval(0.15) + 10.8359) <= 1e-3
                     and abs(h4.h_eval(0.2) - 6.29856) <= 1e-3)
-    witness = h4.verify_j8_separation(rel_tol=1e-9)
+    witness = h4.verify_j8_separation()
     agree_ok = all(witness.gaps[n] <= 1e-9 for n in witness.agree)
     sep_ok = witness.gaps["J8"] > 1e-6
     ok = bracket_ok and endpoints_ok and witness.passed and agree_ok and sep_ok
@@ -109,7 +109,7 @@ def test_criterion_7_j6_witnesses(which, digits, hat):
                  and abs(sol["D1223"] - digits[1]) <= 1e-4
                  and abs(sol["D2223"] - digits[2]) <= 1e-4
                  and abs(abs(sol["D1223_hat"]) - hat) <= 1e-4)
-    witness = h4.verify_j6_separation(which, rel_tol=1e-9)
+    witness = h4.verify_j6_separation(which)
     matched_ok = all(witness.gaps[n] <= 1e-9 for n in J6_SYSTEMS[which])
     odd_ok = all(abs(witness.left_values[n]) <= 1e-10 and
                  abs(witness.right_values[n]) <= 1e-10

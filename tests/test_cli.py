@@ -1,13 +1,16 @@
 """Command-line interface: formats, exit codes, end-to-end subcommands."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from harmonic4.cli import main
+from harmonic4.cli import build_parser, main
 
 D1_COMPONENTS = ["1", "0", "0", "0", "0", "0", "0", "0", "0"]
 IDENTITY = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
@@ -203,13 +206,6 @@ class TestVerifyCommand:
         assert all(cell["passed"] for cells in suite["cells"].values()
                    for cell in cells.values())
 
-    def test_tolerance_sets_the_witness_agreement(self, capsys):
-        # the j10 pair agrees on J8 to ~1e-15 relative, far above 1e-17
-        code, out = run(["verify", "witnesses", "--tol", "1e-17"], capsys)
-        assert code == 1
-        cells = json.loads(out)["suites"]["witnesses"]["cells"]
-        assert cells["smith_bao"]["J10"]["passed"] is False
-
     def test_isotropy_suite_small(self, capsys):
         code, out = run(["verify", "isotropy", "--trials", "25", "--seed", "42"], capsys)
         assert code == 0
@@ -261,6 +257,9 @@ class TestSolveCommand:
         assert 0.15 < root < 0.2
         assert payload["solve"]["residual_norm"] <= 1e-10
         assert payload["report"]["passed"] is True
+        # the root is the one the report checks, bisected to 1e-14
+        assert payload["solve"] == payload["report"]["notes"]["solver"]
+        assert payload["solve"]["iterations"] == 43
 
     def test_smith_bao_j6(self, capsys):
         code, out = run(["solve", "smith-bao-j6"], capsys)
@@ -274,31 +273,6 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["solve"]["solution"]["D1223"] == pytest.approx(0.67075, abs=1e-4)
-
-
-class TestTolerance:
-    @pytest.mark.parametrize("argv", [["solve", "j8-root"], ["solve", "mixed-j6"],
-                                      ["verify", "witnesses"]])
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-    def test_non_positive_or_non_finite_exits_2(self, argv, tol, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--tol", tol])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert "error: argument --tol" in captured.err
-        assert "Traceback" not in captured.err
-
-    def test_j8_root_tolerance_is_the_witness_agreement(self, capsys):
-        # the pair agrees to ~1e-15 relative, far above 1e-17; the root is
-        # bisected to 1e-14 whatever --tol says, and is the one the report checks
-        _, default = run(["solve", "j8-root"], capsys)
-        code, strict = run(["solve", "j8-root", "--tol", "1e-17"], capsys)
-        default, strict = json.loads(default), json.loads(strict)
-        assert code == 1
-        assert strict["report"]["passed"] is False
-        assert strict["solve"] == default["solve"] == default["report"]["notes"]["solver"]
-        assert default["solve"]["iterations"] == 43
 
 
 class TestRemovedFlags:
@@ -316,6 +290,9 @@ class TestRemovedFlags:
           for flag in ("--trials", "--seed")),
         *(["verify", suite, "--tol", "3"]
           for suite in ("identity", "parity", "restriction", "isotropy")),
+        # the witness gate is the constant REL_TOL, not a flag
+        *(argv + ["--tol", "1e-9"] for argv in (["verify", "witnesses"], ["verify", "all"],
+                                                ["solve", "j8-root"], ["solve", "mixed-j6"])),
     ])
     def test_flag_a_subcommand_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -324,6 +301,46 @@ class TestRemovedFlags:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_flag_table() -> dict:
+    """Command path -> option strings, from the flag table of README's "Command line"."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        commands, flags = line.strip("| ").split(" | ")
+        first, *more = re.findall(r"`([^`]+)`", commands)
+        path = tuple(word for word in first.split() if not word.isupper())
+        options = {s for flag in re.findall(r"`(-[^`]*)`", flags)
+                   for s in flag.split()[0].split("/")}
+        for command in (path, *(path[:-1] + (name,) for name in more)):
+            table[command] = options
+    return table
+
+
+def parser_flag_table() -> dict:
+    """Command path -> option strings of each leaf parser of ``build_parser()``, without help."""
+    table = {}
+
+    def walk(parser, path):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers:
+            table[path] = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        for action in subparsers:
+            for name, sub in action.choices.items():
+                walk(sub, path + (name,))
+
+    walk(build_parser(), ())
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert readme_flag_table() == parser_flag_table()
 
 
 def inline(values):

@@ -406,10 +406,10 @@ class TestNumpyIntegers:
             assert invariants(result) == invariants(expected)
         assert invariants(wrapped.scale(c)).j2 == k**2 * invariants(plain).j2
 
-    def test_are_cleared_to_python_ints(self):
-        ints, q = clear_denominators(np.array(self.INTS, dtype=np.int64))
-        assert (ints, q) == (self.INTS, 1)
-        assert all(type(v) is int for v in ints)
+    def test_are_held_as_python_ints(self):
+        d = Harmonic4(tuple(np.int64(v) for v in self.INTS))
+        assert d.indep == self.INTS
+        assert all(type(v) is int for v in d.indep)
 
     def test_numpy_integer_matrix_rotates_exactly(self):
         rows = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))

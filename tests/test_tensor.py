@@ -1,5 +1,6 @@
 """Construction, trace completion, and algebra of harmonic tensors."""
 
+import json
 import re
 from fractions import Fraction
 from itertools import permutations, product
@@ -19,6 +20,7 @@ from harmonic4 import (
     from_independent,
     from_json_dict,
     invariants,
+    invariants_oracle,
     multiplicity,
     random_harmonic,
     to_json_dict,
@@ -219,6 +221,32 @@ class TestConstruction:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             from_independent([0] * 9, backend="decimal")
+
+
+class TestNormalForm:
+    """Numpy scalars are stored as Python scalars when a tensor is built."""
+
+    def test_list_and_tuple_build_the_same_hashable_value(self):
+        values = [1, 0, Fraction(1, 2), 0, 3, 0, 0, -2, 0]
+        d = Harmonic4(values)
+        assert d == Harmonic4(tuple(values))
+        assert type(d.indep) is tuple
+        assert hash(d) == hash(Harmonic4(tuple(values)))
+
+    def test_float32_components_run_in_binary64(self):
+        values = random_harmonic(3, backend=FLOAT).indep
+        d = Harmonic4(tuple(np.float32(v) for v in values))
+        assert all(type(v) is float for v in d.indep)
+        assert type(d.component(1, 2, 3, 3)) is float
+        assert type(d.frobenius_norm_sq()) is float
+        fast, oracle = invariants(d), invariants_oracle(d)
+        assert abs(oracle.j10 - fast.j10) <= 1e-13 * abs(fast.j10)
+        assert json.loads(json.dumps(to_json_dict(d)))["components"] == list(d.indep)
+
+    def test_scale_by_a_numpy_float_stays_binary64(self):
+        d = from_independent([0.1] * 9, backend=FLOAT).scale(np.float32(3))
+        assert all(type(v) is float for v in d.indep)
+        assert d.indep[0] == 0.1 * 3.0 == 0.30000000000000004
 
 
 class TestJson:

@@ -251,7 +251,7 @@ class TestJ8Family:
 
 class TestJ8Separation:
     def test_report_passes(self):
-        report = verify_j8_separation(rel_tol=1e-9)
+        report = verify_j8_separation()
         assert report.passed
         assert 0.15 < report.notes["solver"]["solution"]["root"] < 0.2
         assert report.notes["solver"]["residual_norm"] <= 1e-10
@@ -369,7 +369,7 @@ class TestJ6Separation:
         ("mixed", (-0.405381, 0.67075, 1.12345)),
     ])
     def test_separation_report(self, which, digits):
-        report = verify_j6_separation(which, rel_tol=1e-9)
+        report = verify_j6_separation(which)
         assert report.passed
         sol = report.notes["solver"]["solution"]
         assert sol["D1123"] == pytest.approx(digits[0], abs=1e-4)
@@ -487,10 +487,19 @@ class TestCells:
 
     def test_restricted_pairs_need_exactly_vanishing_odds(self):
         lv, rv = witness_values("j8-separation")
-        tols = WITNESSES["j8-separation"].tolerances(1e-9)
+        tols = WITNESSES["j8-separation"].tolerances
         agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
         assert check_pair(lv, rv, agree, "J8", tols)[0]
         assert not check_pair(lv, dict(rv.as_dict(), J5=1e-300), agree, "J8", tols)[0]
+
+    def test_j10_pair_agrees_on_j8_only_to_rounding(self):
+        # the j10 pair agrees on J8 to ~1e-15 relative: within REL_TOL, far above 1e-17
+        lv, rv = witness_values("j10-separation")
+        witness = WITNESSES["j10-separation"]
+        agree = tuple(n for n in BASES["smith_bao"] if n != "J10")
+        assert 1e-17 < relative_gap(lv.j8, rv.j8) <= w.REL_TOL
+        assert check_pair(lv, rv, agree, "J10", witness.tolerances)[0]
+        assert not check_pair(lv, rv, agree, "J10", Tolerances(1e-17, witness.vanish))[0]
 
     def test_separation_must_exceed_its_bound(self, monkeypatch):
         # With SEPARATION = 1 the bound on the J8 gap is the agree tolerance
