@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from harmonic4.cli import build_parser, main
+from harmonic4.witnesses import REL_TOL, SEPARATION
 
 D1_COMPONENTS = ["1", "0", "0", "0", "0", "0", "0", "0", "0"]
 IDENTITY = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
@@ -257,9 +258,6 @@ class TestSolveCommand:
         assert 0.15 < root < 0.2
         assert payload["solve"]["residual_norm"] <= 1e-10
         assert payload["report"]["passed"] is True
-        # the root is the one the report checks, bisected to 1e-14
-        assert payload["solve"] == payload["report"]["notes"]["solver"]
-        assert payload["solve"]["iterations"] == 43
 
     def test_smith_bao_j6(self, capsys):
         code, out = run(["solve", "smith-bao-j6"], capsys)
@@ -273,6 +271,35 @@ class TestSolveCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["solve"]["solution"]["D1223"] == pytest.approx(0.67075, abs=1e-4)
+
+
+class TestTolerance:
+    # the witness gate is the constant REL_TOL: no value of --tol is accepted
+    @pytest.mark.parametrize("argv", [["solve", "j8-root"], ["solve", "mixed-j6"],
+                                      ["verify", "witnesses"]])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_exits_2(self, argv, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: --tol {tol}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_j8_root_tolerance_is_the_witness_agreement(self, capsys):
+        # the pair agrees to ~1e-15 relative, inside REL_TOL, and is told apart
+        # on J8 by more than SEPARATION * REL_TOL; the root is bisected to 1e-14
+        # and is the one the report checks
+        code, out = run(["solve", "j8-root"], capsys)
+        payload = json.loads(out)
+        report = payload["report"]
+        assert code == 0
+        assert report["passed"] is True
+        assert all(report["gaps"][name] <= REL_TOL for name in report["agree"])
+        assert report["gaps"][report["differ"]] > SEPARATION * REL_TOL
+        assert payload["solve"] == report["notes"]["solver"]
+        assert payload["solve"]["iterations"] == 43
 
 
 class TestRemovedFlags:
@@ -290,9 +317,8 @@ class TestRemovedFlags:
           for flag in ("--trials", "--seed")),
         *(["verify", suite, "--tol", "3"]
           for suite in ("identity", "parity", "restriction", "isotropy")),
-        # the witness gate is the constant REL_TOL, not a flag
-        *(argv + ["--tol", "1e-9"] for argv in (["verify", "witnesses"], ["verify", "all"],
-                                                ["solve", "j8-root"], ["solve", "mixed-j6"])),
+        # the witness gate is the constant REL_TOL, not a flag (see TestTolerance)
+        ["verify", "all", "--tol", "1e-9"],
     ])
     def test_flag_a_subcommand_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
