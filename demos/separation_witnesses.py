@@ -21,13 +21,12 @@ pair = h4.sign_pair(cubic)
 print("sign pair J3 values:", h4.invariants(pair.left).j3, "/", h4.invariants(pair.right).j3)
 
 # --- One check for every cell: check_pair compares the two tensors'
-#     invariants, with agree = basis - {member} and the witness's own
-#     tolerance row.
-left, right = h4.invariants(pair.left), h4.invariants(pair.right)
+#     invariants, with agree = basis - {member}.  Its gate follows from
+#     the pair: (D, -D) must flip exactly, and a pair on the restricted
+#     slice must have odd invariants of exactly 0.
 agree = tuple(n for n in h4.witnesses.SMITH_BAO_BASIS if n != "J3")
-tols = h4.WITNESSES["j3-sign-pair"].tolerances
 print("check_pair separates J3 in Smith-Bao's basis:",
-      h4.check_pair(left, right, agree, "J3", tols)[0])
+      h4.check_pair(pair, agree, "J3")[0])
 
 # --- The catalog pairs also reproduce the values the paper prints.
 print("\ncatalog pairs:")

@@ -57,7 +57,6 @@ from .witnesses import (
     CELLS,
     WITNESSES,
     SolveResult,
-    Tolerances,
     Witness,
     WitnessPair,
     WitnessReport,

@@ -11,7 +11,10 @@ Graded-lex ordering is applied only at output.
 Feeding symbol polynomials through the generic contraction pipeline turns
 every invariant into its exact expanded polynomial; that single shared
 code path is what the identity, parity, and restriction verifications run
-on, so there is no hand-transcribed formula to drift.
+on, so there is no hand-transcribed formula to drift.  The restriction
+proof feeds it the restricted tensor itself, zeros in five slots and four
+symbols: substitution is a ring homomorphism, so this equals restricting
+the full expansion.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .invariants import (
     ODD_INVARIANTS,
     _invariants_generic,
 )
-from .tensor import COMPONENT_NAMES, _python_scalar, clear_denominators
+from .tensor import COMPONENT_NAMES, RESTRICTED_INDICES, _python_scalar, clear_denominators
 
 NUM_SYMBOLS = 9
 
@@ -63,7 +66,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c) -> "SparsePoly":
-        return cls._raw({_ZERO_MONOMIAL: c} if c else {})
+        return cls._raw({_ZERO_MONOMIAL: _python_scalar(c)} if c else {})
 
     @classmethod
     def variable(cls, index: int) -> "SparsePoly":
@@ -197,14 +200,6 @@ class SparsePoly:
             m: (-c if sum(m) % 2 else c) for m, c in self._terms.items()
         })
 
-    def restrict(self, zero_indices) -> "SparsePoly":
-        """Substitute 0 for the given symbols, keeping the surviving terms."""
-        zero_indices = frozenset(zero_indices)
-        return SparsePoly._raw({
-            mono: coeff for mono, coeff in self._terms.items()
-            if all(mono[i] == 0 for i in zero_indices)
-        })
-
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order (degree first, then exponents)."""
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -236,10 +231,16 @@ def _as_poly(value):
     return NotImplemented
 
 
+def _expand(zeros=()) -> dict:
+    """Every invariant of the tensor with symbols in its slots, except 0 at ``zeros``."""
+    vec = _invariants_generic([SparsePoly() if i in zeros else SparsePoly.variable(i)
+                               for i in range(NUM_SYMBOLS)])
+    return {name: vec[name] for name in INVARIANT_NAMES}
+
+
 @lru_cache(maxsize=1)
 def _symbolic_table() -> dict:
-    vec = _invariants_generic([SparsePoly.variable(i) for i in range(NUM_SYMBOLS)])
-    return {name: vec[name] for name in INVARIANT_NAMES}
+    return _expand()
 
 
 def symbolic_invariant(name: str) -> SparsePoly:
@@ -291,11 +292,6 @@ def verify_parity() -> dict:
     return out
 
 
-#: Component indices zeroed by the odd-killing restriction
-#: (D1111, D1112, D1122, D1222, D2222).
-RESTRICTED_INDICES = (0, 1, 3, 5, 7)
-
-
 def verify_restriction_lemma() -> dict:
     """Restrict each odd invariant to the four single-'3' components.
 
@@ -303,10 +299,8 @@ def verify_restriction_lemma() -> dict:
     J3, J5, J7 and J9 identically; the returned name -> polynomial map
     holds whatever survives (all zero = lemma verified).
     """
-    return {
-        name: symbolic_invariant(name).restrict(RESTRICTED_INDICES)
-        for name in ODD_INVARIANTS
-    }
+    restricted = _expand(RESTRICTED_INDICES)
+    return {name: restricted[name] for name in ODD_INVARIANTS}
 
 
 def parity_expected() -> dict:

@@ -69,6 +69,10 @@ COMPONENT_NAMES = (
     "D1222", "D1223", "D2222", "D2223",
 )
 
+#: Components zeroed on the slice where every odd invariant vanishes:
+#: D1111, D1112, D1122, D1222 and D2222.
+RESTRICTED_INDICES = (0, 1, 3, 5, 7)
+
 #: All 15 canonical (sorted) index 4-tuples of a fully symmetric tensor.
 ALL_SLOTS = tuple(combinations_with_replacement((1, 2, 3), 4))
 

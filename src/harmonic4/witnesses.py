@@ -9,8 +9,10 @@ give 18 such (basis, member) cells.
   it.  One pair may cover several cells: the degree-4 catalog pair also
   separates K6 in the mixed basis, and the sign, J8 and J10 pairs serve
   both bases.
-* ``WITNESSES`` defines each of the eleven pairs once: how to build it,
-  the invariant values the paper prints for it, and its tolerance row.
+* ``WITNESSES`` defines each of the eleven pairs once: how to build it
+  and the invariant values the paper prints for it.  No row sets a
+  tolerance: each pair's gate is read off its two tensors (see
+  :func:`check_pair`).
 * :func:`check_pair` is the one comparison every cell goes through, with
   agree = basis - {member}.  :func:`verify_witnesses` walks all 18 cells
   in one pass: all float tensors in one float-engine stack, each distinct
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .invariants import INVARIANT_NAMES, ODD_INVARIANTS, invariants, invariants_float
-from .tensor import EXACT, FLOAT, Harmonic4, _format_scalar, from_independent
+from .tensor import EXACT, FLOAT, RESTRICTED_INDICES, Harmonic4, _format_scalar, from_independent
 
 SMITH_BAO_BASIS = ("J2", "J3", "J4", "J5", "J6", "J7", "J8", "J9", "J10")
 MIXED_BASIS = ("J2", "J3", "J5", "J6", "K6", "J7", "J8", "J9", "J10")
@@ -84,8 +86,8 @@ CELLS = {
 REL_TOL = 1e-9
 SEPARATION = 1e3
 
-#: |value| at or below which an invariant of a radical-valued float tensor
-#: counts as zero.  The restricted families cancel exactly and use 0.
+#: |value| at or below which an invariant of a pair off the restricted slice
+#: counts as zero.  On the slice the odd invariants cancel exactly, so 0.
 ZERO_TOL = 1e-8
 
 
@@ -96,57 +98,57 @@ def relative_gap(a, b) -> float:
     return abs(a - b) / denom if denom else 0.0
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The bounds one witness pair is checked against; see :func:`check_pair`."""
+def check_pair(pair: WitnessPair, agree, differ: str) -> tuple:
+    """Whether ``pair`` separates ``differ`` while agreeing on ``agree``.
 
-    agree: float
-    vanish: float
-    flip: bool = False
-
-
-def check_pair(left, right, agree, differ: str, tols: Tolerances) -> tuple:
-    """Whether the invariant values ``left`` and ``right`` separate ``differ``.
-
-    A value vanishes when its magnitude is at most ``tols.vanish``.  The
-    pair passes iff
-    * each member of ``agree`` has relative gap <= ``tols.agree``, or
-      vanishes on both sides;
+    A value vanishes when its magnitude is at most the pair's vanish bound:
+    0 when both tensors have exact zeros at :data:`RESTRICTED_INDICES`, the
+    slice where the restriction lemma kills every odd invariant, and
+    :data:`ZERO_TOL` otherwise.  The pair passes iff
+    * each member of ``agree`` has relative gap <= REL_TOL, or vanishes on
+      both sides;
     * every odd invariant other than ``differ`` vanishes on both sides;
-    * ``differ`` has relative gap > SEPARATION * ``tols.agree`` and does
-      not vanish on both sides;
-    * with ``tols.flip`` (the pair is D and -D), every even value is equal
-      and every odd value negated, exactly.
+    * ``differ`` has relative gap > SEPARATION * REL_TOL and does not
+      vanish on both sides;
+    * when the pair is (D, -D), every even value is equal and every odd
+      value negated, exactly.
 
     Returns (passed, relative gap of each of the ten invariants).
     """
-    gaps, separates = _pair_check(left, right, tols)
+    gaps, separates = _pair_check(*_table_values([pair.left, pair.right]), *_gate(pair))
     return separates(agree, differ), gaps
 
 
-def _pair_check(left, right, tols: Tolerances) -> tuple:
+def _gate(pair: WitnessPair) -> tuple:
+    """The pair's vanish bound and whether it is (D, -D); see :func:`check_pair`."""
+    left, right = pair.left.indep, pair.right.indep
+    on_slice = not any(left[i] or right[i] for i in RESTRICTED_INDICES)
+    return (0.0 if on_slice else ZERO_TOL), all(r == -x for x, r in zip(left, right))
+
+
+def _pair_check(left, right, vanish: float, flip: bool) -> tuple:
     """A pair's gaps and ``separates(agree, differ)``, its test of one cell."""
     gaps = {n: relative_gap(left[n], right[n]) for n in INVARIANT_NAMES}
     vanished = {n for n in INVARIANT_NAMES
-                if max(abs(float(left[n])), abs(float(right[n]))) <= tols.vanish}
-    flipped = not tols.flip or all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
-                                   for n in INVARIANT_NAMES)
+                if max(abs(float(left[n])), abs(float(right[n]))) <= vanish}
+    flipped = not flip or all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
+                              for n in INVARIANT_NAMES)
 
     def separates(agree, differ: str) -> bool:
-        return (flipped and all(gaps[n] <= tols.agree or n in vanished for n in agree)
+        return (flipped and all(gaps[n] <= REL_TOL or n in vanished for n in agree)
                 and all(n in vanished for n in ODD_INVARIANTS if n != differ)
-                and gaps[differ] > SEPARATION * tols.agree and differ not in vanished)
+                and gaps[differ] > SEPARATION * REL_TOL and differ not in vanished)
 
     return gaps, separates
 
 
-def _reproduces(got, printed, tols: Tolerances) -> bool:
-    """A printed value: exactly for exact tensors, else to ``tols``."""
+def _reproduces(got, printed, vanish: float) -> bool:
+    """A printed value: exactly for exact tensors, a printed 0 to ``vanish``, else to REL_TOL."""
     if isinstance(got, Fraction):
         return got == printed
     if printed == 0:
-        return abs(got) <= tols.vanish
-    return relative_gap(got, printed) <= tols.agree
+        return abs(got) <= vanish
+    return relative_gap(got, printed) <= REL_TOL
 
 
 @dataclass(frozen=True)
@@ -164,22 +166,16 @@ class WitnessPair:
 
 @dataclass(frozen=True)
 class Witness:
-    """One witness: how to build its pair, what the paper prints, its tolerance row.
+    """One witness: how to build its pair and what the paper prints for it.
 
     ``printed`` holds the invariant values the paper gives for the left and
-    the right tensor.  ``vanish`` and ``flip`` are the row's own
-    :class:`Tolerances` fields; the relative ones are :data:`REL_TOL`.
+    the right tensor.  The pair's gate follows from its tensors; see
+    :func:`check_pair`.
     """
 
     label: str
     build: Callable[[], WitnessPair]
     printed: tuple = ({}, {})
-    vanish: float = ZERO_TOL
-    flip: bool = False
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return Tolerances(REL_TOL, self.vanish, self.flip)
 
 
 @dataclass(frozen=True)
@@ -299,7 +295,7 @@ def _j10_printed() -> tuple:
 def _sign_witness(label: str, tensor: Callable[[], Harmonic4], printed: dict) -> Witness:
     """A (D, -D) row; -D's printed odd values are D's negated."""
     return Witness(label, lambda: sign_pair(tensor()),
-                   (printed, {n: -v for n, v in printed.items()}), flip=True)
+                   (printed, {n: -v for n, v in printed.items()}))
 
 
 #: h(t), the sextic whose root in (0.15, 0.2) makes the degree-8 witness:
@@ -563,10 +559,9 @@ WITNESSES = {w.label: w for w in (
                   lambda: from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4),
                                             1, 0), backend=EXACT),
                   {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
-    Witness("j8-separation", _j8_pair, vanish=0.0),
+    Witness("j8-separation", _j8_pair),
     *(Witness(f"{which}-j6-separation",
-              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)),
-              vanish=0.0)
+              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)))
       for which, matched in J6_SYSTEMS.items()),
 )}
 
@@ -606,11 +601,11 @@ def _check_cells(cells) -> dict:
     checked, reports = {}, {}
     for label, pair in pairs.items():
         witness, lv, rv = WITNESSES[label], next(values), next(values)
-        tols = witness.tolerances
+        vanish, flip = _gate(pair)
         pair_ok = pair.solved and all(
-            _reproduces(got[n], want, tols)
+            _reproduces(got[n], want, vanish)
             for got, printed in zip((lv, rv), witness.printed) for n, want in printed.items())
-        checked[label] = (pair, lv, rv, pair_ok, *_pair_check(lv, rv, tols))
+        checked[label] = (pair, lv, rv, pair_ok, *_pair_check(lv, rv, vanish, flip))
     for basis, member in cells:
         agree = tuple(n for n in BASES[basis] if n != member)
         label = CELLS.get((basis, member))

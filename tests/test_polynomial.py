@@ -2,6 +2,11 @@
 
 from fractions import Fraction
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +46,11 @@ class TestRingBasics:
         p = SparsePoly({mono: np.int64(2**40)})
         assert type(p.terms[mono]) is int
         assert (p * p).terms[(2,) + (0,) * 8] == 2**80
+
+    def test_numpy_constant_is_held_as_a_python_int(self):
+        c = SparsePoly.constant(np.int64(2**40))
+        assert type(c.terms[(0,) * 9]) is int
+        assert (c * c) == 2**80
 
     def test_additive_inverse_prunes_to_zero(self):
         p = SparsePoly.variable(0) * 5 + SparsePoly.constant(2)
@@ -198,11 +208,33 @@ class TestRestrictionLemma:
             assert poly.is_zero(), name
 
     def test_restriction_does_not_kill_even_invariants(self):
-        restricted = symbolic_invariant("J2").restrict(RESTRICTED_INDICES)
+        restricted = poly_mod._expand(RESTRICTED_INDICES)["J2"]
         assert not restricted.is_zero()
         # a tensor with only D1113 = 1 has positive squared norm
         point = (0, 0, 1, 0, 0, 0, 0, 0, 0)
         assert restricted.evaluate(point) == 8
+
+    def test_restricted_run_equals_the_zeroed_table(self):
+        restricted = poly_mod._expand(RESTRICTED_INDICES)
+        assert list(restricted) == list(INVARIANT_NAMES)
+        for name in INVARIANT_NAMES:
+            zeroed = {mono: coeff for mono, coeff in symbolic_invariant(name).terms.items()
+                      if not any(mono[i] for i in RESTRICTED_INDICES)}
+            assert dict(restricted[name].terms) == zeroed, name
+
+    def test_cli_suite_never_builds_the_table(self):
+        script = ("import contextlib, io\n"
+                  "from harmonic4 import cli, polynomial\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(['verify', 'restriction'])\n"
+                  "print(code, polynomial._symbolic_table.cache_info().currsize)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,17 +35,14 @@ from harmonic4 import (
 from harmonic4 import witnesses as w
 from harmonic4.cli import main as cli_main
 from harmonic4.invariants import invariants_float
-from harmonic4.polynomial import RESTRICTED_INDICES
+from harmonic4.tensor import RESTRICTED_INDICES
 from harmonic4.witnesses import (
     BASES,
     J6_SYSTEMS,
     ODD_INVARIANTS,
-    Tolerances,
     pair_from_solution,
     relative_gap,
 )
-
-SIGN_TOLS = Tolerances(agree=1e-9, vanish=1e-8, flip=True)
 
 
 def witness_values(label):
@@ -111,7 +108,7 @@ class TestSignPairs:
         assert lv.j3 == -6480
         assert rv.j3 == 6480
         agree = tuple(n for n in BASES["smith_bao"] if n != "J3")
-        assert check_pair(lv, rv, agree, "J3", SIGN_TOLS)[0]
+        assert check_pair(pair, agree, "J3")[0]
 
     def test_degree9_witness_pair(self):
         d = from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0),
@@ -121,25 +118,27 @@ class TestSignPairs:
         assert lv.j9 == Fraction(45, 8)
         assert rv.j9 == Fraction(-45, 8)
         agree = tuple(n for n in BASES["mixed"] if n != "J9")
-        assert check_pair(lv, rv, agree, "J9", SIGN_TOLS)[0]
+        assert check_pair(pair, agree, "J9")[0]
 
     def test_all_odds_zero_marks_non_separating(self):
         d = from_independent((1, 0, 0, 0, 0, 0, 0, 0, 0), backend=EXACT)
         pair = sign_pair(d)
-        lv, rv = invariants(pair.left), invariants(pair.right)
         for basis in BASES.values():
             for odd in ODD_INVARIANTS:
                 agree = tuple(n for n in basis if n != odd)
-                assert not check_pair(lv, rv, agree, odd, SIGN_TOLS)[0]
+                assert not check_pair(pair, agree, odd)[0]
 
     def test_inexact_flip_fails(self):
-        lv, rv = witness_values("j5-sign-pair")
+        pair = WITNESSES["j5-sign-pair"].build()
+        lv, rv = invariants(pair.left), invariants(pair.right)
         agree = tuple(n for n in BASES["smith_bao"] if n != "J5")
-        assert check_pair(lv, rv, agree, "J5", SIGN_TOLS)[0]
+        assert check_pair(pair, agree, "J5")[0]
+        gate = w._gate(pair)
+        assert gate == (w.ZERO_TOL, True)
         nudged = dict(rv.as_dict(), J5=math.nextafter(rv.j5, 0.0))
-        assert not check_pair(lv, nudged, agree, "J5", SIGN_TOLS)[0]
+        assert not w._pair_check(lv, nudged, *gate)[1](agree, "J5")
         nudged = dict(rv.as_dict(), J6=math.nextafter(rv.j6, 0.0))
-        assert not check_pair(lv, nudged, agree, "J5", SIGN_TOLS)[0]
+        assert not w._pair_check(lv, nudged, *gate)[1](agree, "J5")
 
 
 class TestSextic:
@@ -421,17 +420,42 @@ class TestReports:
         assert pair.right.indep == (0.0, 0.0, 1.0, 0.0, 0.5, 0.0, -0.375, 0.0, 1.0)
         assert all(type(v) is float for v in pair.left.indep + pair.right.indep)
 
-    def test_zero_vanish_rows_rest_on_the_restriction_lemma(self):
-        # a row checked with vanish=0.0 needs its odd invariants to cancel
-        # exactly: its zero slots must be the ones the restriction lemma kills
-        rows = [wt for wt in WITNESSES.values() if wt.vanish == 0.0]
-        assert {wt.label for wt in rows} == {
-            "j8-separation", "smith_bao-j6-separation", "mixed-j6-separation"}
-        pairs = [wt.build() for wt in rows] + [mirror_pair(-0.7, 0.9, 1.3)]
-        for pair in pairs:
-            for tensor in (pair.left, pair.right):
+    def test_gates_follow_from_the_pairs(self):
+        # the vanish bound is 0 exactly for the pairs on the restricted
+        # slice, and the flip test runs exactly for the (D, -D) pairs
+        assert [f.name for f in fields(w.Witness)] == ["label", "build", "printed"]
+        pairs = {label: row.build() for label, row in WITNESSES.items()}
+        gates = {label: w._gate(pair) for label, pair in pairs.items()}
+        assert {label for label, (vanish, _) in gates.items() if vanish == 0.0} == {
+            "j8-separation", "smith_bao-j6-separation", "mixed-j6-separation",
+            "j10-separation"}
+        assert {vanish for vanish, _ in gates.values()} == {0.0, w.ZERO_TOL}
+        assert {label for label, (_, flip) in gates.items() if flip} == set(w.SIGN_PAIRS)
+        for label, (vanish, _) in gates.items():
+            for tensor in (pairs[label].left, pairs[label].right):
                 zeros = {i for i, v in enumerate(tensor.indep) if v == 0}
-                assert zeros == set(RESTRICTED_INDICES)
+                assert (vanish == 0.0) == (zeros >= set(RESTRICTED_INDICES)), label
+
+    def test_gate_of_pairs_built_here(self):
+        on_slice = mirror_pair(-0.7, 0.9, 1.3)
+        assert w._gate(on_slice) == (0.0, False)
+        assert w._gate(sign_pair(on_slice.left)) == (0.0, True)
+        off = list(on_slice.right.indep)
+        off[RESTRICTED_INDICES[-1]] = 1e-300
+        assert w._gate(replace(on_slice, right=Harmonic4(tuple(off)))) == (w.ZERO_TOL, False)
+        assert w._gate(w.WitnessPair(on_slice.left, on_slice.left)) == (0.0, False)
+
+    @pytest.mark.parametrize("size", [1, 14, 200])
+    def test_float_engine_odds_are_exactly_zero_on_the_slice(self, size):
+        # the 0 gate of a pair on the slice rests on this: no rounding residue
+        rng = np.random.default_rng(size)
+        odd = [INVARIANT_NAMES.index(name) for name in ODD_INVARIANTS]
+        for _ in range(-(-2000 // size)):
+            comps = rng.standard_normal((size, 9)) * 10.0 ** rng.uniform(-3, 3, (size, 1))
+            comps[:, RESTRICTED_INDICES] = 0.0
+            values = invariants_float(comps)
+            assert values[:, 0].all()
+            assert not values[:, odd].any()
 
 
 def cli_witnesses_pass(capsys) -> bool:
@@ -486,30 +510,36 @@ class TestCells:
         assert not cli_witnesses_pass(capsys)
 
     def test_restricted_pairs_need_exactly_vanishing_odds(self):
-        lv, rv = witness_values("j8-separation")
-        tols = WITNESSES["j8-separation"].tolerances
+        pair = WITNESSES["j8-separation"].build()
+        lv, rv = invariants(pair.left), invariants(pair.right)
         agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
-        assert check_pair(lv, rv, agree, "J8", tols)[0]
-        assert not check_pair(lv, dict(rv.as_dict(), J5=1e-300), agree, "J8", tols)[0]
+        assert check_pair(pair, agree, "J8")[0]
+        gate = w._gate(pair)
+        assert gate == (0.0, False)
+        assert not w._pair_check(lv, dict(rv.as_dict(), J5=1e-300), *gate)[1](agree, "J8")
 
-    def test_j10_pair_agrees_on_j8_only_to_rounding(self):
+    def test_j10_pair_agrees_on_j8_only_to_rounding(self, monkeypatch):
         # the j10 pair agrees on J8 to ~1e-15 relative: within REL_TOL, far above 1e-17
-        lv, rv = witness_values("j10-separation")
-        witness = WITNESSES["j10-separation"]
+        pair = WITNESSES["j10-separation"].build()
+        lv, rv = invariants(pair.left), invariants(pair.right)
         agree = tuple(n for n in BASES["smith_bao"] if n != "J10")
         assert 1e-17 < relative_gap(lv.j8, rv.j8) <= w.REL_TOL
-        assert check_pair(lv, rv, agree, "J10", witness.tolerances)[0]
-        assert not check_pair(lv, rv, agree, "J10", Tolerances(1e-17, witness.vanish))[0]
+        assert check_pair(pair, agree, "J10")[0]
+        monkeypatch.setattr(w, "REL_TOL", 1e-17)
+        assert not check_pair(pair, agree, "J10")[0]
 
     def test_separation_must_exceed_its_bound(self, monkeypatch):
         # With SEPARATION = 1 the bound on the J8 gap is the agree tolerance
         # itself, so an agree tolerance equal to the gap must fail.
-        lv, rv = witness_values("j8-separation")
+        pair = WITNESSES["j8-separation"].build()
+        lv, rv = invariants(pair.left), invariants(pair.right)
         agree = tuple(n for n in BASES["smith_bao"] if n != "J8")
         gap = relative_gap(lv.j8, rv.j8)
         monkeypatch.setattr(w, "SEPARATION", 1.0)
-        assert check_pair(lv, rv, agree, "J8", Tolerances(gap * 0.99, 0.0))[0]
-        assert not check_pair(lv, rv, agree, "J8", Tolerances(gap, 0.0))[0]
+        monkeypatch.setattr(w, "REL_TOL", gap * 0.99)
+        assert check_pair(pair, agree, "J8")[0]
+        monkeypatch.setattr(w, "REL_TOL", gap)
+        assert not check_pair(pair, agree, "J8")[0]
 
 
 def table_tensors():
