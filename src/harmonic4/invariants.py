@@ -35,20 +35,27 @@ commutative ring: symbolic tensors expand in sparse polynomials, and exact
 tensors run in Python integers.  As C = D W D with D symmetric, it reads
 J6, J8 and J10 as weighted Gram forms of y1 = D Wb and y2 = D Wb2:
 J6 = sum_r w_r y1_r^2, J8 = sum_r w_r y1_r y2_r and J10 = sum_r w_r y2_r^2,
-367 ring products in all.  The invariants are homogeneous,
-J_k(D) = J_k(qD) / q^k, so an exact tensor is scaled by
-the least common multiple q of its component denominators and each
-invariant divided by q^k once at the end.  :func:`invariants_oracle` is
-the deliberately naive check: unweighted full loops over every raw index
-combination.  The two must agree exactly on exact-backend input.
+334 ring products in all.  Its ring contract: sums, binary and unary
+differences and products of ring elements, and the product 2 * x with the
+int 2 at the weight-2 pairs.  No sum starts from int 0 and no entry is
+multiplied by the weight 1, so any commutative ring with those operations
+will do; ``rotations._contract`` keeps the same contract.
+
+The invariants are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact
+tensor is scaled by the least common multiple q of its component
+denominators and each invariant divided by q^k once at the end.
+:func:`invariants_oracle` is the deliberately naive check: unweighted full
+loops over every raw index combination.  The two must agree exactly on
+exact-backend input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
-from operator import mul
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -64,6 +71,9 @@ INVARIANT_DEGREES = {
     "K6": 6, "J7": 7, "J8": 8, "J9": 9, "J10": 10,
 }
 
+#: The degrees in canonical order, beside an ``InvariantVector``'s fields.
+_DEGREE_ORDER = tuple(INVARIANT_DEGREES[name] for name in INVARIANT_NAMES)
+
 ODD_INVARIANTS = ("J3", "J5", "J7", "J9")
 EVEN_INVARIANTS = ("J2", "J4", "J6", "K6", "J8", "J10")
 
@@ -71,8 +81,12 @@ EVEN_INVARIANTS = ("J2", "J4", "J6", "K6", "J8", "J10")
 _PAIRS = tuple(combinations_with_replacement((1, 2, 3), 2))
 #: Arrangement weight of each pair: the number of orders of its indices.
 _WEIGHTS = tuple(multiplicity(p) for p in _PAIRS)
+#: The pairs of weight 2, whose entries ``_weighted`` doubles.
+_DOUBLED = tuple(p for p, w in enumerate(_WEIGHTS) if w == 2)
 #: Row of the 15-slot tuple (independent, then dependent) behind D_(p),(q).
 _PAIR_ROWS = tuple(tuple(_SLOT_ROW[tuple(sorted(p + q))] for q in _PAIRS) for p in _PAIRS)
+#: One getter per pair-view row, reading its six slots at once.
+_ROW_GETTERS = tuple(itemgetter(*row) for row in _PAIR_ROWS)
 #: For each pair (i, j), the positions of the pairs (i, k) and (j, k), flat over k = 1..3.
 _ROW_PAIRS = tuple(tuple(_PAIRS.index(tuple(sorted(pair)))
                          for k in (1, 2, 3) for pair in ((i, k), (j, k)))
@@ -97,14 +111,22 @@ def pair_view_float(components) -> np.ndarray:
 
 
 def _pair_view(indep) -> list:
-    """The 6x6 matrix D_(p),(q) of the tensor with nine components ``indep``."""
+    """The 6x6 matrix D_(p),(q) of the tensor with nine components ``indep``, as row tuples."""
     slots = tuple(indep) + _dependents(*indep)
-    return [[slots[r] for r in row] for row in _PAIR_ROWS]
+    return [row(slots) for row in _ROW_GETTERS]
 
 
 def _weighted(x) -> list:
-    """W x: w_p x_p over the six pairs, ready for a full contraction."""
-    return [w * v for w, v in zip(_WEIGHTS, x)]
+    """W x: x_p where w_p = 1 and 2 x_p where w_p = 2, over the six pairs."""
+    wx = list(x)
+    for p in _DOUBLED:
+        wx[p] = 2 * wx[p]
+    return wx
+
+
+def _dot(x, y):
+    """x_0 y_0 + ... + x_5 y_5: six products and five sums, with no zero to start from."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3] + x[4] * y[4] + x[5] * y[5]
 
 
 def _quartic(d) -> tuple:
@@ -114,10 +136,10 @@ def _quartic(d) -> tuple:
     with a row of D.
     """
     dw = [_weighted(row) for row in d]
-    c = [[0] * 6 for _ in range(6)]
+    c = [[None] * 6 for _ in range(6)]
     for p in range(6):
         for q in range(p, 6):
-            c[p][q] = c[q][p] = sum(map(mul, dw[p], d[q]))
+            c[p][q] = c[q][p] = _dot(dw[p], d[q])
     return dw, c
 
 
@@ -133,6 +155,9 @@ def _square(b) -> tuple:
 
 def _quartic_of(d: Harmonic4) -> tuple:
     """C of ``d``, run on qD in integers when exact, and the map back: C(D) = C(qD) / q^2."""
+    if d.backend == FLOAT:
+        # 0.0 + v turns a -0.0 from six -0.0 terms into 0.0, as a sum started from 0 gave.
+        return _quartic(_pair_view(d.indep))[1], lambda v: 0.0 + v
     if d.backend != EXACT:
         return _quartic(_pair_view(d.indep))[1], lambda v: v
     indep, q = clear_denominators(d.indep)
@@ -188,19 +213,19 @@ def _invariants_generic(indep) -> InvariantVector:
     b = _partial_trace(c)
     b2 = _square(b)
     wb, wb2 = _weighted(b), _weighted(b2)
-    y1, y2 = ([sum(map(mul, row, x)) for row in d] for x in (wb, wb2))
+    y1, y2 = ([_dot(row, x) for row in d] for x in (wb, wb2))
     wy1, wy2 = _weighted(y1), _weighted(y2)
     return InvariantVector(
         j2=b[0] + b[3] + b[5],  # tr B, at the pairs 11, 22 and 33
-        j3=sum(w * sum(map(mul, cp, dwp)) for w, cp, dwp in zip(_WEIGHTS, c, dw)),
-        j4=sum(map(mul, wb, b)),
-        j5=sum(map(mul, wb, y1)),
-        j6=sum(map(mul, wy1, y1)),
-        k6=sum(map(mul, wb, b2)),
-        j7=sum(map(mul, wb2, y1)),
-        j8=sum(map(mul, wy1, y2)),
-        j9=sum(map(mul, wb2, y2)),
-        j10=sum(map(mul, wy2, y2)),
+        j3=reduce(add, _weighted([_dot(cp, dwp) for cp, dwp in zip(c, dw)])),
+        j4=_dot(wb, b),
+        j5=_dot(wb, y1),
+        j6=_dot(wy1, y1),
+        k6=_dot(wb, b2),
+        j7=_dot(wb2, y1),
+        j8=_dot(wy1, y2),
+        j9=_dot(wb2, y2),
+        j10=_dot(wy2, y2),
     )
 
 
@@ -249,8 +274,7 @@ def invariants(d: Harmonic4) -> InvariantVector:
         return _invariants_generic(d.indep)
     scaled, q = clear_denominators(d.indep)
     vec = _invariants_generic(scaled)
-    return InvariantVector(*(Fraction(vec[name], q ** INVARIANT_DEGREES[name])
-                             for name in INVARIANT_NAMES))
+    return InvariantVector(*(Fraction(v, q**k) for v, k in zip(vars(vec).values(), _DEGREE_ORDER)))
 
 
 def invariants_oracle(d: Harmonic4) -> InvariantVector:

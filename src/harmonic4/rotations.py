@@ -111,10 +111,12 @@ def signed_permutation(perm, signs=(1, 1, 1)) -> Orthogonal3:
 
 
 def _gram_defect(rows, unit):
-    """max |(M^T M - unit * I)_ij| over all entries; NaN if any of them is NaN."""
-    gaps = [abs(sum(rows[k][i] * rows[k][j] for k in range(3)) - (unit if i == j else 0))
-            for i in range(3) for j in range(3)]
-    return next((g for g in gaps if g != g), max(gaps))
+    """max |(M^T M - unit * I)_ij| over its six distinct entries; NaN if any of them is NaN."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    gaps = (abs(a * a + d * d + g * g - unit), abs(b * b + e * e + h * h - unit),
+            abs(c * c + f * f + i * i - unit), abs(a * b + d * e + g * h),
+            abs(a * c + d * f + g * i), abs(b * c + e * f + h * i))
+    return next((gap for gap in gaps if gap != gap), max(gaps))
 
 
 def _require_orthogonal(m, tol, den=1):
@@ -127,7 +129,8 @@ def _require_orthogonal(m, tol, den=1):
 
 #: Places in Q, with a zero appended at 9, of the factors Q_ak, Q_bl, Q_al, Q_bk
 #: of each K_(ab),(kl); the last two read the zero when k = l.  ``_K_ROWS``
-#: holds the same places as lists, [row][column] -> (ak, bl, al, bk).
+#: holds the same places as lists, [row][column] -> (ak, bl, al, bk), and
+#: :func:`_contract` takes Q_ak Q_bl alone where they read the zero.
 _K_FACTORS = np.array([[[3 * (a, b)[r] + (k, l)[c] - 4 if r == c or k < l else 9
                          for k, l in _PAIRS] for a, b in _PAIRS]
                        for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))])
@@ -177,8 +180,9 @@ def _contract(indep, m) -> tuple:
     pair view D is symmetric, so its rows serve as its columns.  In debug
     builds the six dependent slots must equal their trace completion.
     """
-    flat = [v for row in m for v in row] + [0]
-    k = [tuple(flat[ak] * flat[bl] + flat[al] * flat[bk] for ak, bl, al, bk in row)
+    flat = [v for row in m for v in row]
+    k = [tuple(flat[ak] * flat[bl] if al == 9 else flat[ak] * flat[bl] + flat[al] * flat[bk]
+               for ak, bl, al, bk in row)
          for row in _K_ROWS]
     d = _pair_view(indep)
     kd = {}

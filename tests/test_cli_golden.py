@@ -12,6 +12,7 @@ and commit them with the change that caused them.
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,6 +85,16 @@ def test_output_matches_golden(name):
 
 def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
+
+
+@pytest.mark.parametrize("name", ["invariants-exact-json", "rotate-exact"])
+def test_optimized_run_matches_golden(name):
+    """Under ``python -O`` the debug-only trace check is gone and exact output keeps its bytes."""
+    argv, want_code = CASES[name]
+    proc = subprocess.run([sys.executable, "-O", "-m", "harmonic4", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (want_code, "")
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ integer engine must reproduce it with zero tolerance on dense rational
 entries, the reference for the pair-view contraction K D K^T on integer and
 symbolic components, and ``matrix_vector_engine`` the generic engine that
 formed C Wb and C Wb2 before J6, J8 and J10 became Gram forms of D Wb and
-D Wb2.  ``Counted`` integers bound the ring operations of both kernels.
+D Wb2.  ``Counted`` integers bound the ring operations of both kernels, and
+``Strict`` integers hold both to the engine's ring contract.
+``nine_entry_defect`` is the Gram check over all nine entries of M^T M
+that ``rotate`` ran before it read only the six distinct ones.
 """
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -124,6 +128,47 @@ class Counted(int):
         return Counted(-int(self))
 
     __rmul__, __radd__ = __mul__, __add__
+
+
+class Strict:
+    """An int that allows only the generic kernels' ring contract, and raises on anything else.
+
+    Sums, differences and products of two Strict values, negation, and the
+    product 2 * x with the int 2; ``==`` between Strict values serves the
+    debug check of ``_contract``.  ``0 + x``, ``sum``, ``1 * x`` and every
+    other mixed operation raise ``TypeError``.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    @staticmethod
+    def _of(other):
+        if type(other) is not Strict:
+            raise TypeError(f"{other!r} is not a Strict value")
+        return other.value
+
+    def __add__(self, other):
+        return Strict(self.value + self._of(other))
+
+    def __sub__(self, other):
+        return Strict(self.value - self._of(other))
+
+    def __mul__(self, other):
+        return Strict(self.value * self._of(other))
+
+    def __rmul__(self, other):
+        if type(other) is not int or other != 2:
+            raise TypeError(f"product with {other!r}: only the int 2 may multiply a Strict value")
+        return Strict(2 * self.value)
+
+    def __neg__(self):
+        return Strict(-self.value)
+
+    def __eq__(self, other):
+        return self.value == self._of(other)
 
 
 def count_operations(kernel, *args) -> tuple:
@@ -346,8 +391,8 @@ class TestRingOperations:
         vec, products, sums = count_operations(
             _invariants_generic, tuple(Counted(v) for v in self.INDEP))
         assert vec == _invariants_generic(self.INDEP)
-        assert products <= 367
-        assert sums <= 321
+        assert products <= 334
+        assert sums <= 273
 
     def test_contract(self):
         m = ((1, 2, 2), (2, 1, -2), (2, -2, 1))  # 3 Q, Q orthogonal
@@ -356,6 +401,86 @@ class TestRingOperations:
             rotations._contract, tuple(Counted(v) for v in self.INDEP), counted_m)
         assert out == rotations._contract(self.INDEP, m)
         assert products <= 290
+
+
+class TestRingContract:
+    """Both kernels run on a ring with nothing beyond the contract stated in ``invariants``."""
+
+    INDEP = TestRingOperations.INDEP
+
+    def test_generic_engine(self):
+        vec = _invariants_generic(tuple(Strict(v) for v in self.INDEP))
+        want = _invariants_generic(self.INDEP).as_dict()
+        assert {name: v.value for name, v in vec.as_dict().items()} == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generic_engine_on_random_integer_tensors(self, seed):
+        indep = clear_denominators(random_harmonic(seed, backend=EXACT).indep)[0]
+        vec = _invariants_generic(tuple(Strict(v) for v in indep))
+        assert [v.value for v in vec.as_dict().values()] == list(
+            _invariants_generic(indep).as_dict().values())
+
+    @pytest.mark.parametrize("m", [((1, 2, 2), (2, 1, -2), (2, -2, 1)),  # 3 Q, Q orthogonal
+                                   ((0, 0, -1), (1, 0, 0), (0, -1, 0))])
+    def test_contract(self, m):
+        strict_m = tuple(tuple(Strict(v) for v in row) for row in m)
+        out = rotations._contract(tuple(Strict(v) for v in self.INDEP), strict_m)
+        assert tuple(v.value for v in out) == rotations._contract(self.INDEP, m)
+
+    def test_the_ring_refuses_what_the_contract_leaves_out(self):
+        x = Strict(3)
+        assert (x + x - -x).value == 9 and (x * x).value == 9 and (2 * x).value == 6
+        for op in (lambda: 0 + x, lambda: x + 0, lambda: sum([x, x]), lambda: 1 * x,
+                   lambda: x * 2, lambda: 3 * x, lambda: x - 0, lambda: 0 - x):
+            with pytest.raises(TypeError):
+                op()
+
+
+def nine_entry_defect(rows, unit=1):
+    """The former Gram check: max |(M^T M - unit * I)_ij| over all nine entries, NaN first."""
+    gaps = [abs(sum(rows[k][i] * rows[k][j] for k in range(3)) - (unit if i == j else 0))
+            for i in range(3) for j in range(3)]
+    return next((g for g in gaps if g != g), max(gaps))
+
+
+class TestGramDefect:
+    """The six-entry Gram check equals the nine-entry one and keeps its NaN rule."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_float_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        for rows in (rotations.random_rotation(seed).rows,
+                     (rotations.haar_matrices([seed])[0]
+                      + 1e-9 * rng.standard_normal((3, 3))).tolist(),
+                     rng.standard_normal((3, 3)).tolist()):
+            q = Orthogonal3(rows)
+            assert q.orthogonality_defect() == nine_entry_defect(q.rows)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exact_matrices(self, seed):
+        rng = random.Random(seed)
+        q = random_cayley(rng, reflect=seed % 2 == 1)
+        skewed = Orthogonal3(tuple(tuple(v + Fraction(rng.randint(-2, 2), 7) for v in row)
+                                   for row in q.rows))
+        assert q.orthogonality_defect() == 0
+        for matrix in (q, skewed):
+            defect = matrix.orthogonality_defect()
+            assert defect == nine_entry_defect(matrix.rows)
+            assert type(defect) is type(nine_entry_defect(matrix.rows))
+        m = [[rng.randint(-30, 30) for _ in range(3)] for _ in range(3)]
+        assert rotations._gram_defect(m, 25) == nine_entry_defect(m, 25)
+
+    @pytest.mark.parametrize("entry", range(9))
+    def test_nan_in_any_entry_gives_nan_and_rotate_raises(self, entry):
+        d = random_harmonic(entry)
+        for flat in (sum(rotations.random_rotation(entry).rows, ()), (9.0,) * 9):
+            flat = list(flat)
+            flat[entry] = math.nan
+            q = Orthogonal3((flat[0:3], flat[3:6], flat[6:9]))
+            assert math.isnan(q.orthogonality_defect())
+            assert math.isnan(nine_entry_defect(q.rows))
+            with pytest.raises(ValueError, match="not orthogonal"):
+                rotate(d, q)
 
 
 class TestNumpyIntegers:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from harmonic4 import (
     quartic_C,
     random_harmonic,
 )
-from harmonic4.invariants import _PAIR_ROWS, _PAIRS as PAIRS, _invariants_generic, _pair_view
+from harmonic4.invariants import (_PAIR_ROWS, _PAIRS as PAIRS, _WEIGHTS, _invariants_generic,
+                                  _pair_view)
 from harmonic4.tensor import DEPENDENT_SLOTS, INDEPENDENT_SLOTS
 
 RANGE3 = (1, 2, 3)
@@ -123,6 +125,52 @@ class TestExactContractionsInIntegers:
         assert all(type(v) is Fraction for row in c for v in row)
         rational = from_independent(raw.indep, backend=EXACT)
         assert (b, c) == (bilinear_B(rational), quartic_C(rational))
+
+
+def sums_from_zero(d) -> tuple:
+    """B and C of a float tensor with every C entry a sum started from int 0.
+
+    Such a sum is never -0.0, so neither is a B entry; these are the bits
+    that ``bilinear_B`` and ``quartic_C`` must keep.
+    """
+    view = _pair_view(d.indep)
+    dw = [[w * v for w, v in zip(_WEIGHTS, row)] for row in view]
+    c = [[None] * 6 for _ in range(6)]
+    for p in range(6):
+        for q in range(p, 6):
+            c[p][q] = c[q][p] = sum(map(mul, dw[p], view[q]))
+    b = tuple(sum(c[pair(i, k)][pair(j, k)] for k in RANGE3) for i, j in PAIRS)
+    return b, c
+
+
+def signed_zeros(seed) -> Harmonic4:
+    """A random float tensor with some components set to 0.0 and some to -0.0."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(9)
+    values[rng.random(9) < 0.6] = 0.0
+    values[rng.random(9) < 0.3] *= -1
+    return Harmonic4(tuple(values.tolist()))
+
+
+class TestFloatContractionBits:
+    """Float B and C carry the bits of sums started from 0, signed zeros included."""
+
+    TENSORS = ([Harmonic4((0.0,) * 9), Harmonic4((-0.0,) * 9),
+                Harmonic4((1.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0))]
+               + [signed_zeros(seed) for seed in range(8)])
+
+    def test_zero_tensor_gives_positive_zeros(self):
+        c = quartic_C(Harmonic4((0.0,) * 9))
+        assert c[0][5].hex() == "0x0.0p+0"  # -0.0 if the six -0.0 terms were summed bare
+        assert all(v.hex() == "0x0.0p+0" for v in [*bilinear_B(Harmonic4((0.0,) * 9)),
+                                                   *(v for row in c for v in row)])
+
+    @pytest.mark.parametrize("d", TENSORS)
+    def test_bits_equal_the_sums_from_zero(self, d):
+        b, c = sums_from_zero(d)
+        assert [v.hex() for v in bilinear_B(d)] == [v.hex() for v in b]
+        assert [[v.hex() for v in row] for row in quartic_C(d)] == \
+            [[v.hex() for v in row] for row in c]
 
 
 class TestKnownValues:
