@@ -72,7 +72,10 @@ class Orthogonal3:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(map(tc._python_scalar, row)) for row in self.rows)
+        try:
+            rows = tuple(tuple(map(tc._python_scalar, row)) for row in self.rows)
+        except TypeError:  # rows, or one of them, is not a sequence
+            raise ValueError("expected a 3x3 matrix") from None
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("expected a 3x3 matrix")
         object.__setattr__(self, "rows", rows)

@@ -18,9 +18,9 @@ unviolable by construction:
 
 Two scalar backends are supported: ``exact`` (arbitrary-precision
 `fractions.Fraction`) and ``float`` (binary64).  Scalars have one normal
-form, fixed when a value is built: a numpy scalar becomes the Python
-scalar of the same value (:func:`_python_scalar`), so a numpy integer is
-a Python int that cannot wrap and a float32 a binary64 float.
+form, fixed when a value is built: a numpy scalar (or 0-d array) becomes
+the Python scalar of the same value (:func:`_python_scalar`), so a numpy
+integer is a Python int that cannot wrap and a float32 a binary64 float.
 :attr:`Harmonic4.backend` is the one rule that classifies a tensor's
 scalars, and every engine dispatches on it: one float component makes
 the whole tensor a float tensor.  The algebra below is written
@@ -131,9 +131,12 @@ def multiplicity(slot) -> int:
 SLOT_WEIGHTS = {slot: multiplicity(slot) for slot in ALL_SLOTS}
 
 
+_NUMPY_VALUES = (np.generic, np.ndarray)
+
+
 def _python_scalar(value):
-    """``value``, with a numpy scalar turned into the Python scalar of the same value."""
-    return value.item() if isinstance(value, np.generic) else value
+    """``value``, a numpy scalar or 0-d array turned into the Python scalar of its value."""
+    return value.item() if isinstance(value, _NUMPY_VALUES) and value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,13 @@ class Harmonic4:
         if len(indep) != 9:
             raise ValueError(f"expected 9 independent components, got {len(indep)}")
         object.__setattr__(self, "indep", indep)
+
+    @classmethod
+    def _normal(cls, indep: tuple) -> "Harmonic4":
+        """The tensor of ``indep``, a tuple of nine values already in normal form."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "indep", indep)
+        return tensor
 
     @cached_property
     def backend(self) -> str:
@@ -186,9 +196,12 @@ class Harmonic4:
         return self.scale(-1)
 
     def scale(self, c) -> "Harmonic4":
-        """Componentwise multiple c*D; a numpy scalar c acts as its Python scalar."""
+        """Componentwise multiple c*D; a numpy scalar or 0-d array c acts as its Python scalar.
+
+        Products of normal-form values are in normal form, so they are stored as they are.
+        """
         c = _python_scalar(c)
-        return Harmonic4(tuple(c * v for v in self.indep))
+        return Harmonic4._normal(tuple(c * v for v in self.indep))
 
     def frobenius_norm_sq(self):
         """Sum of the squares of all 81 entries (equals the degree-2 invariant)."""
@@ -284,9 +297,9 @@ def from_independent(values, backend: str = FLOAT) -> Harmonic4:
     if len(values) != 9:
         raise ValueError(f"expected 9 independent components, got {len(values)}")
     if backend == EXACT:
-        return Harmonic4(tuple(_coerce_exact(v) for v in values))
+        return Harmonic4._normal(tuple(map(_coerce_exact, values)))
     if backend == FLOAT:
-        return Harmonic4(tuple(_coerce_float(v) for v in values))
+        return Harmonic4._normal(tuple(map(_coerce_float, values)))
     raise ValueError(f"unknown backend {backend!r}")
 
 

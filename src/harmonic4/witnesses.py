@@ -18,6 +18,11 @@ give 18 such (basis, member) cells.
   in one pass: all float tensors in one float-engine stack, each distinct
   exact tensor once, and each pair's cell-independent checks once.  It
   fails any cell without a passing witness.
+* The tensors of the catalog and sign pairs are module constants, built
+  at import; each ``build()`` wraps them in a new :class:`WitnessPair`.
+  Only the J8 bisection and the two J6 Newton solves run on each call, and
+  each Newton probe is one float-engine call on a fixed 7-point stencil
+  around its point.
 
 The pairs come from three constructions:
 
@@ -92,10 +97,10 @@ ZERO_TOL = 1e-8
 
 
 def relative_gap(a, b) -> float:
-    """|a-b| / max(|a|,|b|), and 0 when both vanish."""
+    """|a-b| / max(|a|,|b|): 0 when both are 0, and NaN when either is NaN."""
     a, b = float(a), float(b)
-    denom = max(abs(a), abs(b))
-    return abs(a - b) / denom if denom else 0.0
+    diff, denom = abs(a - b), max(abs(a), abs(b))
+    return diff / denom if denom else diff
 
 
 def check_pair(pair: WitnessPair, agree, differ: str) -> tuple:
@@ -127,10 +132,16 @@ def _gate(pair: WitnessPair) -> tuple:
 
 
 def _pair_check(left, right, vanish: float, flip: bool) -> tuple:
-    """A pair's gaps and ``separates(agree, differ)``, its test of one cell."""
-    gaps = {n: relative_gap(left[n], right[n]) for n in INVARIANT_NAMES}
-    vanished = {n for n in INVARIANT_NAMES
-                if max(abs(float(left[n])), abs(float(right[n]))) <= vanish}
+    """A pair's gaps and ``separates(agree, differ)``, its test of one cell.
+
+    Each value is converted to binary64 once; a NaN never vanishes.
+    """
+    gaps, vanished = {}, set()
+    for n in INVARIANT_NAMES:
+        a, b = float(left[n]), float(right[n])
+        gaps[n] = relative_gap(a, b)
+        if abs(a) <= vanish and abs(b) <= vanish:
+            vanished.add(n)
     flipped = not flip or all(right[n] == (-left[n] if n in ODD_INVARIANTS else left[n])
                               for n in INVARIANT_NAMES)
 
@@ -275,13 +286,12 @@ def _j7_witness() -> Harmonic4:
     )
 
 
-def _j10_pair() -> WitnessPair:
+def _j10_tensors() -> tuple:
     s5 = math.sqrt(5)
     base = [0.0, 0.0, 1 / 9, 0.0, -1 / (9 * s5), 0.0, (-4 / 9 + 28 / s5) / 16, 0.0, s5 / 18]
     other = list(base)
     other[6] = -(4 / 9 + 28 / s5) / 16
-    return WitnessPair(from_independent(base, backend=FLOAT),
-                       from_independent(other, backend=FLOAT))
+    return from_independent(base, backend=FLOAT), from_independent(other, backend=FLOAT)
 
 
 def _j10_printed() -> tuple:
@@ -292,10 +302,14 @@ def _j10_printed() -> tuple:
             dict(shared, J10=343 * (512675 - 216 * s5) / 4860000))
 
 
-def _sign_witness(label: str, tensor: Callable[[], Harmonic4], printed: dict) -> Witness:
-    """A (D, -D) row; -D's printed odd values are D's negated."""
-    return Witness(label, lambda: sign_pair(tensor()),
-                   (printed, {n: -v for n, v in printed.items()}))
+def _fixed(label: str, left: Harmonic4, right: Harmonic4, printed: tuple) -> Witness:
+    """A row of two constant tensors; each build is a new WitnessPair of them."""
+    return Witness(label, lambda: WitnessPair(left, right), printed)
+
+
+def _sign_witness(label: str, d: Harmonic4, printed: dict) -> Witness:
+    """The constant row (D, -D); -D's printed odd values are D's negated."""
+    return _fixed(label, d, -d, (printed, {n: -v for n, v in printed.items()}))
 
 
 #: h(t), the sextic whose root in (0.15, 0.2) makes the degree-8 witness:
@@ -360,18 +374,6 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
     )
 
 
-def _mirror_components(points) -> np.ndarray:
-    """(2, P, 9) components of the left and right mirror tensors at (P, 3) points x."""
-    b, delta, d = np.asarray(points, dtype=float).T
-    comps = np.zeros((2, len(b), 9))
-    comps[:, :, 2] = 1.0
-    comps[:, :, 4] = b
-    comps[0, :, 6] = -0.25 + delta
-    comps[1, :, 6] = -0.25 - delta
-    comps[:, :, 8] = d
-    return comps
-
-
 def mirror_pair(d1123: float, delta: float, d2223: float) -> WitnessPair:
     """The float pair in the odd-killing restriction mirrored about D1223 = -1/4.
 
@@ -381,8 +383,9 @@ def mirror_pair(d1123: float, delta: float, d2223: float) -> WitnessPair:
     -1/4 - delta on the right, so J2 agrees for free.  The J8 pair and both
     J6 pairs are points of this family.
     """
-    left, right = _mirror_components([(d1123, delta, d2223)])[:, 0].tolist()
-    return WitnessPair(Harmonic4(tuple(left)), Harmonic4(tuple(right)))
+    b, delta, d = float(d1123), float(delta), float(d2223)
+    return WitnessPair(Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, -0.25 + delta, 0.0, d)),
+                       Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, -0.25 - delta, 0.0, d)))
 
 
 def j8_family(t: float) -> WitnessPair:
@@ -423,15 +426,29 @@ MAX_ITER = 200
 #: D2223); the genuine witnesses sit at delta ~ 0.92.
 _DELTA_FLOOR = 1e-3
 
+#: Central-difference step of the Newton Jacobian, and each probe's points
+#: relative to its x: x itself, then x + step and x - step along each axis.
+_FD_STEP = 1e-7
+_STENCIL = np.concatenate((np.zeros((1, 3)), _FD_STEP * np.eye(3), -_FD_STEP * np.eye(3)))
+
+#: Column of each invariant in the float engine's output.
+_COLUMN = {name: k for k, name in enumerate(INVARIANT_NAMES)}
+
 
 def _system_residuals(points, matched) -> np.ndarray:
     """Normalized residuals of the mirror pairs at (P, 3) points, as (P, len(matched)).
 
-    All 2P tensors go through the float engine in one call.
+    The 2P tensors of :func:`mirror_pair` go through the float engine in one call.
     """
-    comps = _mirror_components(points)
-    values = invariants_float(comps.reshape(-1, 9)).reshape(2, comps.shape[1], -1)
-    cols = [INVARIANT_NAMES.index(name) for name in matched]
+    b, delta, d = np.asarray(points, dtype=float).T
+    comps = np.zeros((2, len(b), 9))
+    comps[:, :, 2] = 1.0
+    comps[:, :, 4] = b
+    comps[0, :, 6] = -0.25 + delta
+    comps[1, :, 6] = -0.25 - delta
+    comps[:, :, 8] = d
+    values = invariants_float(comps.reshape(-1, 9)).reshape(2, len(b), -1)
+    cols = [_COLUMN[name] for name in matched]
     left, right = values[0][:, cols], values[1][:, cols]
     return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
 
@@ -486,17 +503,14 @@ def _cramer(a, b) -> list:
 
 def _newton(x, matched, live) -> SolveResult:
     """Damped Newton from ``x``, stepping on the ``live`` columns of the residuals."""
-    fd_step = 1e-7
-    bumps = fd_step * np.concatenate((np.eye(3), -np.eye(3)))
-
-    def probe(point):  # every probe, a halved retry too, takes its 6 bumps along in one call
-        rows = _system_residuals(np.vstack((point, point + bumps)), matched)
+    def probe(point):  # every probe, a halved retry too, is one call on its 7-point stencil
+        rows = _system_residuals(point + _STENCIL, matched)
         return float(np.linalg.norm(rows[0])), rows[:, live].T.tolist()
 
     r_norm, r_live = probe(x)
     iterations, message = 0, ""
     while r_norm > SOLVE_TOL and iterations < MAX_ITER:
-        step = _cramer([[(row[1 + j] - row[4 + j]) / (2 * fd_step) for j in range(3)]
+        step = _cramer([[(row[1 + j] - row[4 + j]) / (2 * _FD_STEP) for j in range(3)]
                         for row in r_live], [-row[0] for row in r_live])
         if not all(map(math.isfinite, step)):
             message = "singular Jacobian"
@@ -543,21 +557,19 @@ def _j8_pair() -> WitnessPair:
 
 
 WITNESSES = {w.label: w for w in (
-    Witness("j2-separation", lambda: WitnessPair(_D1, _D2), (_D1_PRINTED, _D2_PRINTED)),
-    Witness("j4-separation", lambda: WitnessPair(_D1, _D3), (_D1_PRINTED, _D3_PRINTED)),
-    Witness("mixed-j2-separation", lambda: WitnessPair(_M1, _M2),
-            (_M1_PRINTED, _M2_PRINTED)),
-    Witness("j10-separation", _j10_pair, _j10_printed()),
-    _sign_witness("j3-sign-pair",
-                  lambda: from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),
+    _fixed("j2-separation", _D1, _D2, (_D1_PRINTED, _D2_PRINTED)),
+    _fixed("j4-separation", _D1, _D3, (_D1_PRINTED, _D3_PRINTED)),
+    _fixed("mixed-j2-separation", _M1, _M2, (_M1_PRINTED, _M2_PRINTED)),
+    _fixed("j10-separation", *_j10_tensors(), _j10_printed()),
+    _sign_witness("j3-sign-pair", from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),
                   {"J3": -6480, "J5": 0, "J7": 0, "J9": 0}),
-    _sign_witness("j5-sign-pair", _j5_witness, {"J3": 0, "J5": 12.5, "J7": 0, "J9": 0}),
-    _sign_witness("j7-sign-pair", _j7_witness,
+    _sign_witness("j5-sign-pair", _j5_witness(), {"J3": 0, "J5": 12.5, "J7": 0, "J9": 0}),
+    _sign_witness("j7-sign-pair", _j7_witness(),
                   {"J3": 0, "J5": 0,
                    "J7": (6384263 - 55933 * math.sqrt(13033)) / 884736, "J9": 0}),
     _sign_witness("j9-sign-pair",
-                  lambda: from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4),
-                                            1, 0), backend=EXACT),
+                  from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0),
+                                   backend=EXACT),
                   {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
     Witness("j8-separation", _j8_pair),
     *(Witness(f"{which}-j6-separation",

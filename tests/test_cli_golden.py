@@ -87,9 +87,11 @@ def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
 
 
-@pytest.mark.parametrize("name", ["invariants-exact-json", "rotate-exact"])
+@pytest.mark.parametrize("name", ["invariants-exact-json", "rotate-exact", "verify-witnesses",
+                                  "solve-mixed-j6"])
 def test_optimized_run_matches_golden(name):
-    """Under ``python -O`` the debug-only trace check is gone and exact output keeps its bytes."""
+    """Under ``python -O`` the debug-only trace check is gone; exact and witness output keep
+    their bytes."""
     argv, want_code = CASES[name]
     proc = subprocess.run([sys.executable, "-O", "-m", "harmonic4", *argv],
                           capture_output=True, text=True)

@@ -251,7 +251,11 @@ class TestOrthogonal3:
     @pytest.mark.parametrize("rows", [((1, 0), (0, 1)),
                                       ((1, 0, 0), (0, 1, 0)),
                                       ((1, 0, 0), (0, 1, 0), (0, 0, 1, 0)),
-                                      np.eye(4)])
+                                      np.eye(4),
+                                      [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                      5,
+                                      np.eye(3).ravel(),
+                                      np.array(1.0)])
     def test_rejects_bad_shape(self, rows):
         with pytest.raises(ValueError, match="3x3"):
             Orthogonal3(rows)

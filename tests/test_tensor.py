@@ -243,6 +243,24 @@ class TestNormalForm:
         assert abs(oracle.j10 - fast.j10) <= 1e-13 * abs(fast.j10)
         assert json.loads(json.dumps(to_json_dict(d)))["components"] == list(d.indep)
 
+    @pytest.mark.parametrize("values, backend, kind", [
+        ((np.int64(3), np.int32(-7), np.uint8(2)) + (Fraction(1, 3),) * 6, EXACT, Fraction),
+        ((np.int64(3), np.float32(0.5), np.int8(-2)) + (0,) * 6, FLOAT, float),
+    ])
+    def test_from_independent_builds_the_normal_form(self, values, backend, kind):
+        d = from_independent(values, backend=backend)
+        assert all(type(v) is kind for v in d.indep)
+        plain = Harmonic4(tuple(kind(v.item() if isinstance(v, np.generic) else v)
+                                for v in values))
+        assert d == plain and hash(d) == hash(plain) and d.backend == plain.backend
+
+    @pytest.mark.parametrize("c", [np.array(3), np.array(2.5), np.float32(3), np.int64(-2)])
+    @pytest.mark.parametrize("indep", [tuple(range(9)), (0.1,) * 9])
+    def test_scale_by_a_numpy_scalar_keeps_the_normal_form(self, indep, c):
+        scaled = Harmonic4(indep).scale(c)
+        assert scaled == Harmonic4(tuple(c.item() * v for v in indep))
+        assert {type(v) for v in scaled.indep} == {type(c.item() * indep[0])}
+
     def test_scale_by_a_numpy_float_stays_binary64(self):
         d = from_independent([0.1] * 9, backend=FLOAT).scale(np.float32(3))
         assert all(type(v) is float for v in d.indep)

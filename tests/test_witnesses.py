@@ -642,3 +642,83 @@ class TestTablePass:
         probes = probe_sizes[1:]  # after the grid
         assert len(probes) > result.iterations + 1  # some steps were halved
         assert set(probes) == {7}
+
+
+class TestGaps:
+    def test_reported_gaps_are_relative_gaps(self):
+        for cell, report in verify_witnesses().items():
+            for n in INVARIANT_NAMES:
+                want = relative_gap(report.left_values[n], report.right_values[n])
+                assert float.hex(report.gaps[n]) == float.hex(want), (cell, n)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 0.0), (1.0, math.nan),
+                                      (math.nan, Fraction(1, 3)), (math.nan, math.nan)])
+    def test_relative_gap_of_a_nan_is_nan(self, a, b):
+        assert math.isnan(relative_gap(a, b))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_nan_value_fails_its_cell(self, side):
+        pairs = {label: row.build() for label, row in WITNESSES.items()}
+        for (basis, member), report in verify_witnesses().items():
+            gate = w._gate(pairs[report.label])
+            for n in report.agree + (member,):
+                values = [dict(report.left_values), dict(report.right_values)]
+                values[side][n] = math.nan
+                assert not w._pair_check(*values, *gate)[1](report.agree, member), (
+                    basis, member, n)
+
+
+FIXED_PAIRS = w.CATALOG_PAIRS + w.SIGN_PAIRS
+
+
+class TestFixedPairs:
+    """The catalog and sign pairs are built once; the J6 and J8 pairs on each call."""
+
+    @pytest.mark.parametrize("label", FIXED_PAIRS)
+    def test_each_build_is_a_new_pair_of_the_same_tensors(self, label):
+        first, second = WITNESSES[label].build(), WITNESSES[label].build()
+        assert first is not second and first.notes is not second.notes
+        assert first.left is second.left and first.right is second.right
+        if label in w.SIGN_PAIRS:
+            assert first.right == -first.left
+
+    def test_catalog_rows_hold_the_module_tensors(self):
+        for label, (left, right) in {"j2-separation": (w._D1, w._D2),
+                                     "j4-separation": (w._D1, w._D3),
+                                     "mixed-j2-separation": (w._M1, w._M2)}.items():
+            pair = WITNESSES[label].build()
+            assert pair.left is left and pair.right is right
+
+    def test_mutated_reports_leave_the_next_run_unchanged(self):
+        def encoded(reports):
+            return json.dumps({str(cell): r.to_json_dict() for cell, r in reports.items()})
+
+        want = encoded(verify_witnesses())
+        for report in verify_witnesses().values():
+            report.left_values.clear()
+            report.gaps["J2"] = None
+            for note in report.notes.values():
+                if isinstance(note, dict):
+                    note.clear()
+            report.notes["x"] = 1
+        for label in FIXED_PAIRS:
+            WITNESSES[label].build().notes["x"] = 1
+        assert encoded(verify_witnesses()) == want
+
+    def test_solved_rows_solve_on_each_call(self, monkeypatch):
+        calls = Counter()
+        solve, bisect = w.solve_agreement_system, w.bisect_root
+
+        def counting_solve(matched):
+            calls[tuple(matched)] += 1
+            return solve(matched)
+
+        def counting_bisect(*args):
+            calls["bisect"] += 1
+            return bisect(*args)
+
+        monkeypatch.setattr(w, "solve_agreement_system", counting_solve)
+        monkeypatch.setattr(w, "bisect_root", counting_bisect)
+        for n in (1, 2):
+            assert all(r.passed for r in verify_witnesses().values())
+            assert calls == {J6_SYSTEMS["smith_bao"]: n, J6_SYSTEMS["mixed"]: n, "bisect": n}
