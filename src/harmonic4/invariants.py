@@ -23,23 +23,23 @@ Math. 1990).  On it
 
 with the weighted rows DW = D diag(w) formed once.  J2 = tr B and
 J3 = sum_pq w_p w_q C_pq D_pq.  With b and b2 the pair entries of B and
-B2, weighted as Wb and Wb2, every other invariant is one product:
+B2, y1 = D Wb and y2 = D Wb2, every other invariant is one entry of the
+weighted Gram matrix G_ij = sum_r w_r p_i,r p_j,r of p = (b, b2, y1, y2),
+as C = D W D with D symmetric:
 
-    J4 = Wb . b        J5 = Wb . D Wb     J7 = Wb2 . D Wb     J9  = Wb2 . D Wb2
-    K6 = Wb . b2       J6 = Wb . C Wb     J8 = Wb2 . C Wb     J10 = Wb2 . C Wb2
+    J4 = G_00    J5 = G_02    J7 = G_03    J9  = G_13
+    K6 = G_01    J6 = G_22    J8 = G_23    J10 = G_33
 
-The float engine, :func:`invariants_float`, runs these forms through
-[W^-1 | D | C] on a whole (N, 9) stack of components at once; one float
-tensor is the N = 1 case.  The generic engine runs them on lists over any
-commutative ring: symbolic tensors expand in sparse polynomials, and exact
-tensors run in Python integers.  As C = D W D with D symmetric, it reads
-J6, J8 and J10 as weighted Gram forms of y1 = D Wb and y2 = D Wb2:
-J6 = sum_r w_r y1_r^2, J8 = sum_r w_r y1_r y2_r and J10 = sum_r w_r y2_r^2,
-334 ring products in all.  Its ring contract: sums, binary and unary
-differences and products of ring elements, and the product 2 * x with the
-int 2 at the weight-2 pairs.  No sum starts from int 0 and no entry is
-multiplied by the weight 1, so any commutative ring with those operations
-will do; ``rotations._contract`` keeps the same contract.
+:data:`_FORMS` is that table, and both engines read it.  The float
+engine, :func:`invariants_float`, forms G on a whole (N, 9) stack of
+components at once; one float tensor is the N = 1 case.  The generic
+engine forms the eight entries on lists over any commutative ring, 334
+ring products in all: symbolic tensors expand in sparse polynomials, and
+exact tensors run in Python integers.  Its ring contract: sums, binary
+and unary differences and products of ring elements, and the product
+2 * x with the int 2 at the weight-2 pairs.  No sum starts from int 0 and
+no entry is multiplied by the weight 1, so any commutative ring with those
+operations will do; ``rotations._contract`` keeps the same contract.
 
 The invariants are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact
 tensor is scaled by the least common multiple q of its component
@@ -91,18 +91,20 @@ _ROW_GETTERS = tuple(itemgetter(*row) for row in _PAIR_ROWS)
 _ROW_PAIRS = tuple(tuple(_PAIRS.index(tuple(sorted(pair)))
                          for k in (1, 2, 3) for pair in ((i, k), (j, k)))
                    for i, j in _PAIRS)
+#: J4, J5, J6, K6, J7, J8, J9 and J10 as entries (i, j) of the weighted Gram
+#: matrix G_ij = sum_r w_r p_i,r p_j,r of p = (b, b2, D Wb, D Wb2).
+_FORMS = ((0, 0), (0, 2), (2, 2), (0, 1), (0, 3), (2, 3), (1, 3), (3, 3))
 
 
-#: Float-engine tables: weights, W^-1, the slot behind each pair-view entry,
-#: the entries C_(ik),(jk) of B_ij as (k, ij), the pairs' places in a 3x3, and
-#: J4..J10's places in the forms [Wb, Wb2] [W^-1 | D | C] [Wb, Wb2]^T.
+#: Float-engine tables: weights, the slot behind each pair-view entry, the
+#: entries C_(ik),(jk) of B_ij as (k, ij), the pairs' places in a 3x3, and
+#: the places of the _FORMS entries in the flat 4x4 G.
 _W = np.array(_WEIGHTS, dtype=float)
-_INVERSE_W = np.diag(1 / _W)
 _PAIR_COLS = np.array(_PAIR_ROWS).ravel()
 _TRACE_COLS = np.array([[6 * r[n] + r[n + 1] for n in (0, 2, 4)] for r in _ROW_PAIRS])[
     [_PAIRS.index(tuple(sorted(ij))) for ij in product((1, 2, 3), repeat=2)]].T.copy()
 _SORTED_IN_3X3 = np.array([3 * i + j - 4 for i, j in _PAIRS])
-_FORM_COLS = np.array([0, 2, 4, 6, 8, 10, 9, 11])
+_FORM_COLS = np.array([4 * i + j for i, j in _FORMS])
 
 
 def pair_view_float(components) -> np.ndarray:
@@ -213,19 +215,12 @@ def _invariants_generic(indep) -> InvariantVector:
     b = _partial_trace(c)
     b2 = _square(b)
     wb, wb2 = _weighted(b), _weighted(b2)
-    y1, y2 = ([_dot(row, x) for row in d] for x in (wb, wb2))
-    wy1, wy2 = _weighted(y1), _weighted(y2)
+    y1, y2 = [_dot(row, wb) for row in d], [_dot(row, wb2) for row in d]
+    p, wp = (b, b2, y1, y2), (wb, wb2, _weighted(y1), _weighted(y2))
     return InvariantVector(
-        j2=b[0] + b[3] + b[5],  # tr B, at the pairs 11, 22 and 33
-        j3=reduce(add, _weighted([_dot(cp, dwp) for cp, dwp in zip(c, dw)])),
-        j4=_dot(wb, b),
-        j5=_dot(wb, y1),
-        j6=_dot(wy1, y1),
-        k6=_dot(wb, b2),
-        j7=_dot(wb2, y1),
-        j8=_dot(wy1, y2),
-        j9=_dot(wb2, y2),
-        j10=_dot(wy2, y2),
+        b[0] + b[3] + b[5],  # J2 = tr B, at the pairs 11, 22 and 33
+        reduce(add, _weighted([_dot(cp, dwp) for cp, dwp in zip(c, dw)])),  # J3
+        *[_dot(wp[i], p[j]) for i, j in _FORMS],
     )
 
 
@@ -233,28 +228,26 @@ def invariants_float(components) -> np.ndarray:
     """The ten invariants of an (N, 9) stack of float components, as (N, 10).
 
     Columns follow :data:`INVARIANT_NAMES`.  The module's formulas on
-    (N, 6, 6) pair views, with B2 = B B as a 3x3, J2 = tr B, and the eight
-    forms from two products with [W^-1 | D | C] (Wb . W^-1 Wb = Wb . b).
-    Every gather keeps C order, so each row takes the same path at any N.
+    (N, 6, 6) pair views, with B2 = B B as a 3x3, J2 = tr B, y = (Wb, Wb2) D
+    as one product and the Gram matrices G as another.  Every gather keeps
+    C order, so each row takes the same path at any N.
     """
     d = pair_view_float(components)
     n = len(d)
     dw = d * _W
     c = dw @ d.transpose(0, 2, 1)
-    m = np.empty((n, 6, 3, 6))
-    m[:, :, 0] = _INVERSE_W
-    m[:, :, 1] = d
-    m[:, :, 2] = c
     b = np.take(c.reshape(n, 36), _TRACE_COLS, axis=1).sum(axis=1).reshape(n, 3, 3)
     v = np.empty((n, 2, 9))
     v[:, 0] = b.reshape(n, 9)
     v[:, 1] = (b @ b).reshape(n, 9)
-    wv = np.take(v, _SORTED_IN_3X3, axis=2) * _W
-    forms = (wv @ m.reshape(n, 6, 18)).reshape(n, 6, 6) @ wv.transpose(0, 2, 1)
+    p = np.empty((n, 4, 6))
+    p[:, :2] = np.take(v, _SORTED_IN_3X3, axis=2)
+    p[:, 2:] = (p[:, :2] * _W) @ d
+    g = (p * _W) @ p.transpose(0, 2, 1)
     out = np.empty((n, 10))
     out[:, 0] = v[:, 0, ::4].sum(axis=1)
     out[:, 1] = (c * dw * _W[:, None]).sum(axis=(1, 2))
-    out[:, 2:] = np.take(forms.reshape(n, 12), _FORM_COLS, axis=1)
+    out[:, 2:] = np.take(g.reshape(n, 16), _FORM_COLS, axis=1)
     return out
 
 

@@ -346,11 +346,12 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
         return v
 
     flo, fhi = value(lo), value(hi)
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     if flo == 0 or fhi == 0:
         return SolveResult(solution={"root": lo if flo == 0 else hi}, residual_norm=0.0,
                            iterations=0, converged=True)
+    # Signs, not products: a product of two tiny values underflows to 0.
+    if (flo < 0) == (fhi < 0):
+        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -361,8 +362,8 @@ def bisect_root(f, lo: float, hi: float, tol: float) -> SolveResult:
         if fm == 0:
             lo = hi = mid
             break
-        if flo * fm < 0:
-            hi, fhi = mid, fm
+        if (fm < 0) != (flo < 0):
+            hi = mid
         else:
             lo, flo = mid, fm
     root = 0.5 * (lo + hi)

@@ -87,11 +87,12 @@ def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
 
 
-@pytest.mark.parametrize("name", ["invariants-exact-json", "rotate-exact", "verify-witnesses",
-                                  "solve-mixed-j6"])
+@pytest.mark.parametrize("name", ["invariants-exact-json", "invariants-float-json", "rotate-exact",
+                                  "verify-isotropy", "verify-witnesses", "solve-mixed-j6",
+                                  "solve-smith-bao-j6"])
 def test_optimized_run_matches_golden(name):
-    """Under ``python -O`` the debug-only trace check is gone; exact and witness output keep
-    their bytes."""
+    """Under ``python -O`` the debug-only trace check is gone; exact, float and witness output
+    keep their bytes."""
     argv, want_code = CASES[name]
     proc = subprocess.run([sys.executable, "-O", "-m", "harmonic4", *argv],
                           capture_output=True, text=True)

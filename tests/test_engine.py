@@ -9,6 +9,7 @@ rebuilt from its words one value at a time, with numpy ufuncs on
 1-element arrays for sqrt, log1p, sin and cos.
 """
 
+import importlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -183,6 +184,42 @@ class TestAccuracy:
             exact = exact_rotation(comps.tolist(), q.tolist())
             err = max(abs(Fraction(v) - x) for v, x in zip(row.tolist(), exact))
             assert err <= 16 * U * np.abs(comps).max()
+
+
+def _small_integer_rows(count):
+    """``count`` tensors with components in {-1, 0, 1} and all ten exact invariants below
+    2^50, as (components, exact invariants as floats)."""
+    rows = []
+    for comps in list(product((-1, 0, 1), repeat=9))[::65]:
+        exact = [invariants(Harmonic4(comps))[name] for name in INVARIANT_NAMES]
+        if all(abs(v) < 2**50 for v in exact):
+            rows.append((comps, [float(v) for v in exact]))
+    assert len(rows) >= count
+    comps, exact = zip(*rows[:count])
+    return np.array(comps, dtype=float), np.array(exact)
+
+
+class TestExactWhereBinary64Is:
+    """On small integer tensors every intermediate of the float engine is an integer that
+    binary64 holds exactly, in any summation order, so its output is the exact value bit for
+    bit: a wrong Gram entry or weight shows as a wrong number, not as a rounding error."""
+
+    COMPONENTS, EXACT_VALUES = _small_integer_rows(300)
+
+    def test_stack_equals_the_exact_values(self):
+        assert invariants_float(self.COMPONENTS).tobytes() == self.EXACT_VALUES.tobytes()
+
+    def test_each_row_alone_equals_the_exact_values(self):
+        for comps, exact in zip(self.COMPONENTS, self.EXACT_VALUES):
+            assert invariants_float([comps])[0].tobytes() == exact.tobytes(), comps
+
+    def test_a_swapped_form_is_caught(self, monkeypatch):
+        engine = importlib.import_module("harmonic4.invariants")
+        cols = engine._FORM_COLS.copy()
+        j6, j8 = (INVARIANT_NAMES.index(name) - 2 for name in ("J6", "J8"))
+        cols[[j6, j8]] = cols[[j8, j6]]
+        monkeypatch.setattr(engine, "_FORM_COLS", cols)
+        assert invariants_float(self.COMPONENTS).tobytes() != self.EXACT_VALUES.tobytes()
 
 
 MASK64 = 2**64 - 1

@@ -185,6 +185,16 @@ class TestBisection:
         with pytest.raises(ValueError):
             bisect_root(lambda x: x * x + 1, -1.0, 1.0, 1e-12)
 
+    def test_tiny_values_without_a_sign_change_raise(self):
+        # 1e-200 * 1e-200 underflows to 0, so a product test saw no bracket error here
+        with pytest.raises(ValueError, match="no sign change"):
+            bisect_root(lambda t: 1e-200 * (t - 5), 0.0, 1.0, 1e-12)
+
+    def test_tiny_values_keep_the_half_with_the_root(self):
+        result = bisect_root(lambda t: 1e-200 * (t - 0.3), 0.0, 1.0, 1e-12)
+        assert result.converged
+        assert result.solution["root"] == pytest.approx(0.3, abs=1e-12)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             bisect_root(lambda x: x, -1.0, 1.0, 0.0)
@@ -282,9 +292,18 @@ class TestAgreementSystems:
         assert abs(sol["D1223_hat"]) == pytest.approx(1.17075, abs=1e-4)
 
     def test_far_guess_reports_non_convergence(self):
-        # the square step converges onto delta ~ -3e-7; only the collapse guard rejects it
+        # where a start this far away ends follows the float engine's last bits
         live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
         result = w._newton([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)
+        assert not result.converged
+        assert result.message
+
+    @pytest.mark.parametrize("start", [(-0.4, 0.01, 1.1), (-0.4, 0.001, 1.1),
+                                       (0.5, 0.05, -0.7)])
+    def test_start_near_the_trivial_solution_collapses(self, start):
+        # (D1123, delta, D2223) with delta = D1223 + 1/4 small: left and right nearly equal
+        live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
+        result = w._newton(list(start), J6_SYSTEMS["smith_bao"], live)
         assert not result.converged
         assert result.message == "collapsed onto the trivial (left == right) solution"
         assert result.residual_norm <= w.SOLVE_TOL
@@ -638,7 +657,7 @@ class TestTablePass:
 
     def test_halved_retries_carry_their_bumps(self, probe_sizes):
         result = solve_agreement_system(("J2", "J4", "J6", "J10"))  # grid-seeded
-        assert result.converged and result.iterations == 31
+        assert result.converged and result.iterations == 30
         probes = probe_sizes[1:]  # after the grid
         assert len(probes) > result.iterations + 1  # some steps were halved
         assert set(probes) == {7}
