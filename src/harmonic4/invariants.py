@@ -19,9 +19,10 @@ p = (i, j), i <= j, with arrangement weights w_p (1 for ii, 2 for ij): the
 Voigt/Mandel form of the tensor (Mehrabadi & Cowin, Q. J. Mech. Appl.
 Math. 1990).  On it
 
-    C_pq = sum_r w_r D_pr D_qr,    B_ij = sum_k C_(ik),(jk),    B2 = B B,
+    C_pq = sum_r w_r D_pr D_qr,  B_ij = sum_k C_(ik),(jk),  B2_ij = sum_k B_ik B_jk,
 
-with the weighted rows DW = D diag(w) formed once.  J2 = tr B and
+with the weighted rows DW = D diag(w) formed once and the pairs (ik) and
+(jk) of each (ij) listed once, in :data:`_ROW_PAIRS`.  J2 = tr B and
 J3 = sum_pq w_p w_q C_pq D_pq.  With b and b2 the pair entries of B and
 B2, y1 = D Wb and y2 = D Wb2, every other invariant is one entry of the
 weighted Gram matrix G_ij = sum_r w_r p_i,r p_j,r of p = (b, b2, y1, y2),
@@ -30,16 +31,17 @@ as C = D W D with D symmetric:
     J4 = G_00    J5 = G_02    J7 = G_03    J9  = G_13
     K6 = G_01    J6 = G_22    J8 = G_23    J10 = G_33
 
-:data:`_FORMS` is that table, and both engines read it.  The float
-engine, :func:`invariants_float`, forms G on a whole (N, 9) stack of
-components at once; one float tensor is the N = 1 case.  The generic
-engine forms the eight entries on lists over any commutative ring, 334
-ring products in all: symbolic tensors expand in sparse polynomials, and
-exact tensors run in Python integers.  Its ring contract: sums, binary
-and unary differences and products of ring elements, and the product
-2 * x with the int 2 at the weight-2 pairs.  No sum starts from int 0 and
-no entry is multiplied by the weight 1, so any commutative ring with those
-operations will do; ``rotations._contract`` keeps the same contract.
+:data:`_FORMS` is that table.  Both engines read both tables, summing
+over k in the same order.  The float engine, :func:`invariants_float`,
+forms G on a whole (N, 9) stack of components at once; one float tensor
+is the N = 1 case.  The generic engine forms the eight entries on lists
+over any commutative ring, 334 ring products in all: symbolic tensors
+expand in sparse polynomials, and exact tensors run in Python integers.
+Its ring contract: sums, binary and unary differences and products of
+ring elements, and the product 2 * x with the int 2 at the weight-2 pairs.
+No sum starts from int 0 and no entry is multiplied by the weight 1, so
+any commutative ring with those operations will do;
+``rotations._contract`` keeps the same contract.
 
 The invariants are homogeneous, J_k(D) = J_k(qD) / q^k, so an exact
 tensor is scaled by the least common multiple q of its component
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from operator import add, itemgetter
 
 import numpy as np
@@ -96,14 +98,12 @@ _ROW_PAIRS = tuple(tuple(_PAIRS.index(tuple(sorted(pair)))
 _FORMS = ((0, 0), (0, 2), (2, 2), (0, 1), (0, 3), (2, 3), (1, 3), (3, 3))
 
 
-#: Float-engine tables: weights, the slot behind each pair-view entry, the
-#: entries C_(ik),(jk) of B_ij as (k, ij), the pairs' places in a 3x3, and
-#: the places of the _FORMS entries in the flat 4x4 G.
+#: Float-engine tables: weights, the slot behind each pair-view entry,
+#: _ROW_PAIRS split into the positions of (i, k) and of (j, k) as [k, ij],
+#: and the places of the _FORMS entries in the flat 4x4 G.
 _W = np.array(_WEIGHTS, dtype=float)
 _PAIR_COLS = np.array(_PAIR_ROWS).ravel()
-_TRACE_COLS = np.array([[6 * r[n] + r[n + 1] for n in (0, 2, 4)] for r in _ROW_PAIRS])[
-    [_PAIRS.index(tuple(sorted(ij))) for ij in product((1, 2, 3), repeat=2)]].T.copy()
-_SORTED_IN_3X3 = np.array([3 * i + j - 4 for i, j in _PAIRS])
+_IK, _JK = np.array(_ROW_PAIRS).reshape(6, 3, 2).T.copy()
 _FORM_COLS = np.array([4 * i + j for i, j in _FORMS])
 
 
@@ -151,7 +151,7 @@ def _partial_trace(c) -> tuple:
 
 
 def _square(b) -> tuple:
-    """B2_ij = sum_k B_ik B_kj of a symmetric 6-tuple ``b``."""
+    """B2_ij = sum_k B_(ik) B_(jk) of a symmetric 6-tuple ``b``."""
     return tuple(b[p] * b[q] + b[r] * b[s] + b[t] * b[u] for p, q, r, s, t, u in _ROW_PAIRS)
 
 
@@ -228,24 +228,21 @@ def invariants_float(components) -> np.ndarray:
     """The ten invariants of an (N, 9) stack of float components, as (N, 10).
 
     Columns follow :data:`INVARIANT_NAMES`.  The module's formulas on
-    (N, 6, 6) pair views, with B2 = B B as a 3x3, J2 = tr B, y = (Wb, Wb2) D
-    as one product and the Gram matrices G as another.  Every gather keeps
-    C order, so each row takes the same path at any N.
+    (N, 6, 6) pair views: b and b2 as the generic sums over k, J2 = tr B,
+    y = (Wb, Wb2) D as one product and the Gram matrices G as another.
+    Every gather keeps C order, so each row takes the same path at any N.
     """
     d = pair_view_float(components)
     n = len(d)
     dw = d * _W
     c = dw @ d.transpose(0, 2, 1)
-    b = np.take(c.reshape(n, 36), _TRACE_COLS, axis=1).sum(axis=1).reshape(n, 3, 3)
-    v = np.empty((n, 2, 9))
-    v[:, 0] = b.reshape(n, 9)
-    v[:, 1] = (b @ b).reshape(n, 9)
     p = np.empty((n, 4, 6))
-    p[:, :2] = np.take(v, _SORTED_IN_3X3, axis=2)
+    b = c[:, _IK, _JK].sum(axis=1, out=p[:, 0])
+    (b[:, _IK] * b[:, _JK]).sum(axis=1, out=p[:, 1])
     p[:, 2:] = (p[:, :2] * _W) @ d
     g = (p * _W) @ p.transpose(0, 2, 1)
     out = np.empty((n, 10))
-    out[:, 0] = v[:, 0, ::4].sum(axis=1)
+    out[:, 0] = b[:, 0] + b[:, 3] + b[:, 5]
     out[:, 1] = (c * dw * _W[:, None]).sum(axis=(1, 2))
     out[:, 2:] = np.take(g.reshape(n, 16), _FORM_COLS, axis=1)
     return out

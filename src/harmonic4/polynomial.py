@@ -3,10 +3,11 @@
 The nine independent components are the symbols, in the same fixed order
 as everywhere else.  A monomial is a 9-tuple of exponents, a polynomial a
 hash map monomial -> nonzero coefficient (int or Fraction -- Python's
-numeric tower keeps mixed arithmetic exact; a numpy coefficient is stored
-as its Python scalar).  Canonical form is automatic: zero coefficients
-are pruned on every operation, so equal polynomials have equal term maps.
-Graded-lex ordering is applied only at output.
+numeric tower keeps mixed arithmetic exact; a numpy integer is stored as
+its Python int, and any other coefficient is a ``TypeError``).  Canonical
+form is automatic: zero coefficients are pruned on every operation, so
+equal polynomials have equal term maps.  Graded-lex ordering is applied
+only at output.
 
 Feeding symbol polynomials through the generic contraction pipeline turns
 every invariant into its exact expanded polynomial; that single shared
@@ -53,8 +54,11 @@ class SparsePoly:
                 if len(mono) != NUM_SYMBOLS or any(e < 0 for e in mono):
                     raise ValueError(f"bad monomial {mono!r}: need {NUM_SYMBOLS} "
                                      "nonnegative exponents")
+                coeff = _python_scalar(coeff)
+                if isinstance(coeff, bool) or not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"coefficients must be ints or Fractions, got {coeff!r}")
                 if coeff:
-                    data[mono] = _python_scalar(coeff)
+                    data[mono] = coeff
         self._terms = data
 
     @classmethod
@@ -66,7 +70,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c) -> "SparsePoly":
-        return cls._raw({_ZERO_MONOMIAL: _python_scalar(c)} if c else {})
+        return cls({_ZERO_MONOMIAL: c})
 
     @classmethod
     def variable(cls, index: int) -> "SparsePoly":
@@ -194,12 +198,6 @@ class SparsePoly:
             by_degree[k] = by_degree.get(k, 0) + value
         return sum((Fraction(v, den * q**k) for k, v in by_degree.items()), Fraction(0))
 
-    def negate_variables(self) -> "SparsePoly":
-        """Substitute x -> -x for every symbol (flips odd-degree terms)."""
-        return SparsePoly._raw({
-            m: (-c if sum(m) % 2 else c) for m, c in self._terms.items()
-        })
-
     def sorted_terms(self) -> list:
         """Terms in descending graded-lex order (degree first, then exponents)."""
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -277,18 +275,14 @@ def verify_parity() -> dict:
 
     Returns a name -> "odd" / "even" / "neither" map; correctness means
     the four odd-degree invariants flip sign and the six even-degree ones
-    are fixed.
+    are fixed.  J(-x) = sum_m c_m (-1)^|m| x^m, so an invariant is odd iff
+    every monomial has odd degree and even iff every one has even degree
+    (the zero polynomial included).
     """
     out = {}
     for name in INVARIANT_NAMES:
-        poly = symbolic_invariant(name)
-        flipped = poly.negate_variables()
-        if flipped == poly:
-            out[name] = "even"
-        elif flipped == -poly:
-            out[name] = "odd"
-        else:
-            out[name] = "neither"
+        degrees = {sum(m) % 2 for m in symbolic_invariant(name).terms}
+        out[name] = "odd" if degrees == {1} else "even" if degrees <= {0} else "neither"
     return out
 
 

@@ -223,22 +223,16 @@ class WitnessReport:
     notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, dict):
-                return {k: enc(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [enc(x) for x in v]
-            return _format_scalar(v)
-
+        """JSON form, sharing no dict with the report; gaps are floats, notes JSON scalars."""
         return {
             "label": self.label,
             "passed": self.passed,
             "agree": list(self.agree),
             "differ": self.differ,
-            "left": enc(self.left_values),
-            "right": enc(self.right_values),
-            "gaps": enc(self.gaps),
-            "notes": enc(self.notes),
+            "left": {k: _format_scalar(v) for k, v in self.left_values.items()},
+            "right": {k: _format_scalar(v) for k, v in self.right_values.items()},
+            "gaps": dict(self.gaps),
+            "notes": _copy_notes(self.notes),
         }
 
 

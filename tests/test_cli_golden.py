@@ -88,8 +88,8 @@ def test_every_golden_file_has_a_case():
 
 
 @pytest.mark.parametrize("name", ["invariants-exact-json", "invariants-float-json", "rotate-exact",
-                                  "verify-isotropy", "verify-witnesses", "solve-mixed-j6",
-                                  "solve-smith-bao-j6"])
+                                  "rotate-float", "verify-isotropy", "verify-witnesses",
+                                  "solve-j8-root", "solve-mixed-j6", "solve-smith-bao-j6"])
 def test_optimized_run_matches_golden(name):
     """Under ``python -O`` the debug-only trace check is gone; exact, float and witness output
     keep their bytes."""

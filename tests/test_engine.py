@@ -221,6 +221,13 @@ class TestExactWhereBinary64Is:
         monkeypatch.setattr(engine, "_FORM_COLS", cols)
         assert invariants_float(self.COMPONENTS).tobytes() != self.EXACT_VALUES.tobytes()
 
+    def test_a_swapped_pair_table_row_is_caught(self, monkeypatch):
+        engine = importlib.import_module("harmonic4.invariants")
+        jk = engine._JK.copy()
+        jk[:, [0, 1]] = jk[:, [1, 0]]  # the (j, k) positions of pairs 11 and 12 exchanged
+        monkeypatch.setattr(engine, "_JK", jk)
+        assert invariants_float(self.COMPONENTS).tobytes() != self.EXACT_VALUES.tobytes()
+
 
 MASK64 = 2**64 - 1
 GAMMA = 0x9E3779B97F4A7C15

@@ -32,6 +32,9 @@ monomials = st.tuples(*([st.integers(min_value=0, max_value=2)] * 9))
 coeffs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 polys = st.dictionaries(monomials, coeffs, max_size=4).map(SparsePoly)
 
+#: The monomial D1111.
+X1 = (1,) + (0,) * 8
+
 
 class TestRingBasics:
     def test_zero_and_constants(self):
@@ -51,6 +54,24 @@ class TestRingBasics:
         c = SparsePoly.constant(np.int64(2**40))
         assert type(c.terms[(0,) * 9]) is int
         assert (c * c) == 2**80
+
+    def test_float_coefficient_rejected_before_evaluate(self):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            SparsePoly({X1: 0.5}).evaluate([Fraction(1, 3)] + [0] * 8)
+
+    def test_float_coefficient_rejected_before_float_products(self):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            SparsePoly({X1: 0.5}) * SparsePoly({X1: 0.5})
+
+    @pytest.mark.parametrize("bad", ["x", True, np.float64(2.0), np.bool_(True), 0.0])
+    def test_non_rational_coefficient_rejected(self, bad):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            SparsePoly({X1: bad})
+
+    @pytest.mark.parametrize("bad", [0.25, False, "1"])
+    def test_non_rational_constant_rejected(self, bad):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            SparsePoly.constant(bad)
 
     def test_additive_inverse_prunes_to_zero(self):
         p = SparsePoly.variable(0) * 5 + SparsePoly.constant(2)
@@ -190,14 +211,21 @@ class TestParity:
         assert verify_parity() == parity_expected()
 
     def test_odd_flip_is_an_exact_polynomial_identity(self):
-        j3 = symbolic_invariant("J3")
-        assert j3.negate_variables() == -j3
+        # J(-x) = -J(x) term by term: every monomial of J3 has odd degree.
+        assert {sum(m) % 2 for m in symbolic_invariant("J3").terms} == {1}
 
     def test_even_fixed_point(self):
-        j2 = symbolic_invariant("J2")
-        assert j2.negate_variables() == j2
-        k6 = symbolic_invariant("K6")
-        assert k6.negate_variables() == k6
+        for name in ("J2", "K6"):
+            assert {sum(m) % 2 for m in symbolic_invariant(name).terms} == {0}, name
+
+    @pytest.mark.parametrize("poly, kind", [
+        (SparsePoly(), "even"),
+        (SparsePoly.variable(0) + SparsePoly.variable(0) ** 2, "neither"),
+        (SparsePoly.variable(0) ** 3 - SparsePoly.variable(4), "odd"),
+    ])
+    def test_classification_reads_monomial_degrees(self, monkeypatch, poly, kind):
+        monkeypatch.setattr(poly_mod, "symbolic_invariant", lambda name: poly)
+        assert set(verify_parity().values()) == {kind}
 
 
 class TestRestrictionLemma:

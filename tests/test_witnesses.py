@@ -417,6 +417,16 @@ class TestReports:
         assert payload["left"]["J2"] == "8/1"
         json.dumps(payload)  # must be serializable as-is
 
+    def test_report_json_shares_no_dict_with_the_report(self):
+        for report in verify_witnesses().values():
+            payload, want = report.to_json_dict(), json.dumps(report.to_json_dict())
+            dicts = [payload]
+            while dicts:
+                d = dicts.pop()
+                dicts.extend(v for v in d.values() if isinstance(v, dict))
+                d.clear()
+            assert json.dumps(report.to_json_dict()) == want
+
     def test_reports_of_one_pair_do_not_share_notes(self):
         reports = verify_witnesses()
         fresh = verify_witnesses()
@@ -657,7 +667,7 @@ class TestTablePass:
 
     def test_halved_retries_carry_their_bumps(self, probe_sizes):
         result = solve_agreement_system(("J2", "J4", "J6", "J10"))  # grid-seeded
-        assert result.converged and result.iterations == 30
+        assert result.converged and result.iterations == 31
         probes = probe_sizes[1:]  # after the grid
         assert len(probes) > result.iterations + 1  # some steps were halved
         assert set(probes) == {7}
