@@ -12,6 +12,11 @@ Exit codes: 0 success, 1 verification/convergence failure, 2 usage or
 input error (including a result that is not finite), 141 when the reader
 of standard output closed it early.  Output is deterministic for fixed
 inputs and flags.
+
+JSON output is the bytes of ``json.dumps(value, indent=2, allow_nan=False)``,
+ASCII-escaped, plus a newline; :func:`_dumps` writes them with json's C
+encoder where it can, and a value json cannot write fails with json's own
+message as an input error.
 """
 
 from __future__ import annotations
@@ -66,9 +71,67 @@ def _load_tensor(args):
     return tensor
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+#: Types the encoder writes as one token; a container holding anything else is walked.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat(depth: int):
+    """json's encoder of a scalar, or of a container of scalars whose items sit at ``depth`` + 1.
+
+    Its item separator is "," + newline + the items' indent, so a container
+    comes out as ``json.dumps(indent=2)`` writes it, less the line breaks
+    after its opening and before its closing bracket.  It is the C encoder
+    where the accelerator is there, else json's own pure-Python one.
+    """
+    sep = ",\n" + _INDENT * (depth + 1)
+    encoder = json.JSONEncoder(separators=(sep, ": "), allow_nan=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    encode = json.encoder.c_make_encoder(None, encoder.default, json.encoder.encode_basestring_ascii,
+                                         None, ": ", sep, False, False, False)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _encode(value, depth: int) -> str:
+    """A dict, list or tuple as ``json.dumps(indent=2)`` writes it at ``depth``."""
+    values = value.values() if isinstance(value, dict) else value
+    if _SCALARS.issuperset(map(type, values)):
+        text = _flat(depth)(value)
+        if len(text) == 2:  # {} or []
+            return text
+        body = text[1:-1]
+    else:
+        parts = [_encode(v, depth + 1) if isinstance(v, _CONTAINERS) else _flat(depth)(v)
+                 for v in values]
+        if isinstance(value, dict):
+            key = json.encoder.encode_basestring_ascii
+            parts = [f"{key(k)}: {part}" for k, part in zip(value, parts)]
+        text = "{}" if isinstance(value, dict) else "[]"
+        body = (",\n" + _INDENT * (depth + 1)).join(parts)
+    return f"{text[0]}\n{_INDENT * (depth + 1)}{body}\n{_INDENT * depth}{text[-1]}"
+
+
+def _dumps(value) -> str:
+    """Exactly ``json.dumps(value, indent=2, allow_nan=False)``, its errors included.
+
+    Each container of scalars is one call of :func:`_flat`; only containers
+    that hold containers are walked here.  What that path cannot write (a
+    float that is not finite, a nested dict's key that is not a string, an
+    object json cannot encode, a cycle) goes to ``json.dumps`` itself, so
+    the bytes, and the text of the error it raises, are json's.
+    """
+    try:
+        return _encode(value, 0) if isinstance(value, _CONTAINERS) else _flat(0)(value)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(value, indent=2, allow_nan=False)
+
+
 def _json(payload) -> str:
     try:
-        return json.dumps(payload, indent=2, allow_nan=False)
+        return _dumps(payload)
     except ValueError as exc:
         raise InputError(f"result is not finite in binary64 ({exc})") from exc
 
@@ -89,7 +152,7 @@ def _format_invariants(vec: InvariantVector, fmt: str) -> str:
     if not all(math.isfinite(v) for v in payload.values() if isinstance(v, float)):
         raise InputError("invariants are not finite in binary64; scale the tensor down")
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False)
+        return _dumps(payload)
     if fmt == "csv":
         header = ",".join(INVARIANT_NAMES)
         row = ",".join(str(payload[name]) for name in INVARIANT_NAMES)
@@ -112,7 +175,9 @@ def cmd_rotate(args) -> int:
     try:
         entries = [coerce(v) for v in args.matrix]
         rows = tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3))
-        rotated = rotate(tensor, Orthogonal3(rows))
+        # An overflow is reported as an input error by _json, not as numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rotated = rotate(tensor, Orthogonal3(rows))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
     _emit(_json(to_json_dict(rotated)), args)
@@ -139,20 +204,19 @@ def _suite_restriction(args):
 
 def _suite_isotropy(args):
     passed, reports = isotropy_suite(trials=args.trials, seed=args.seed)
-    worst = {
-        name: max(r.deviations[name] for r in reports) for name in INVARIANT_NAMES
-    }
+    # Each report's deviations are keyed in INVARIANT_NAMES order.
+    rows = zip(*(r.deviations.values() for r in reports))
+    worst = dict(zip(INVARIANT_NAMES, map(max, rows)))
     return {"passed": passed, "tensors": len(reports), "trials": args.trials,
             "worst_deviation": worst}
 
 
 def _suite_witnesses(args):
-    reports = witnesses.verify_witnesses()
+    flags = witnesses.witness_flags()
     cells = {}
-    for (basis, member), report in reports.items():
-        cells.setdefault(basis, {})[member] = {"witness": report.label,
-                                               "passed": report.passed}
-    return {"passed": all(r.passed for r in reports.values()), "cells": cells}
+    for (basis, member), (label, passed) in flags.items():
+        cells.setdefault(basis, {})[member] = {"witness": label, "passed": passed}
+    return {"passed": all(passed for _, passed in flags.values()), "cells": cells}
 
 
 SUITES = {

@@ -98,7 +98,7 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._terms == ({_ZERO_MONOMIAL: other} if other else {})
         return NotImplemented
 
@@ -134,6 +134,8 @@ class SparsePoly:
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
+            if isinstance(other, bool):
+                raise TypeError(f"coefficients must be ints or Fractions, got {other!r}")
             if not other:
                 return SparsePoly._raw({})
             return SparsePoly._raw({m: c * other for m, c in self._terms.items()})

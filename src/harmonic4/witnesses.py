@@ -17,7 +17,8 @@ give 18 such (basis, member) cells.
   agree = basis - {member}.  :func:`verify_witnesses` walks all 18 cells
   in one pass: all float tensors in one float-engine stack, each distinct
   exact tensor once, and each pair's cell-independent checks once.  It
-  fails any cell without a passing witness.
+  fails any cell without a passing witness.  :func:`witness_flags` reads
+  only each cell's label and verdict off that same pass.
 * The tensors of the catalog and sign pairs are module constants, built
   at import; each ``build()`` wraps them in a new :class:`WitnessPair`.
   Only the J8 bisection and the two J6 Newton solves run on each call, and
@@ -597,36 +598,50 @@ def _copy_notes(notes: dict) -> dict:
     return {k: _copy_notes(v) if isinstance(v, dict) else v for k, v in notes.items()}
 
 
-def _check_cells(cells) -> dict:
-    """Report on each cell through the witness ``CELLS`` names for it.
+def _cell_pass(cells):
+    """The one check of ``cells``: yield each cell, its label, agree, passed and pair entry.
 
-    One pass over the table (see the module docstring); a cell with no witness fails.
+    One pass over the table (see the module docstring): each pair is built,
+    evaluated, gated and checked against its printed values once.  The pair
+    entry is (pair, left values, right values, gaps), or None for a cell
+    with no witness, which fails.
     """
     labels = dict.fromkeys(CELLS.get(cell) for cell in cells)
     pairs = {label: WITNESSES[label].build() for label in labels if label in WITNESSES}
     values = iter(_table_values([t for p in pairs.values() for t in (p.left, p.right)]))
-    checked, reports = {}, {}
+    checked = {}
     for label, pair in pairs.items():
         witness, lv, rv = WITNESSES[label], next(values), next(values)
         vanish, flip = _gate(pair)
         pair_ok = pair.solved and all(
             _reproduces(got[n], want, vanish)
             for got, printed in zip((lv, rv), witness.printed) for n, want in printed.items())
-        checked[label] = (pair, lv, rv, pair_ok, *_pair_check(lv, rv, vanish, flip))
+        gaps, separates = _pair_check(lv, rv, vanish, flip)
+        checked[label] = (pair_ok, separates, (pair, lv, rv, gaps))
     for basis, member in cells:
         agree = tuple(n for n in BASES[basis] if n != member)
         label = CELLS.get((basis, member))
-        if label not in checked:
-            reports[basis, member] = WitnessReport(
-                label=label, left_values={}, right_values={}, gaps={}, agree=agree,
-                differ=member, passed=False, notes={"error": "no witness for this cell"})
-            continue
-        pair, lv, rv, pair_ok, gaps, separates = checked[label]
-        reports[basis, member] = WitnessReport(
-            label=label, left_values=dict(lv), right_values=dict(rv), gaps=dict(gaps),
-            agree=agree, differ=member, passed=pair_ok and separates(agree, member),
-            notes=_copy_notes(pair.notes))
+        pair_ok, separates, entry = checked.get(label, (False, None, None))
+        yield (basis, member), label, agree, pair_ok and separates(agree, member), entry
+
+
+def _check_cells(cells) -> dict:
+    """A :class:`WitnessReport` on each cell, from :func:`_cell_pass`."""
+    reports = {}
+    for cell, label, agree, passed, entry in _cell_pass(cells):
+        pair, lv, rv, gaps = entry or (None, {}, {}, {})
+        notes = _copy_notes(pair.notes) if pair else {"error": "no witness for this cell"}
+        reports[cell] = WitnessReport(label, dict(lv), dict(rv), dict(gaps), agree, cell[1],
+                                      passed, notes)
     return reports
+
+
+def witness_flags() -> dict:
+    """(label, passed) of every cell of both bases, keyed by (basis, member).
+
+    The same pass as :func:`verify_witnesses`, without building its reports.
+    """
+    return {cell: (label, passed) for cell, label, _, passed, _ in _cell_pass(all_cells())}
 
 
 def verify_witnesses() -> dict:

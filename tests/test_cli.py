@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,10 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from harmonic4.cli import build_parser, main
+from harmonic4 import cli
+from harmonic4.cli import InputError, build_parser, main
 from harmonic4.witnesses import REL_TOL, SEPARATION
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 D1_COMPONENTS = ["1", "0", "0", "0", "0", "0", "0", "0", "0"]
 IDENTITY = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
 
@@ -185,6 +190,15 @@ class TestRotateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+    def test_overflow_prints_one_error_line_and_no_warnings(self):
+        argv = ["rotate", "-c", "1.7e308", "-c", "1.7e308", *["-c", "0"] * 7,
+                "--matrix", "0.6", "0.8", "0", "-0.8", "0.6", "0", "0", "0", "1"]
+        proc = subprocess.run([sys.executable, "-m", "harmonic4", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: result is not finite in binary64 "
+                               "(Out of range float values are not JSON compliant: nan)\n")
 
 
 class TestVerifyCommand:
@@ -491,3 +505,93 @@ class TestConsoleScript:
         assert main(["verify", "parity"]) == 141
         after = os.fstat(1)
         assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def _reference(value) -> str:
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+#: Strings with escapes, control characters, non-ASCII and astral text.
+TRICKY_TEXT = ["", "plain", "quote \" and back\\slash", "\x00\x01\x1f\x7f", "tab\tline\n",
+               "caf\u00e9", "\u2028\u2029", "\U0001d11e clef", "\ud800 lone surrogate"]
+#: Floats whose repr is unusual: signed zero, subnormals, the extremes.
+TRICKY_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1.7976931348623157e308,
+                 1e16, 1e-7, 0.1, 123456789.0]
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-10**60, max_value=10**60),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(TRICKY_FLOATS),
+    st.text(), st.sampled_from(TRICKY_TEXT),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               st.dictionaries(st.text() | st.sampled_from(TRICKY_TEXT), children,
+                                               max_size=5)),
+    max_leaves=30,
+)
+EXAMPLES = [
+    {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], [[[]]], {"": {"": [{}]}},
+    {"nested": {"deep": {"deeper": [1, [2, [3, {"x": None}]]]}}, "flat": [True, False, None]},
+    {"text": TRICKY_TEXT, "floats": TRICKY_FLOATS, "ints": [0, -1, 2**64, -(10**400)]},
+    [1, {"a": (2.5, "b")}, ()], "top-level string", 7, -0.0, None, True,
+]
+
+
+class TestJsonWriter:
+    """``cli._dumps`` writes exactly what ``json.dumps(indent=2, allow_nan=False)`` writes."""
+
+    @pytest.mark.parametrize("value", EXAMPLES, ids=range(len(EXAMPLES)))
+    def test_examples(self, value):
+        assert cli._dumps(value) == _reference(value)
+
+    @given(JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == _reference(value)
+
+    def test_keys_json_converts_in_nested_dicts(self):
+        for value in ({1: {"a": 1}}, {"a": {2.5: [1], None: 0, True: 1}}, {"a": [{7: 7}]}):
+            assert cli._dumps(value) == _reference(value)
+
+    @pytest.mark.parametrize("value", [object(), {"a": {"b": object()}}, [1, {(1,): 2}],
+                                       {"a": [1, {"b": 1j}]}])
+    def test_unencodable_values_raise_jsons_error(self, value):
+        with pytest.raises(TypeError) as want:
+            _reference(value)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(value)
+        assert str(got.value) == str(want.value)
+
+    def test_a_cycle_raises_jsons_error(self):
+        value = {"a": []}
+        value["a"].append(value)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            cli._dumps(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [lambda x: x, lambda x: [x], lambda x: {"a": 1.0, "b": x},
+                                       lambda x: {"a": {"b": [0.5, x, math.nan]}}])
+    def test_non_finite_result_keeps_its_error_text(self, bad, shape):
+        with pytest.raises(ValueError) as want:
+            _reference(shape(bad))
+        with pytest.raises(InputError) as got:
+            cli._json(shape(bad))
+        assert str(got.value) == f"result is not finite in binary64 ({want.value})"
+        assert str(got.value).endswith(f"compliant: {bad!r})")
+
+    def test_same_bytes_without_the_c_accelerator(self, monkeypatch):
+        values = [*EXAMPLES, *(json.loads((GOLDEN / f"{name}.txt").read_text())
+                               for name in ("verify-all", "solve-mixed-j6", "rotate-exact"))]
+        want = [_reference(v) for v in values]
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                            json.encoder.py_encode_basestring_ascii)
+        cli._flat.cache_clear()
+        try:
+            assert [cli._dumps(v) for v in values] == want
+            with pytest.raises(InputError, match=r"compliant: inf\)$"):
+                cli._json({"a": [math.inf]})
+        finally:
+            cli._flat.cache_clear()

@@ -73,6 +73,20 @@ class TestRingBasics:
         with pytest.raises(TypeError, match="ints or Fractions"):
             SparsePoly.constant(bad)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_factor_rejected(self, flag):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            SparsePoly.variable(0) * flag
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            flag * SparsePoly.variable(0)
+
+    def test_bool_is_not_a_constant(self):
+        assert SparsePoly.constant(1).__eq__(True) is NotImplemented
+        assert SparsePoly().__eq__(False) is NotImplemented
+        assert SparsePoly.constant(1) != True  # noqa: E712
+        assert SparsePoly() != False  # noqa: E712
+        assert SparsePoly.constant(1) == 1 and SparsePoly() == 0
+
     def test_additive_inverse_prunes_to_zero(self):
         p = SparsePoly.variable(0) * 5 + SparsePoly.constant(2)
         assert (p + (-p)).is_zero()

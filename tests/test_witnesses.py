@@ -538,6 +538,27 @@ class TestCells:
         assert [c for c, r in reports.items() if not r.passed] == [cell]
         assert not cli_witnesses_pass(capsys)
 
+    def test_flag_pass_matches_the_reports(self, capsys):
+        flags = w.witness_flags()
+        assert flags == {cell: (r.label, r.passed) for cell, r in verify_witnesses().items()}
+        assert list(flags) == w.all_cells()
+        assert cli_main(["verify", "witnesses"]) == 0
+        cells = json.loads(capsys.readouterr().out)["suites"]["witnesses"]["cells"]
+        assert {(b, m): (c["witness"], c["passed"]) for b, row in cells.items()
+                for m, c in row.items()} == flags
+
+    @pytest.mark.parametrize("cell,label", [
+        (("smith_bao", "J5"), "no-such-witness"),
+        (("mixed", "K6"), None),
+        (("smith_bao", "J4"), "j2-separation"),
+    ])
+    def test_flag_pass_fails_what_the_reports_fail(self, cell, label, monkeypatch):
+        monkeypatch.setattr(w, "CELLS", dict(CELLS) | {cell: label})
+        flags = w.witness_flags()
+        assert flags == {c: (r.label, r.passed) for c, r in verify_witnesses().items()}
+        assert [c for c, (_, passed) in flags.items() if not passed] == [cell]
+        assert flags[cell] == (label, False)
+
     def test_restricted_pairs_need_exactly_vanishing_odds(self):
         pair = WITNESSES["j8-separation"].build()
         lv, rv = invariants(pair.left), invariants(pair.right)
