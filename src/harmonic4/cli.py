@@ -175,11 +175,13 @@ def cmd_rotate(args) -> int:
     try:
         entries = [coerce(v) for v in args.matrix]
         rows = tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3))
-        # An overflow is reported as an input error by _json, not as numpy warnings.
+        # An overflow is reported as an input error below, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             rotated = rotate(tensor, Orthogonal3(rows))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from exc
+    if args.backend == FLOAT and not all(math.isfinite(v) for v in rotated.indep):
+        raise InputError("rotated tensor is not finite in binary64; scale the tensor down")
     _emit(_json(to_json_dict(rotated)), args)
     return 0
 

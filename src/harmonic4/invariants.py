@@ -33,9 +33,10 @@ as C = D W D with D symmetric:
 
 :data:`_FORMS` is that table.  Both engines read both tables, summing
 over k in the same order.  The float engine, :func:`invariants_float`,
-forms G on a whole (N, 9) stack of components at once; one float tensor
-is the N = 1 case.  The generic engine forms the eight entries on lists
-over any commutative ring, 334 ring products in all: symbolic tensors
+forms G on a whole (N, 9) stack of components at once, through their
+pair views (:func:`invariants_of_views`); one float tensor is the N = 1
+case.  The generic engine forms the eight entries on lists over any
+commutative ring, 334 ring products in all: symbolic tensors
 expand in sparse polynomials, and exact tensors run in Python integers.
 Its ring contract: sums, binary and unary differences and products of
 ring elements, and the product 2 * x with the int 2 at the weight-2 pairs.
@@ -225,14 +226,18 @@ def _invariants_generic(indep) -> InvariantVector:
 
 
 def invariants_float(components) -> np.ndarray:
-    """The ten invariants of an (N, 9) stack of float components, as (N, 10).
+    """The ten invariants of an (N, 9) stack of float components, as (N, 10), via pair views."""
+    return invariants_of_views(pair_view_float(components))
 
-    Columns follow :data:`INVARIANT_NAMES`.  The module's formulas on
-    (N, 6, 6) pair views: b and b2 as the generic sums over k, J2 = tr B,
-    y = (Wb, Wb2) D as one product and the Gram matrices G as another.
-    Every gather keeps C order, so each row takes the same path at any N.
+
+def invariants_of_views(d) -> np.ndarray:
+    """The ten invariants of an (N, 6, 6) stack of float pair views, as (N, 10).
+
+    Columns follow :data:`INVARIANT_NAMES`.  The module's formulas: b and
+    b2 as the generic sums over k, J2 = tr B, y = (Wb, Wb2) D as one
+    product and the Gram matrices G as another.  Every gather keeps C
+    order, so each row takes the same path at any N.
     """
-    d = pair_view_float(components)
     n = len(d)
     dw = d * _W
     c = dw @ d.transpose(0, 2, 1)

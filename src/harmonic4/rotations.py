@@ -12,13 +12,16 @@ relative drift of each invariant.
 
 One formula serves every ring: on the pair view of ``invariants``, Q acts
 as K D K^T with K_(ab),(kl) = Q_ak Q_bl + [k < l] Q_al Q_bk (Mehrabadi &
-Cowin, Q. J. Mech. Appl. Math. 1990).  Float tensors take it batched
-(:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
-per trial seed.  :func:`isotropy_suite` samples, rotates and evaluates
-all its tensors x trials in shared blocks of at most
-:data:`ISOTROPY_BLOCK` rows through that engine; :func:`isotropy_check`
-is the one-tensor case of the same loop, and :func:`rotate` and
-:func:`random_rotation` are the N = 1 case.
+Cowin, Q. J. Mech. Appl. Math. 1990).  Float tensors take it batched on
+pair views (:func:`_rotate_views`, whose case on components is
+:func:`rotate_float`), and :func:`haar_matrices` draws one Haar matrix
+per trial seed.  :func:`isotropy_suite` runs all its tensors x trials in
+shared blocks of at most :data:`ISOTROPY_BLOCK` rows, one engine call
+each: a tensor's pair view is built once, rotated by broadcasting and
+completed once, and leads its first block, so its own invariants come
+from that call too.  :func:`isotropy_check` is the one-tensor case of
+the same loop, and :func:`rotate` and :func:`random_rotation` are the
+N = 1 case.
 
 Every seeded draw comes from one vectorised seed stream,
 :func:`tensor._seed_stream`: SplitMix64 in uint64 array arithmetic over
@@ -46,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensor as tc
-from .invariants import (_PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view, invariants,
-                         invariants_float, pair_view_float)
+from .invariants import (_PAIR_COLS, _PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view,
+                         invariants_of_views, pair_view_float)
 from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
@@ -210,33 +213,44 @@ def rotate_float(components, matrices) -> np.ndarray:
     """Rotate a stack of float tensors: (N, 9) components by (N, 3, 3) matrices.
 
     A single tensor, shape (1, 9), is rotated by every matrix of the
-    stack.  Returns the (N, 9) components of K D K^T on the pair view,
-    read back from the independent slots; in debug builds the dependent
-    slots of the transform are checked against their trace completion.
+    stack, and a single matrix, shape (1, 3, 3), rotates every tensor.
+    Returns the (N, 9) components of K D K^T on the pair view, read back
+    from the independent slots; in debug builds the dependent slots of the
+    transform are checked against their trace completion.
     """
-    padded = np.zeros((len(matrices), 10))
-    padded[:, :9] = np.reshape(matrices, (-1, 9))
-    f = np.take(padded, _K_FACTORS, axis=1)
-    k = f[:, 0] * f[:, 1]
-    k += f[:, 2] * f[:, 3]
-    rotated = (k @ pair_view_float(components) @ k.transpose(0, 2, 1)).reshape(-1, 36)
-    out = np.take(rotated, _INDEPENDENT_PAIRS, axis=1)
+    out, rotated = _rotate_views(pair_view_float(components), np.asarray(matrices, dtype=float))
     if __debug__:
-        _assert_traceless(rotated, out)
+        _assert_traceless(rotated, tc.slots_float(out))
     return out
 
 
-def _assert_traceless(rotated, indep):
-    """Check the dependent slots of (N, 36) pair views against the completion of ``indep``.
+def _rotate_views(views, matrices) -> tuple:
+    """K D K^T of pair views (..., 6, 6) by matrices (..., 3, 3), broadcast as in matmul.
+
+    Returns the (P, 9) components read back from the independent slots and
+    the (P, 36) transformed pair views, both in C order over the broadcast
+    axes.
+    """
+    lead = matrices.shape[:-2]
+    padded = np.zeros((*lead, 10))
+    padded[..., :9] = matrices.reshape(*lead, 9)
+    f = np.take(padded, _K_FACTORS, axis=-1)
+    k = f[..., 0, :, :] * f[..., 1, :, :]
+    k += f[..., 2, :, :] * f[..., 3, :, :]
+    rotated = (k @ views @ k.swapaxes(-1, -2)).reshape(-1, 36)
+    return np.take(rotated, _INDEPENDENT_PAIRS, axis=1), rotated
+
+
+def _assert_traceless(rotated, slots):
+    """Check the dependent slots of (N, 36) pair views against the (N, 15) completed ``slots``.
 
     The bound is 1e-10 * max(1, largest |entry|) per tensor, so only a
     broken contraction trips it, never rounding.
     """
-    completed = np.array(tc._dependents(*indep.T))
     scale = 1e-10 * np.maximum(1.0, np.abs(rotated).max(axis=1))
-    bad = np.abs(rotated[:, _DEPENDENT_PAIRS].T - completed) > scale
+    bad = np.abs(rotated[:, _DEPENDENT_PAIRS] - slots[:, 9:]) > scale[:, None]
     if bad.any():
-        row, col = np.argwhere(bad.T)[0]
+        row, col = np.argwhere(bad)[0]
         raise AssertionError(f"rotated tensor {row} lost tracelessness at "
                              f"{tc.DEPENDENT_SLOTS[col]}")
 
@@ -322,8 +336,7 @@ def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) ->
     components = tc._random_components(tensor_seeds)
     d = pair_view_float(components)
     units = components / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
-    base = invariants_float(units)
-    reports = _isotropy_reports(units, base, tensor_seeds, trials)
+    reports = _isotropy_reports(units, tensor_seeds, trials)
     return all(r.passed for r in reports), reports
 
 
@@ -338,28 +351,28 @@ def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
     entry.  Failure is data in the report, never an exception.
     ``rotate(d, random_rotation(report.worst_seed))`` replays the largest
     deviation bit for bit.
+    A tensor that is not float is rounded to binary64 first, so f(D) is the
+    float engine's value on the rounded components, not the exact f(D)
+    rounded; the two agree for a tensor of small integers.
     """
-    vec = invariants(d)
-    base = np.array([[float(vec[name]) for name in INVARIANT_NAMES]])
     seeds = tc._seed_array([seed])
-    return _isotropy_reports(np.array([d.indep], dtype=float), base, seeds, trials)[0]
+    return _isotropy_reports(np.array([d.indep], dtype=float), seeds, trials)[0]
 
 
-def _isotropy_reports(components, base, seeds, trials: int) -> list:
+def _isotropy_reports(components, seeds, trials: int) -> list:
     """The isotropy loop: one report per tensor, all (tensor, trial) rows in blocks.
 
-    ``components`` (M, 9) are the tensors, ``base`` (M, 10) their
-    invariants and ``seeds`` (M,) their uint64 seeds.  A block is a
-    rectangle of whole tensors by a run of trials, at most
-    :data:`ISOTROPY_BLOCK` rows, so neither the trial seeds nor the
-    deviations ever exist for all rows at once.  Each tensor keeps its
-    running worst deviations and the first trial with the largest one.
+    ``components`` (M, 9) are the tensors and ``seeds`` (M,) their uint64
+    seeds.  A block is a rectangle of whole tensors by a run of trials, at
+    most :data:`ISOTROPY_BLOCK` rows, so neither the trial seeds nor the
+    deviations ever exist for all rows at once; a tensor's first block also
+    evaluates the tensor itself.  Each tensor keeps its running worst
+    deviations and the first trial with the largest one.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    # ||D||_F as the Python pow J2 ** 0.5, which may differ from np.sqrt in the last bit.
-    norms = np.array([float(j2) ** 0.5 if j2 > 0 else 0.0 for j2 in base[:, 0]])
-    scales = np.maximum(np.abs(base), norms[:, None] ** _DEGREES)
+    views = pair_view_float(components)
+    base, scales = np.empty((2, len(seeds), 10))
     worst = np.zeros(base.shape)
     worst_dev = np.full(len(seeds), -1.0)
     worst_seed = np.zeros(len(seeds), dtype=np.uint64)
@@ -370,9 +383,20 @@ def _isotropy_reports(components, base, seeds, trials: int) -> list:
         for start in range(0, trials, trials_per_block):
             words = tc._seed_stream(seeds[rows], start, min(start + trials_per_block, trials))
             count, width = words.shape
-            rotated = rotate_float(np.repeat(components[rows], width, axis=0),
-                                   haar_matrices(words.ravel()))
-            got = invariants_float(rotated).reshape(count, width, -1)
+            haar = haar_matrices(words.ravel()).reshape(count, width, 3, 3)
+            out, rotated = _rotate_views(views[rows, None], haar)
+            slots = tc.slots_float(out)
+            if __debug__:
+                _assert_traceless(rotated, slots)
+            completed = np.take(slots, _PAIR_COLS, axis=1).reshape(-1, 6, 6)
+            got = invariants_of_views(np.concatenate((views[rows], completed)) if start == 0
+                                      else completed)
+            if start == 0:
+                base[rows] = own = got[:count]
+                # ||D||_F as Python's J2 ** 0.5, which may differ from np.sqrt in the last bit.
+                norms = np.array([j2 ** 0.5 if j2 > 0 else 0.0 for j2 in own[:, 0].tolist()])
+                scales[rows] = np.maximum(np.abs(own), norms[:, None] ** _DEGREES)
+            got = got[-count * width:].reshape(count, width, -1)
             delta = np.abs(got - base[rows, None])
             with np.errstate(divide="ignore", invalid="ignore"):
                 dev = np.where(delta == 0.0, 0.0, delta / scales[rows, None])

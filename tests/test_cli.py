@@ -197,8 +197,8 @@ class TestRotateCommand:
         proc = subprocess.run([sys.executable, "-m", "harmonic4", *argv],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("error: result is not finite in binary64 "
-                               "(Out of range float values are not JSON compliant: nan)\n")
+        assert proc.stderr == ("error: rotated tensor is not finite in binary64; "
+                               "scale the tensor down\n")
 
 
 class TestVerifyCommand:

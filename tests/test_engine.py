@@ -35,9 +35,10 @@ from harmonic4 import (
     rotate,
 )
 from harmonic4 import rotations
-from harmonic4.invariants import _W, invariants_float, pair_view_float
+from harmonic4.invariants import _W, invariants_float, invariants_of_views, pair_view_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
-from harmonic4.tensor import INDEPENDENT_SLOTS, _random_components, _seed_stream, expand_float
+from harmonic4.tensor import (INDEPENDENT_SLOTS, _random_components, _seed_stream, expand_float,
+                              slots_float)
 
 #: Relative tolerance of the float engine against the exact oracle, measured
 #: against max(|J|, ||D||_F^k): a few hundred ulps of the largest term.
@@ -344,10 +345,35 @@ class TestBatchedRotation:
     def test_debug_check_catches_broken_completion(self, slot):
         comps = np.random.default_rng(slot).standard_normal((3, 9))
         views = pair_view_float(comps).reshape(3, 36)
-        rotations._assert_traceless(views, comps)
+        rotations._assert_traceless(views, slots_float(comps))
         views[1, rotations._DEPENDENT_PAIRS[slot]] += 1e-6
         with pytest.raises(AssertionError, match=str(rotations.tc.DEPENDENT_SLOTS[slot])):
-            rotations._assert_traceless(views, comps)
+            rotations._assert_traceless(views, slots_float(comps))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_accepted_shapes_equal_one_rotation_at_a_time(self, n):
+        comps, qs = _random_components(range(n + 1)), haar_matrices(range(50, 51 + n))
+        one_c, one_q, cs, ms = comps[:1], qs[:1], comps[1:], qs[1:]
+        for c, q, pairs in ((one_c, ms, [(one_c[0], m) for m in ms]),
+                            (cs, one_q, [(v, one_q[0]) for v in cs]),
+                            (cs, ms, list(zip(cs, ms)))):
+            got = rotate_float(c, q)
+            assert got.shape == (n, 9)
+            assert got.tobytes() == np.array([one_rotation(v, m) for v, m in pairs]).tobytes()
+
+
+def one_rotation(c, q) -> list:
+    """K D K^T of one tensor by one matrix as 6x6 products, K built entry by entry.
+
+    K_(ab),(kl) = Q_ak Q_bl + Q_al Q_bk for k < l and Q_ak Q_bl + 0.0 for k = l,
+    as the padded zero of ``rotate_float`` gives it; the nine components are
+    read at the independent slots.
+    """
+    k = np.array([[q[a - 1, i - 1] * q[b - 1, j - 1]
+                   + (q[a - 1, j - 1] * q[b - 1, i - 1] if i < j else 0.0)
+                   for i, j in PAIRS] for a, b in PAIRS])
+    rotated = k @ pair_view_float([c])[0] @ k.T
+    return [rotated[PAIRS.index(s[:2]), PAIRS.index(s[2:])] for s in INDEPENDENT_SLOTS]
 
 
 def loop_isotropy(d, trials, seed):
@@ -447,6 +473,52 @@ class TestSeedStream:
     def test_boolean_seeds_raise(self, draw, seed):
         with pytest.raises(TypeError, match="boolean"):
             draw(seed)
+
+
+class TestIsotropyBlocks:
+    @pytest.mark.parametrize("m, t", [(1, 1), (1, 1024), (20, 10), (7, 3)])
+    def test_broadcast_rows_equal_repeated_rows(self, m, t):
+        comps, qs = _random_components(range(m)), haar_matrices(range(m * t))
+        out, views = rotations._rotate_views(pair_view_float(comps)[:, None],
+                                             qs.reshape(m, t, 3, 3))
+        repeated = np.repeat(comps, t, axis=0)
+        want, want_views = rotations._rotate_views(pair_view_float(repeated), qs)
+        assert out.tobytes() == want.tobytes() == rotate_float(repeated, qs).tobytes()
+        assert views.tobytes() == want_views.tobytes()
+
+    @staticmethod
+    def count_engine_calls(monkeypatch) -> list:
+        """Record the pair views of each call of the engine's pair-view stage."""
+        calls = []
+
+        def stage(views):
+            calls.append(views.copy())
+            return invariants_of_views(views)
+
+        monkeypatch.setattr(rotations, "invariants_of_views", stage)
+        return calls
+
+    def test_one_engine_call_per_block(self, monkeypatch):
+        calls = self.count_engine_calls(monkeypatch)
+        isotropy_suite(num_tensors=20, trials=10)
+        assert [len(views) for views in calls] == [20 + 20 * 10]
+
+    @pytest.mark.parametrize("trials", [3, 10])
+    def test_own_views_lead_only_the_first_trial_block(self, monkeypatch, trials):
+        # Blocks of 7 rows: tensors (0, 1), (2, 3) and (4) for 3 trials, or
+        # trials 0-6 and 7-9 of each tensor for 10.
+        monkeypatch.setattr(rotations, "ISOTROPY_BLOCK", 7)
+        calls = self.count_engine_calls(monkeypatch)
+        isotropy_suite(num_tensors=5, trials=trials, seed=11)
+        comps = _random_components(_seed_stream([11], 0, 5)[0])
+        d = pair_view_float(comps)
+        units = comps / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
+        own = {view.tobytes(): n for n, view in enumerate(pair_view_float(units))}
+        found = [[own.get(view.tobytes()) for view in views] for views in calls]
+        if trials == 3:
+            assert found == [[0, 1] + [None] * 6, [2, 3] + [None] * 6, [4] + [None] * 3]
+        else:
+            assert found == [row for n in range(5) for row in ([n] + [None] * 7, [None] * 3)]
 
 
 def loop_suite(num_tensors, trials, seed):

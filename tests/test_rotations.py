@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ class TestIsotropyCheck:
                       / max(abs(base[name]), norm ** INVARIANT_DEGREES[name])
                       for name in INVARIANT_NAMES]
         assert max(deviations) == max(report.deviations.values()) > 0
+
+    def test_int_tensor_checks_as_its_float_copy(self):
+        ints = from_independent((1, -2, 0, 3, 1, 0, 2, -1, 1), backend=EXACT)
+        floats = from_independent([float(v) for v in ints.indep], backend=FLOAT)
+        # binary64 holds these invariants and every step of the float engine exactly.
+        exact = invariants(ints)
+        assert [float(exact[name]) for name in INVARIANT_NAMES] == list(invariants(floats)
+                                                                          .as_dict().values())
+        assert isotropy_check(ints, trials=50, seed=3) == isotropy_check(floats, trials=50, seed=3)
+
+    def test_rational_tensor_is_rounded_to_binary64_first(self):
+        thirds = from_independent([Fraction(k, 3) for k in (1, -2, 4, 5, 1, -1, 2, 7, -4)],
+                                  backend=EXACT)
+        rounded = from_independent([float(v) for v in thirds.indep], backend=FLOAT)
+        assert (isotropy_check(thirds, trials=50, seed=3)
+                == isotropy_check(rounded, trials=50, seed=3))
 
     def test_trial_seeds_are_deterministic(self):
         assert trial_seeds(5, 8) == trial_seeds(5, 8)
