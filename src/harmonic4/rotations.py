@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensor as tc
-from .invariants import (_PAIR_COLS, _PAIRS, _W, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view,
+from .invariants import (_PAIR_COLS, _PAIRS, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view,
                          invariants_of_views, pair_view_float)
 from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
@@ -288,7 +288,7 @@ def haar_matrices(seeds) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-_DEGREES = np.array([INVARIANT_DEGREES[name] for name in INVARIANT_NAMES])
+_DEGREES = tuple(INVARIANT_DEGREES[name] for name in INVARIANT_NAMES)
 
 #: The paper's isotropy gates: the largest relative drift each invariant may
 #: show, 1e-8 up to degree 6 and 1e-7 above.
@@ -301,9 +301,9 @@ _GATES = np.array([ISOTROPY_GATES[name] for name in INVARIANT_NAMES])
 class IsotropyReport:
     """Worst-case relative invariant drift over a batch of random rotations.
 
-    ``worst_seed`` is the first trial seed with the largest deviation; the
-    invariants of ``rotate(d, random_rotation(worst_seed))`` reproduce that
-    deviation bit for bit.
+    ``worst_seed`` is the first trial seed with the largest deviation, NaN
+    the largest; the invariants of ``rotate(d, random_rotation(worst_seed))``
+    reproduce that deviation bit for bit.
     """
 
     trials: int
@@ -322,21 +322,18 @@ def trial_seeds(seed: int, trials: int) -> list:
 
 
 def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) -> tuple:
-    """:func:`isotropy_check` on seeded random unit-norm tensors, in one pass.
+    """:func:`isotropy_check` on seeded random float tensors, in one pass.
 
-    Tensor n is ``random_harmonic(s_n)`` over its Frobenius norm, checked
-    with seed s_n, where s_n = ``trial_seeds(seed, num_tensors)[n]``; every
-    (tensor, trial) row runs through the loop of :func:`isotropy_check` in
-    shared blocks.  Returns (passed, reports); it passes iff every report
-    passes, and needs at least one tensor and one trial.
+    With s_n = ``trial_seeds(seed, num_tensors)[n]``, report n is
+    ``isotropy_check(random_harmonic(s_n), trials, s_n)`` bit for bit: every
+    (tensor, trial) row runs through that loop in shared blocks.  Returns
+    (passed, reports); it passes iff every report passes, and needs at
+    least one tensor and one trial.
     """
     if num_tensors < 1:
         raise ValueError("need at least one tensor")
     tensor_seeds = tc._seed_stream([seed], 0, num_tensors)[0]
-    components = tc._random_components(tensor_seeds)
-    d = pair_view_float(components)
-    units = components / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
-    reports = _isotropy_reports(units, tensor_seeds, trials)
+    reports = _isotropy_reports(tc._random_components(tensor_seeds), tensor_seeds, trials)
     return all(r.passed for r in reports), reports
 
 
@@ -367,46 +364,48 @@ def _isotropy_reports(components, seeds, trials: int) -> list:
     most :data:`ISOTROPY_BLOCK` rows, so neither the trial seeds nor the
     deviations ever exist for all rows at once; a tensor's first block also
     evaluates the tensor itself.  Each tensor keeps its running worst
-    deviations and the first trial with the largest one.
+    deviations and the first trial with the largest one, NaN counting as largest.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    views = pair_view_float(components)
     base, scales = np.empty((2, len(seeds), 10))
     worst = np.zeros(base.shape)
     worst_dev = np.full(len(seeds), -1.0)
     worst_seed = np.zeros(len(seeds), dtype=np.uint64)
     tensors_per_block = max(1, ISOTROPY_BLOCK // trials)
     trials_per_block = min(trials, ISOTROPY_BLOCK)
-    for first in range(0, len(seeds), tensors_per_block):
-        rows = slice(first, first + tensors_per_block)
-        for start in range(0, trials, trials_per_block):
-            words = tc._seed_stream(seeds[rows], start, min(start + trials_per_block, trials))
-            count, width = words.shape
-            haar = haar_matrices(words.ravel()).reshape(count, width, 3, 3)
-            out, rotated = _rotate_views(views[rows, None], haar)
-            slots = tc.slots_float(out)
-            if __debug__:
-                _assert_traceless(rotated, slots)
-            completed = np.take(slots, _PAIR_COLS, axis=1).reshape(-1, 6, 6)
-            got = invariants_of_views(np.concatenate((views[rows], completed)) if start == 0
-                                      else completed)
-            if start == 0:
-                base[rows] = own = got[:count]
-                # ||D||_F as Python's J2 ** 0.5, which may differ from np.sqrt in the last bit.
-                norms = np.array([j2 ** 0.5 if j2 > 0 else 0.0 for j2 in own[:, 0].tolist()])
-                scales[rows] = np.maximum(np.abs(own), norms[:, None] ** _DEGREES)
-            got = got[-count * width:].reshape(count, width, -1)
-            delta = np.abs(got - base[rows, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        views = pair_view_float(components)
+        for first in range(0, len(seeds), tensors_per_block):
+            rows = slice(first, first + tensors_per_block)
+            for start in range(0, trials, trials_per_block):
+                words = tc._seed_stream(seeds[rows], start, min(start + trials_per_block, trials))
+                count, width = words.shape
+                haar = haar_matrices(words.ravel()).reshape(count, width, 3, 3)
+                out, rotated = _rotate_views(views[rows, None], haar)
+                slots = tc.slots_float(out)
+                if __debug__:
+                    _assert_traceless(rotated, slots)
+                completed = np.take(slots, _PAIR_COLS, axis=1).reshape(-1, 6, 6)
+                got = invariants_of_views(np.concatenate((views[rows], completed)) if start == 0
+                                          else completed)
+                if start == 0:
+                    base[rows] = own = got[:count]
+                    # ||D||_F^k as libm's pow gives Python's (J2 ** 0.5) ** k, which np.power may
+                    # miss in the last bit; numpy scalars make an overflow inf, not an error.
+                    norms = [np.float64(j2 ** 0.5 if j2 > 0 else 0.0) for j2 in own[:, 0].tolist()]
+                    powers = [[n ** k for k in _DEGREES] for n in norms]
+                    scales[rows] = np.maximum(np.abs(own), powers)
+                got = got[-count * width:].reshape(count, width, -1)
+                delta = np.abs(got - base[rows, None])
                 dev = np.where(delta == 0.0, 0.0, delta / scales[rows, None])
-            worst[rows] = np.maximum(worst[rows], dev.max(axis=1))
-            per_trial = dev.max(axis=2)
-            at = per_trial.argmax(axis=1)
-            top = per_trial[np.arange(count), at]
-            better = top > worst_dev[rows]
-            worst_dev[rows] = np.where(better, top, worst_dev[rows])
-            worst_seed[rows] = np.where(better, words[np.arange(count), at], worst_seed[rows])
+                worst[rows] = np.maximum(worst[rows], dev.max(axis=1))
+                per_trial = dev.max(axis=2)
+                at = per_trial.argmax(axis=1)
+                top = per_trial[np.arange(count), at]
+                better = (top > worst_dev[rows]) | (np.isnan(top) & ~np.isnan(worst_dev[rows]))
+                worst_dev[rows] = np.where(better, top, worst_dev[rows])
+                worst_seed[rows] = np.where(better, words[np.arange(count), at], worst_seed[rows])
     passed = (worst <= _GATES).all(axis=1).tolist()
     return [IsotropyReport(trials=trials, deviations=dict(zip(INVARIANT_NAMES, deviations)),
                            worst_seed=seed, passed=ok)

@@ -36,22 +36,22 @@ Voigt/Mandel form (Mehrabadi & Cowin, Q. J. Mech. Appl. Math. 1990), on
 which Q acts as K D K^T (``invariants``, ``rotations``).  Only
 :meth:`Harmonic4.to_array` and :func:`from_array` use the 81 entries.
 
-Float draws are made straight from the words of one vectorised seed
+Every draw is made straight from the words of one vectorised seed
 stream, :func:`_seed_stream` (SplitMix64 in uint64 array arithmetic),
-with no bit generator: a tensor from words 0-9, a Haar matrix
-(``rotations.haar_matrices``) from words 0-3.
+with no bit generator: a float tensor from words 0-9, an exact one from
+words 0-17 on (:func:`_below`), a Haar matrix (``rotations.haar_matrices``)
+from words 0-3.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, count, product
 
 import numpy as np
 
@@ -125,10 +125,6 @@ def multiplicity(slot) -> int:
     for rep in Counter(slot).values():
         count //= math.factorial(rep)
     return count
-
-
-#: Arrangement weights of the 15 canonical slots (sum = 81).
-SLOT_WEIGHTS = {slot: multiplicity(slot) for slot in ALL_SLOTS}
 
 
 _NUMPY_VALUES = (np.generic, np.ndarray)
@@ -206,7 +202,7 @@ class Harmonic4:
     def frobenius_norm_sq(self):
         """Sum of the squares of all 81 entries (equals the degree-2 invariant)."""
         full = self._full
-        return sum(w * full[s] * full[s] for s, w in SLOT_WEIGHTS.items())
+        return sum(multiplicity(s) * full[s] * full[s] for s in ALL_SLOTS)
 
     @cached_property
     def _array(self) -> np.ndarray:
@@ -374,20 +370,25 @@ def _random_components(seeds) -> np.ndarray:
     return out.reshape(-1, 10)[:, :9]
 
 
+def _below(words, n: int) -> int:
+    """w % n of the next word below 2**64 - 2**64 % n: uniform in [0, n) (Lemire, TOMACS 2019)."""
+    return next(w for w in words if w < SEED_LIMIT - SEED_LIMIT % n) % n
+
+
 def random_harmonic(seed: int, backend: str = FLOAT) -> Harmonic4:
     """Deterministic random harmonic tensor.
 
-    Both backends take a seed in [0, 2**64) (:func:`_seed_array`).  The
-    float backend draws the 9 components i.i.d. standard normal from the
-    seed's SplitMix64 words (:func:`_random_components`), the same alone or
-    in a stack; the exact backend draws uniform rationals with numerator
-    in [-12, 12] and denominator in [1, 12].  Same seed, same tensor.
+    Both backends draw from the SplitMix64 words of a seed in [0, 2**64): the
+    float backend 9 i.i.d. standard normals (:func:`_random_components`), the
+    same alone or in a stack; the exact backend, word by word (:func:`_below`),
+    a numerator in [-12, 12] then a denominator in [1, 12] per component.
     """
     if backend == FLOAT:
         return Harmonic4(tuple(_random_components([seed])[0].tolist()))
     if backend == EXACT:
-        rng = random.Random(int(_seed_array([seed])[0]))
-        return Harmonic4(tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        words = chain.from_iterable(_seed_stream([seed], i, i + 18)[0].tolist()
+                                    for i in count(0, 18))
+        return Harmonic4(tuple(Fraction(_below(words, 25) - 12, _below(words, 12) + 1)
                                for _ in range(9)))
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -11,6 +11,7 @@ rebuilt from its words one value at a time, with numpy ufuncs on
 
 import importlib
 import math
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -35,7 +36,7 @@ from harmonic4 import (
     rotate,
 )
 from harmonic4 import rotations
-from harmonic4.invariants import _W, invariants_float, invariants_of_views, pair_view_float
+from harmonic4.invariants import invariants_float, invariants_of_views, pair_view_float
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
 from harmonic4.tensor import (INDEPENDENT_SLOTS, _random_components, _seed_stream, expand_float,
                               slots_float)
@@ -262,6 +263,21 @@ def ufunc(f, x):
     return f(np.array([x]))[0].item()
 
 
+def scalar_exact_components(words):
+    """One exact tensor's nine Fractions from stream words, one value at a time.
+
+    Each component takes a numerator w % 25 - 12, then a denominator
+    w % 12 + 1, from the next word w below 2**64 - 2**64 % n for its
+    modulus n; words at or above that bound are skipped.
+    """
+    values = []
+    for w in words:
+        n = (25, 12)[len(values) % 2]
+        if w < 2**64 - 2**64 % n:
+            values.append(w % n)
+    return tuple(Fraction(values[p] - 12, values[p + 1] + 1) for p in range(0, 18, 2))
+
+
 def scalar_haar_matrix(seed):
     """One Haar matrix in Python floats: Shoemake's quaternion, then the coin flip."""
     words = stream_words(seed, 4)
@@ -412,6 +428,27 @@ class TestBlockedIsotropy:
         report = isotropy_check(zero, trials=3, seed=9)
         assert report.worst_seed == trial_seeds(9, 3)[0]
 
+    @pytest.mark.parametrize("trials", [3, 1100])
+    def test_nan_deviation_keeps_first_trial(self, trials):
+        # J2 of this tensor overflows, so every trial deviates by NaN, with no
+        # RuntimeWarning; 1,100 trials take two blocks.
+        huge = from_independent([1e200] + [0.0] * 8, backend=FLOAT)
+        report = isotropy_check(huge, trials=trials, seed=9)
+        assert not report.passed
+        assert math.isnan(report.deviations["J10"])
+        assert report.worst_seed == trial_seeds(9, trials)[0]
+
+    def test_nan_deviation_counts_as_largest(self, monkeypatch):
+        def stage(views):
+            got = invariants_of_views(views)
+            got[2, 3] = np.nan  # row 0 is the tensor itself, so this is trial 1's J5
+            return got
+
+        monkeypatch.setattr(rotations, "invariants_of_views", stage)
+        report = isotropy_check(random_harmonic(21, backend=FLOAT), trials=3, seed=5)
+        assert math.isnan(report.deviations["J5"]) and not report.passed
+        assert report.worst_seed == trial_seeds(5, 3)[1]
+
 
 #: Seeds at the edges of [0, 2**64); from 2**64 - gamma, word 0's state wraps to exactly 0.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - GAMMA, 2**64 - 1]
@@ -445,11 +482,38 @@ class TestSeedStream:
         for s in EDGE_SEEDS + list(range(20)):
             assert random_harmonic(s, backend=FLOAT).indep == scalar_components(s)
 
+    def test_exact_tensors_equal_rejection_draws(self):
+        for s in EDGE_SEEDS + list(range(20)):
+            assert random_harmonic(s, backend=EXACT).indep == scalar_exact_components(
+                stream_words(s, 18))
+
+    def test_exact_draw_skips_words_at_the_bound(self, monkeypatch):
+        # Word 0 (2**64 - 1) is skipped as a numerator and word 2 (2**64 - 4,
+        # the bound for 12) as a denominator; word 1 (2**64 - 17, just below
+        # the bound for 25) is kept as numerator 24 - 12.  So the draw reads
+        # 20 words, past the first 18.
+        planted = {0: 2**64 - 1, 1: 2**64 - 17, 2: 2**64 - 4}
+
+        def stream(seeds, start, stop):
+            out = _seed_stream(seeds, start, stop).copy()
+            for i, w in planted.items():
+                if start <= i < stop:
+                    out[:, i - start] = w
+            return out
+
+        monkeypatch.setattr(importlib.import_module("harmonic4.tensor"), "_seed_stream", stream)
+        words = [planted.get(i, w) for i, w in enumerate(stream_words(3, 20))]
+        got = random_harmonic(3, backend=EXACT).indep
+        assert got == scalar_exact_components(words)
+        assert got[0] == Fraction(12, stream_words(3, 4)[3] % 12 + 1)
+        assert got != scalar_exact_components(stream_words(3, 18))
+
     def test_src_never_names_numpy_random(self):
         src = Path(rotations.__file__).resolve().parent
         for path in src.glob("*.py"):
             text = path.read_text()
             assert "np.random" not in text and "numpy.random" not in text, path.name
+            assert not re.search(r"^\s*(import|from) random\b", text, re.M), path.name
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("draw", [
@@ -511,9 +575,7 @@ class TestIsotropyBlocks:
         calls = self.count_engine_calls(monkeypatch)
         isotropy_suite(num_tensors=5, trials=trials, seed=11)
         comps = _random_components(_seed_stream([11], 0, 5)[0])
-        d = pair_view_float(comps)
-        units = comps / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
-        own = {view.tobytes(): n for n, view in enumerate(pair_view_float(units))}
+        own = {view.tobytes(): n for n, view in enumerate(pair_view_float(comps))}
         found = [[own.get(view.tobytes()) for view in views] for views in calls]
         if trials == 3:
             assert found == [[0, 1] + [None] * 6, [2, 3] + [None] * 6, [4] + [None] * 3]
@@ -522,14 +584,9 @@ class TestIsotropyBlocks:
 
 
 def loop_suite(num_tensors, trials, seed):
-    """The per-tensor suite: each tensor drawn and normalised alone, then the per-trial loop."""
-    results = []
-    for ts in stream_words(seed, num_tensors):
-        components = np.array([scalar_components(ts)])
-        d = pair_view_float(components)
-        unit = components / np.sqrt((d * d * _W * _W[:, None]).sum(axis=(1, 2)))[:, None]
-        results.append(loop_isotropy(Harmonic4(tuple(unit[0].tolist())), trials, ts))
-    return results
+    """The per-tensor suite: each tensor drawn alone, then the per-trial loop."""
+    return [loop_isotropy(Harmonic4(scalar_components(ts)), trials, ts)
+            for ts in stream_words(seed, num_tensors)]
 
 
 class TestBatchedSuite:
@@ -546,6 +603,12 @@ class TestBatchedSuite:
             assert report.deviations == worst
             assert report.worst_seed == worst_seed
             assert type(report.worst_seed) is int
+
+    @pytest.mark.parametrize("trials", [10, 1000, 1100])
+    def test_reports_replay_with_isotropy_check(self, trials):
+        _, reports = isotropy_suite(num_tensors=20, trials=trials, seed=42)
+        for report, ts in zip(reports, trial_seeds(42, 20), strict=True):
+            assert report == isotropy_check(random_harmonic(ts), trials, ts)
 
     @pytest.mark.parametrize("num_tensors", [0, -1])
     def test_needs_a_tensor(self, num_tensors):
