@@ -21,9 +21,10 @@ give 18 such (basis, member) cells.
   only each cell's label and verdict off that same pass.
 * The tensors of the catalog and sign pairs are module constants, built
   at import; each ``build()`` wraps them in a new :class:`WitnessPair`.
-  Only the J8 bisection and the two J6 Newton solves run on each call, and
-  each Newton probe is one float-engine call on a fixed 7-point stencil
-  around its point.
+  Only the J8 bisection and the two J6 Newton solves run on each call.
+  The two J6 solves run as one batch: each Newton round probes every open
+  run on a fixed 7-point stencil around its point, all in one float-engine
+  call, and each run takes the steps it takes alone.
 
 The pairs come from three constructions:
 
@@ -182,23 +183,31 @@ class Witness:
 
     ``printed`` holds the invariant values the paper gives for the left and
     the right tensor.  The pair's gate follows from its tensors; see
-    :func:`check_pair`.
+    :func:`check_pair`.  A solved row names its agreement system in
+    ``matched``: :func:`verify_witnesses` solves every such system in one
+    Newton batch, while ``build`` solves the row's system alone.
     """
 
     label: str
     build: Callable[[], WitnessPair]
     printed: tuple = ({}, {})
+    matched: tuple = ()
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a root find or agreement-system solve."""
+    """Outcome of a root find or agreement-system solve.
+
+    ``residual_history`` holds a Newton solve's residual norm at its start
+    and at each accepted iterate; it is left out of :meth:`to_json_dict`.
+    """
 
     solution: dict
     residual_norm: float
     iterations: int
     converged: bool
     message: str = ""
+    residual_history: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -379,9 +388,15 @@ def mirror_pair(d1123: float, delta: float, d2223: float) -> WitnessPair:
     -1/4 - delta on the right, so J2 agrees for free.  The J8 pair and both
     J6 pairs are points of this family.
     """
-    b, delta, d = float(d1123), float(delta), float(d2223)
-    return WitnessPair(Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, -0.25 + delta, 0.0, d)),
-                       Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, -0.25 - delta, 0.0, d)))
+    delta = float(delta)
+    return _mirror_tensors(d1123, -0.25 + delta, -0.25 - delta, d2223)
+
+
+def _mirror_tensors(d1123, d1223, d1223_hat, d2223) -> WitnessPair:
+    """The mirror pair with D1223 = ``d1223`` on the left and ``d1223_hat`` on the right."""
+    b, d = float(d1123), float(d2223)
+    return WitnessPair(Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, float(d1223), 0.0, d)),
+                       Harmonic4((0.0, 0.0, 1.0, 0.0, b, 0.0, float(d1223_hat), 0.0, d)))
 
 
 def j8_family(t: float) -> WitnessPair:
@@ -444,8 +459,7 @@ def _system_residuals(points, matched) -> np.ndarray:
     comps[1, :, 6] = -0.25 - delta
     comps[:, :, 8] = d
     values = invariants_float(comps.reshape(-1, 9)).reshape(2, len(b), -1)
-    cols = [_COLUMN[name] for name in matched]
-    left, right = values[0][:, cols], values[1][:, cols]
+    left, right = values.take([_COLUMN[name] for name in matched], axis=2)
     return (left - right) / np.maximum(1.0, np.maximum(np.abs(left), np.abs(right)))
 
 
@@ -455,10 +469,21 @@ def solve_agreement_system(matched) -> SolveResult:
     Residuals are normalized per equation by max(1, |J_k|) so the
     convergence tolerance :data:`SOLVE_TOL` is meaningful across degrees
     2..10.  The printed solution digits seed the two known systems; a
-    coarse grid search seeds any other.  Non-convergence (including
-    collapse onto the trivial delta=0 manifold) is reported in the result,
-    never raised.  A name given twice counts once.  ``ValueError`` is raised
-    on unknown names and unless exactly three names are live (not J2, not odd).
+    coarse grid search seeds any other, and its seeds are tried one after
+    another until one converges.  This is the batch of one of
+    :func:`_solve_systems`, which gives each system the same result it
+    reaches alone.  Non-convergence (including collapse onto the trivial
+    delta=0 manifold) is reported in the result, never raised.  A name given
+    twice counts once.  ``ValueError`` is raised on unknown names and
+    unless exactly three names are live (not J2, not odd).
+    """
+    return _solve_systems([matched])[0]
+
+
+def _system(matched) -> tuple:
+    """``matched`` without repeats, its live positions and its Newton seeds.
+
+    Raises ``ValueError`` as :func:`solve_agreement_system` says.
     """
     matched = tuple(matched)
     if unknown := [name for name in matched if name not in INVARIANT_NAMES]:
@@ -470,11 +495,24 @@ def solve_agreement_system(matched) -> SolveResult:
     if len(live) != 3:
         raise ValueError(f"{matched} is not square: {len(live)} live equations in 3 unknowns")
     guess = _PAPER_GUESS.get(frozenset(matched))
-    for candidate in [guess] if guess else _grid_seeds(matched):
-        result = _newton(list(candidate), matched, live)
-        if result.converged:
-            break
-    return result
+    return matched, live, [guess] if guess else _grid_seeds(matched)
+
+
+def _solve_systems(systems) -> list:
+    """The :class:`SolveResult` of each agreement system, their Newton runs batched.
+
+    Each system tries its seeds in order until one converges; the k-th
+    seeds of the systems not yet solved run as one batch of :func:`_newton`.
+    """
+    plans = [_system(matched) for matched in systems]
+    results = [None] * len(plans)
+    for k in range(max((len(seeds) for _, _, seeds in plans), default=0)):
+        todo = [i for i, (_, _, seeds) in enumerate(plans)
+                if k < len(seeds) and not (results[i] and results[i].converged)]
+        runs = [(seeds[k], matched, live) for matched, live, seeds in map(plans.__getitem__, todo)]
+        for i, result in zip(todo, _newton(runs)):
+            results[i] = result
+    return results
 
 
 def _grid_seeds(matched) -> list:
@@ -497,13 +535,49 @@ def _cramer(a, b) -> list:
     return [det([row[:j] + [v] + row[j + 1:] for row, v in zip(a, b)]) / d for j in range(3)]
 
 
-def _newton(x, matched, live) -> SolveResult:
-    """Damped Newton from ``x``, stepping on the ``live`` columns of the residuals."""
-    def probe(point):  # every probe, a halved retry too, is one call on its 7-point stencil
-        rows = _system_residuals(point + _STENCIL, matched)
-        return float(np.linalg.norm(rows[0])), rows[:, live].T.tolist()
+def _newton(runs) -> list:
+    """Damped Newton on each (start, matched, live) run; one float-engine call per round.
 
-    r_norm, r_live = probe(x)
+    Each round stacks the 7-point stencils of every open run into one
+    :func:`_system_residuals` call over the union of the matched names, and
+    sends each run its own rows.  A run leaves the batch when it converges
+    or fails.  The engine's rows do not depend on the stack, so every run
+    takes the steps, halvings and stopping rule it takes alone.
+    """
+    names = tuple(dict.fromkeys(name for _, matched, _ in runs for name in matched))
+    steps = []
+    for start, matched, live in runs:
+        cols = np.array([names.index(name) for name in matched], dtype=np.intp)
+        steps.append(_damped_newton(list(start), cols, cols[live]))
+    points = [next(step) for step in steps]
+    results, open_runs = [None] * len(runs), range(len(runs))
+    while open_runs:
+        stencils = np.array([points[i] for i in open_runs])[:, None] + _STENCIL
+        rows = _system_residuals(stencils.reshape(-1, 3), names).reshape(len(open_runs), 7, -1)
+        still_open = []
+        for i, block in zip(open_runs, rows):
+            try:
+                points[i] = steps[i].send(block)
+                still_open.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        open_runs = still_open
+    return results
+
+
+def _damped_newton(x, cols, live):
+    """One run of :func:`_newton`: the norm covers ``cols``, the step the ``live`` columns.
+
+    It yields each point to probe and is sent the residuals of the point's
+    7-point stencil, one row per stencil point and one column per name of
+    the batch; it returns the run's :class:`SolveResult`.
+    """
+    def probe(rows):  # sqrt(r . r) is np.linalg.norm's own formula, bit for bit
+        centre = rows[0].take(cols)
+        return math.sqrt(centre.dot(centre)), rows.T.take(live, 0).tolist()
+
+    r_norm, r_live = probe((yield x))
+    history = [r_norm]
     iterations, message = 0, ""
     while r_norm > SOLVE_TOL and iterations < MAX_ITER:
         step = _cramer([[(row[1 + j] - row[4 + j]) / (2 * _FD_STEP) for j in range(3)]
@@ -514,9 +588,10 @@ def _newton(x, matched, live) -> SolveResult:
         iterations += 1
         for _ in range(30):
             candidate = [a + s for a, s in zip(x, step)]
-            new_norm, new_live = probe(candidate)
+            new_norm, new_live = probe((yield candidate))
             if new_norm < r_norm:
                 x, r_norm, r_live = candidate, new_norm, new_live
+                history.append(r_norm)
                 break
             step = [s / 2 for s in step]
         else:
@@ -532,13 +607,13 @@ def _newton(x, matched, live) -> SolveResult:
         message = f"residual {r_norm:.3e} after {iterations} iterations"
     solution = {"D1113": 1.0, "D1123": b, "D1223": -0.25 + delta, "D2223": d,
                 "D1223_hat": -0.25 - delta}
-    return SolveResult(solution, r_norm, iterations, converged, message)
+    return SolveResult(solution, r_norm, iterations, converged, message, tuple(history))
 
 
 def pair_from_solution(result: SolveResult) -> WitnessPair:
-    """Realize a solved agreement system as its mirror pair."""
+    """Realize a solved agreement system as its mirror pair, from the values it reports."""
     sol = result.solution
-    pair = mirror_pair(sol["D1123"], sol["D1223"] + 0.25, sol["D2223"])
+    pair = _mirror_tensors(sol["D1123"], sol["D1223"], sol["D1223_hat"], sol["D2223"])
     return replace(pair, notes={"solver": result.to_json_dict()}, solved=result.converged)
 
 
@@ -569,7 +644,8 @@ WITNESSES = {w.label: w for w in (
                   {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
     Witness("j8-separation", _j8_pair),
     *(Witness(f"{which}-j6-separation",
-              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)))
+              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)),
+              matched=matched)
       for which, matched in J6_SYSTEMS.items()),
 )}
 
@@ -601,13 +677,18 @@ def _copy_notes(notes: dict) -> dict:
 def _cell_pass(cells):
     """The one check of ``cells``: yield each cell, its label, agree, passed and pair entry.
 
-    One pass over the table (see the module docstring): each pair is built,
-    evaluated, gated and checked against its printed values once.  The pair
-    entry is (pair, left values, right values, gaps), or None for a cell
-    with no witness, which fails.
+    One pass over the table (see the module docstring): the agreement
+    systems of the solved rows are solved in one batch, every other pair is
+    built, and each pair is evaluated, gated and checked against its printed
+    values once.  The pair entry is (pair, left values, right values, gaps),
+    or None for a cell with no witness, which fails.
     """
     labels = dict.fromkeys(CELLS.get(cell) for cell in cells)
-    pairs = {label: WITNESSES[label].build() for label in labels if label in WITNESSES}
+    rows = [WITNESSES[label] for label in labels if label in WITNESSES]
+    systems = [row.matched for row in rows if row.matched]
+    solved = dict(zip(systems, _solve_systems(systems)))
+    pairs = {row.label: pair_from_solution(solved[row.matched]) if row.matched else row.build()
+             for row in rows}
     values = iter(_table_values([t for p in pairs.values() for t in (p.left, p.right)]))
     checked = {}
     for label, pair in pairs.items():

@@ -1,5 +1,6 @@
 """The witness table over the 18 basis cells, root finding, and the solved witnesses."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -294,7 +295,7 @@ class TestAgreementSystems:
     def test_far_guess_reports_non_convergence(self):
         # where a start this far away ends follows the float engine's last bits
         live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
-        result = w._newton([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)
+        result, = w._newton([([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)])
         assert not result.converged
         assert result.message
 
@@ -303,7 +304,7 @@ class TestAgreementSystems:
     def test_start_near_the_trivial_solution_collapses(self, start):
         # (D1123, delta, D2223) with delta = D1223 + 1/4 small: left and right nearly equal
         live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
-        result = w._newton(list(start), J6_SYSTEMS["smith_bao"], live)
+        result, = w._newton([(start, J6_SYSTEMS["smith_bao"], live)])
         assert not result.converged
         assert result.message == "collapsed onto the trivial (left == right) solution"
         assert result.residual_norm <= w.SOLVE_TOL
@@ -380,6 +381,139 @@ class TestAgreementSystems:
         for key, value in canonical.solution.items():
             assert reordered.solution[key] == pytest.approx(value, abs=1e-12)
 
+    def test_pair_is_built_from_the_reported_values(self):
+        # D1223 + 1/4 rounds for this delta: rebuilding delta from D1223 moved
+        # the right tensor's D1223 one bit off the D1223_hat the solve reports
+        delta = 3.578550498664788e-05
+        sol = {"D1113": 1.0, "D1123": -0.4, "D1223": -0.25 + delta, "D2223": 1.1,
+               "D1223_hat": -0.25 - delta}
+        assert sol["D1223_hat"] == -0.2500357855049867
+        assert -0.25 - (sol["D1223"] + 0.25) == -0.2500357855049866
+        pair = pair_from_solution(w.SolveResult(sol, 0.0, 0, True))
+        assert pair.left.indep[6] == sol["D1223"] and pair.right.indep[6] == sol["D1223_hat"]
+        twin = mirror_pair(-0.4, delta, 1.1)
+        assert (pair.left, pair.right) == (twin.left, twin.right)
+
+    @pytest.mark.parametrize("which", sorted(J6_SYSTEMS))
+    def test_residual_history(self, which):
+        result = solve_agreement_system(J6_SYSTEMS[which])
+        history = result.residual_history
+        assert len(history) == result.iterations + 1 and history[-1] == result.residual_norm
+        assert all(a > b for a, b in zip(history, history[1:]))
+        assert history[1] <= history[0] ** 2  # the first step from the printed guess
+        assert "residual_history" not in result.to_json_dict()
+
+
+SMITH_BAO, MIXED = J6_SYSTEMS["smith_bao"], J6_SYSTEMS["mixed"]
+
+#: A start around which the fixture below makes every residual 1: a singular Jacobian.
+SINGULAR = (5000.0, 1.0, 1.0)
+
+
+def newton_runs() -> dict:
+    """(start, matched, live) runs that end in every way a run can end."""
+    runs = {}
+    for name, matched in (("smith_bao", SMITH_BAO), ("mixed", MIXED)):
+        matched, live, (guess,) = w._system(matched)
+        runs[name] = (guess, matched, live)
+    matched, live, seeds = w._system(("J2", "J4", "J6", "J10"))
+    runs["grid"] = (seeds[0], matched, live)
+    runs["far"] = ([40.0, 55.0, -38.0], SMITH_BAO, [1, 2, 3])
+    runs["collapse"] = ((-0.4, 0.01, 1.1), SMITH_BAO, [1, 2, 3])
+    runs["singular"] = (SINGULAR, MIXED, [1, 2, 3])
+    return runs
+
+
+class TestNewtonBatch:
+    """Runs solved together take, field for field, the steps they take alone."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Points per residual call, in call order; every residual is 1 around SINGULAR."""
+        sizes, residuals = [], w._system_residuals
+
+        def patched(points, names):
+            sizes.append(len(points))
+            rows = residuals(points, names)
+            rows[np.abs(np.asarray(points)[:, 0] - SINGULAR[0]) < 1e-6] = 1.0
+            return rows
+
+        monkeypatch.setattr(w, "_system_residuals", patched)
+        return sizes
+
+    @pytest.fixture
+    def lone(self, rounds):
+        """Each run of :func:`newton_runs` alone: its result and its number of probes."""
+        runs = newton_runs()
+        results = {}
+        for name, run in runs.items():
+            rounds.clear()
+            results[name] = w._newton([run])[0], len(rounds)
+            assert rounds == [7] * len(rounds)
+        rounds.clear()
+        return runs, results
+
+    def test_lone_runs_end_every_way(self, lone):
+        _, results = lone
+        ends = {name: (r.converged, r.iterations, r.message) for name, (r, _) in results.items()}
+        converged, _, message = ends.pop("far")  # its end follows the engine's last bits
+        assert not converged and message
+        assert ends == {
+            "smith_bao": (True, 2, ""), "mixed": (True, 2, ""), "grid": (True, 31, ""),
+            "collapse": (False, 5, "collapsed onto the trivial (left == right) solution"),
+            "singular": (False, 0, "singular Jacobian"),
+        }
+        probes = {name: p for name, (_, p) in results.items()}
+        halvings = {name: probes[name] - r.iterations - 1 for name, (r, _) in results.items()}
+        assert halvings["grid"] > 0 == halvings["smith_bao"] == halvings["collapse"]
+        assert len({probes[name] for name in ("smith_bao", "grid", "collapse", "singular")}) == 4
+
+    @pytest.mark.parametrize("names", [
+        *itertools.combinations(["smith_bao", "mixed", "grid", "far", "collapse", "singular"], 2),
+        ("smith_bao", "mixed", "grid", "far", "collapse", "singular"),
+        ("singular", "collapse", "far", "grid", "mixed", "smith_bao"),
+    ])
+    def test_batched_runs_equal_lone_runs(self, names, lone, rounds):
+        runs, results = lone
+        batched = w._newton([runs[name] for name in names])
+        assert [repr(r) for r in batched] == [repr(results[name][0]) for name in names]
+        # each round probes the runs still open; a run leaves after its last lone probe
+        probes = [results[name][1] for name in names]
+        assert rounds == [7 * sum(p > k for p in probes) for k in range(max(probes))]
+
+    def test_systems_solved_together_equal_lone_solves(self):
+        # ("J2", "J4", "K6", "J8") fails from all eight grid seeds, so its later
+        # seeds run in batches of their own after the first
+        systems = [SMITH_BAO, ("J2", "J4", "K6", "J8"), ("J2", "J4", "J6", "J10"), MIXED]
+        together = w._solve_systems(systems)
+        assert [r.converged for r in together] == [True, False, True, True]
+        assert together == [solve_agreement_system(m) for m in systems]
+
+    def test_verify_reports_the_lone_solves(self):
+        reports = verify_witnesses()
+        for which, matched in J6_SYSTEMS.items():
+            assert reports[which, "J6"].notes["solver"] == (
+                solve_agreement_system(matched).to_json_dict())
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (["verify", "witnesses"], [28, 28, 28, 16]),
+        (["solve", "smith-bao-j6"], [14, 14, 14, 2]),
+        (["solve", "mixed-j6"], [14, 14, 14, 2]),
+        (["solve", "j8-root"], [2]),
+    ])
+    def test_float_engine_calls(self, argv, sizes, monkeypatch, capsys):
+        # the J6 solves of verify share each round's call: 2 runs x 7 points x 2 tensors
+        calls, engine = [], w.invariants_float
+
+        def counting(components):
+            calls.append(len(components))
+            return engine(components)
+
+        monkeypatch.setattr(w, "invariants_float", counting)
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert calls == sizes
+
 
 class TestJ6Separation:
     @pytest.mark.parametrize("which,digits", [
@@ -452,7 +586,7 @@ class TestReports:
     def test_gates_follow_from_the_pairs(self):
         # the vanish bound is 0 exactly for the pairs on the restricted
         # slice, and the flip test runs exactly for the (D, -D) pairs
-        assert [f.name for f in fields(w.Witness)] == ["label", "build", "printed"]
+        assert [f.name for f in fields(w.Witness)] == ["label", "build", "printed", "matched"]
         pairs = {label: row.build() for label, row in WITNESSES.items()}
         gates = {label: w._gate(pair) for label, pair in pairs.items()}
         assert {label for label, (vanish, _) in gates.items() if vanish == 0.0} == {
@@ -628,6 +762,7 @@ class TestTablePass:
                         v.hex() for v in alone[start + k][0].tolist()]
 
     def test_each_build_and_each_exact_tensor_runs_once(self, monkeypatch):
+        # a solved row is solved in the batch, not built: one of the two per row
         builds, evaluated = Counter(), Counter()
 
         def counted(row):
@@ -638,6 +773,13 @@ class TestTablePass:
 
         table = {label: counted(row) for label, row in WITNESSES.items()}
         monkeypatch.setattr(w, "WITNESSES", table)
+        solve_systems = w._solve_systems
+
+        def counting_solves(systems):
+            builds.update(label for label, row in WITNESSES.items() if row.matched in systems)
+            return solve_systems(systems)
+
+        monkeypatch.setattr(w, "_solve_systems", counting_solves)
 
         def counting(t):
             evaluated[t] += 1
@@ -757,18 +899,20 @@ class TestFixedPairs:
 
     def test_solved_rows_solve_on_each_call(self, monkeypatch):
         calls = Counter()
-        solve, bisect = w.solve_agreement_system, w.bisect_root
+        solve, bisect = w._solve_systems, w.bisect_root
 
-        def counting_solve(matched):
-            calls[tuple(matched)] += 1
-            return solve(matched)
+        def counting_solve(systems):
+            calls.update(map(tuple, systems))
+            calls["batch"] += 1
+            return solve(systems)
 
         def counting_bisect(*args):
             calls["bisect"] += 1
             return bisect(*args)
 
-        monkeypatch.setattr(w, "solve_agreement_system", counting_solve)
+        monkeypatch.setattr(w, "_solve_systems", counting_solve)
         monkeypatch.setattr(w, "bisect_root", counting_bisect)
         for n in (1, 2):
             assert all(r.passed for r in verify_witnesses().values())
-            assert calls == {J6_SYSTEMS["smith_bao"]: n, J6_SYSTEMS["mixed"]: n, "bisect": n}
+            assert calls == {J6_SYSTEMS["smith_bao"]: n, J6_SYSTEMS["mixed"]: n, "bisect": n,
+                             "batch": n}
