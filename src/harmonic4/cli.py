@@ -33,7 +33,7 @@ import numpy as np
 
 from . import polynomial, witnesses
 from .invariants import INVARIANT_NAMES, InvariantVector, invariants
-from .rotations import Orthogonal3, isotropy_suite, rotate
+from .rotations import Orthogonal3, isotropy_verdict, rotate
 from .tensor import (EXACT, FLOAT, SEED_LIMIT, _coerce_exact, _coerce_float,
                      from_independent, from_json_dict, to_json_dict)
 from .witnesses import verify_j6_separation, verify_j8_separation
@@ -205,12 +205,8 @@ def _suite_restriction(args):
 
 
 def _suite_isotropy(args):
-    passed, reports = isotropy_suite(trials=args.trials, seed=args.seed)
-    # Each report's deviations are keyed in INVARIANT_NAMES order.
-    rows = zip(*(r.deviations.values() for r in reports))
-    worst = dict(zip(INVARIANT_NAMES, map(max, rows)))
-    return {"passed": passed, "tensors": len(reports), "trials": args.trials,
-            "worst_deviation": worst}
+    passed, tensors, worst = isotropy_verdict(trials=args.trials, seed=args.seed)
+    return {"passed": passed, "tensors": tensors, "trials": args.trials, "worst_deviation": worst}
 
 
 def _suite_witnesses(args):

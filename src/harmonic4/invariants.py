@@ -244,12 +244,12 @@ def invariants_of_views(d) -> np.ndarray:
     p = np.empty((n, 4, 6))
     b = c[:, _IK, _JK].sum(axis=1, out=p[:, 0])
     (b[:, _IK] * b[:, _JK]).sum(axis=1, out=p[:, 1])
-    p[:, 2:] = (p[:, :2] * _W) @ d
+    np.matmul(p[:, :2] * _W, d, out=p[:, 2:])
     g = (p * _W) @ p.transpose(0, 2, 1)
     out = np.empty((n, 10))
     out[:, 0] = b[:, 0] + b[:, 3] + b[:, 5]
     out[:, 1] = (c * dw * _W[:, None]).sum(axis=(1, 2))
-    out[:, 2:] = np.take(g.reshape(n, 16), _FORM_COLS, axis=1)
+    np.take(g.reshape(n, 16), _FORM_COLS, axis=1, out=out[:, 2:], mode="clip")  # no buffer
     return out
 
 

@@ -19,9 +19,9 @@ per trial seed.  :func:`isotropy_suite` runs all its tensors x trials in
 shared blocks of at most :data:`ISOTROPY_BLOCK` rows, one engine call
 each: a tensor's pair view is built once, rotated by broadcasting and
 completed once, and leads its first block, so its own invariants come
-from that call too.  :func:`isotropy_check` is the one-tensor case of
-the same loop, and :func:`rotate` and :func:`random_rotation` are the
-N = 1 case.
+from that call too.  This array core is read by :func:`isotropy_verdict`
+and viewed as reports by :func:`isotropy_suite` and its one-tensor case
+:func:`isotropy_check`; :func:`rotate` and :func:`random_rotation` are N = 1.
 
 Every seeded draw comes from one vectorised seed stream,
 :func:`tensor._seed_stream`: SplitMix64 in uint64 array arithmetic over
@@ -49,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import tensor as tc
-from .invariants import (_PAIR_COLS, _PAIRS, INVARIANT_DEGREES, INVARIANT_NAMES, _pair_view,
-                         invariants_of_views, pair_view_float)
+from .invariants import (_DEGREE_ORDER, _PAIR_COLS, _PAIRS, INVARIANT_DEGREES, INVARIANT_NAMES,
+                         _pair_view, invariants_of_views, pair_view_float)
 from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
@@ -288,8 +288,6 @@ def haar_matrices(seeds) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-_DEGREES = tuple(INVARIANT_DEGREES[name] for name in INVARIANT_NAMES)
-
 #: The paper's isotropy gates: the largest relative drift each invariant may
 #: show, 1e-8 up to degree 6 and 1e-7 above.
 ISOTROPY_GATES = {name: 1e-8 if INVARIANT_DEGREES[name] <= 6 else 1e-7
@@ -326,15 +324,21 @@ def isotropy_suite(num_tensors: int = 20, trials: int = 1000, seed: int = 42) ->
 
     With s_n = ``trial_seeds(seed, num_tensors)[n]``, report n is
     ``isotropy_check(random_harmonic(s_n), trials, s_n)`` bit for bit: every
-    (tensor, trial) row runs through that loop in shared blocks.  Returns
-    (passed, reports); it passes iff every report passes, and needs at
-    least one tensor and one trial.
+    (tensor, trial) row runs through that loop's array core in shared blocks.
+    Returns (passed, reports); it passes iff every report passes, and needs
+    integer counts of at least one tensor and one trial.
     """
-    if num_tensors < 1:
-        raise ValueError("need at least one tensor")
-    tensor_seeds = tc._seed_stream([seed], 0, num_tensors)[0]
-    reports = _isotropy_reports(tc._random_components(tensor_seeds), tensor_seeds, trials)
+    seeds = tc._seed_stream([seed], 0, tc._count(num_tensors, "tensor"))[0]
+    reports = _isotropy_reports(tc._random_components(seeds), seeds, trials)
     return all(r.passed for r in reports), reports
+
+
+def isotropy_verdict(num_tensors: int = 20, trials: int = 1000, seed: int = 42) -> tuple:
+    """(passed, tensors, worst) of :func:`isotropy_suite` off the array core, with no reports."""
+    seeds = tc._seed_stream([seed], 0, tc._count(num_tensors, "tensor"))[0]
+    worst, _ = _isotropy_arrays(tc._random_components(seeds), seeds, tc._count(trials, "trial"))
+    return (bool((worst <= _GATES).all()), len(worst),
+            dict(zip(INVARIANT_NAMES, map(max, worst.T.tolist()))))
 
 
 def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
@@ -356,18 +360,26 @@ def isotropy_check(d: Harmonic4, trials: int, seed: int) -> IsotropyReport:
     return _isotropy_reports(np.array([d.indep], dtype=float), seeds, trials)[0]
 
 
-def _isotropy_reports(components, seeds, trials: int) -> list:
-    """The isotropy loop: one report per tensor, all (tensor, trial) rows in blocks.
+def _isotropy_reports(components, seeds, trials) -> list:
+    """One :class:`IsotropyReport` per tensor: the API view of :func:`_isotropy_arrays`."""
+    trials = tc._count(trials, "trial")
+    worst, worst_seed = _isotropy_arrays(components, seeds, trials)
+    passed = (worst <= _GATES).all(axis=1).tolist()
+    return [IsotropyReport(trials=trials, deviations=dict(zip(INVARIANT_NAMES, deviations)),
+                           worst_seed=seed, passed=ok)
+            for deviations, seed, ok in zip(worst.tolist(), worst_seed.tolist(), passed)]
 
-    ``components`` (M, 9) are the tensors and ``seeds`` (M,) their uint64
-    seeds.  A block is a rectangle of whole tensors by a run of trials, at
-    most :data:`ISOTROPY_BLOCK` rows, so neither the trial seeds nor the
-    deviations ever exist for all rows at once; a tensor's first block also
-    evaluates the tensor itself.  Each tensor keeps its running worst
-    deviations and the first trial with the largest one, NaN counting as largest.
+
+def _isotropy_arrays(components, seeds, trials: int) -> tuple:
+    """The isotropy loop's array core: (M, 10) worst deviations and (M,) worst trial seeds.
+
+    ``components`` (M, 9) are the tensors, ``seeds`` (M,) their uint64 seeds
+    and ``trials`` a Python int.  A block is a rectangle of whole tensors by
+    a run of trials, at most :data:`ISOTROPY_BLOCK` rows, so neither the
+    trial seeds nor the deviations ever exist for all rows at once; a
+    tensor's first block also evaluates the tensor itself.  A tensor's worst
+    seed is its first trial with the largest deviation, NaN counting as largest.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     base, scales = np.empty((2, len(seeds), 10))
     worst = np.zeros(base.shape)
     worst_dev = np.full(len(seeds), -1.0)
@@ -391,10 +403,11 @@ def _isotropy_reports(components, seeds, trials: int) -> list:
                                           else completed)
                 if start == 0:
                     base[rows] = own = got[:count]
-                    # ||D||_F^k as libm's pow gives Python's (J2 ** 0.5) ** k, which np.power may
-                    # miss in the last bit; numpy scalars make an overflow inf, not an error.
-                    norms = [np.float64(j2 ** 0.5 if j2 > 0 else 0.0) for j2 in own[:, 0].tolist()]
-                    powers = [[n ** k for k in _DEGREES] for n in norms]
+                    # ||D||_F^k by libm's pow on Python floats: np.power may miss its last bit.
+                    # From 1e30 up a power may overflow: numpy scalars make that inf, not an error.
+                    norms = [j2 ** 0.5 if j2 > 0 else 0.0 for j2 in own[:, 0].tolist()]
+                    powers = [[(n if n < 1e30 else np.float64(n)) ** k for k in _DEGREE_ORDER]
+                              for n in norms]
                     scales[rows] = np.maximum(np.abs(own), powers)
                 got = got[-count * width:].reshape(count, width, -1)
                 delta = np.abs(got - base[rows, None])
@@ -406,7 +419,4 @@ def _isotropy_reports(components, seeds, trials: int) -> list:
                 better = (top > worst_dev[rows]) | (np.isnan(top) & ~np.isnan(worst_dev[rows]))
                 worst_dev[rows] = np.where(better, top, worst_dev[rows])
                 worst_seed[rows] = np.where(better, words[np.arange(count), at], worst_seed[rows])
-    passed = (worst <= _GATES).all(axis=1).tolist()
-    return [IsotropyReport(trials=trials, deviations=dict(zip(INVARIANT_NAMES, deviations)),
-                           worst_seed=seed, passed=ok)
-            for deviations, seed, ok in zip(worst.tolist(), worst_seed.tolist(), passed)]
+    return worst, worst_seed

@@ -332,6 +332,15 @@ def _seed_array(seeds) -> np.ndarray:
     return np.array(seeds, dtype=np.uint64)
 
 
+def _count(value, noun: str) -> int:
+    """``value`` as a Python int of at least 1, a bool rejected as for seeds."""
+    if isinstance(value, bool):
+        raise TypeError(f"a number of {noun}s must be an integer, not a boolean")
+    if operator.index(value) < 1:
+        raise ValueError(f"need at least one {noun}")
+    return operator.index(value)
+
+
 def _seed_stream(seeds, start: int, stop: int) -> np.ndarray:
     """Words [start, stop) of each seed's SplitMix64 stream: (N, stop - start) uint64, C order.
 

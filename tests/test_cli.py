@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic4 import cli
+from harmonic4 import INVARIANT_NAMES, cli, rotations
 from harmonic4.cli import InputError, build_parser, main
 from harmonic4.witnesses import REL_TOL, SEPARATION
 
@@ -220,6 +220,32 @@ class TestVerifyCommand:
         }
         assert all(cell["passed"] for cells in suite["cells"].values()
                    for cell in cells.values())
+
+    def test_isotropy_builds_no_report(self, monkeypatch, capsys):
+        built, report = [], rotations.IsotropyReport
+
+        def counting(**fields):
+            built.append(fields)
+            return report(**fields)
+
+        monkeypatch.setattr(rotations, "IsotropyReport", counting)
+        code, _ = run(["verify", "isotropy", "--trials", "10"], capsys)
+        assert code == 0 and built == []
+        rotations.isotropy_suite(num_tensors=2, trials=1)
+        assert len(built) == 2  # the counter sees the reports the library builds
+
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (10, 12345), (1000, 42), (1100, 7),
+                                              (10, 2**64 - 1)])
+    def test_isotropy_json_equals_the_report_summary(self, trials, seed, capsys):
+        code, out = run(["verify", "isotropy", "--trials", str(trials), "--seed", str(seed)],
+                        capsys)
+        passed, reports = rotations.isotropy_suite(trials=trials, seed=seed)
+        rows = zip(*(r.deviations.values() for r in reports))
+        suite = {"passed": passed, "tensors": len(reports), "trials": trials,
+                 "worst_deviation": dict(zip(INVARIANT_NAMES, map(max, rows)))}
+        summary = {"suites": {"isotropy": suite}, "passed": passed}
+        assert out == json.dumps(summary, indent=2, allow_nan=False) + "\n"
+        assert code == (0 if passed else 1)
 
     def test_isotropy_suite_small(self, capsys):
         code, out = run(["verify", "isotropy", "--trials", "25", "--seed", "42"], capsys)

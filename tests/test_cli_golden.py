@@ -51,6 +51,8 @@ CASES = {
     "verify-isotropy": (["verify", "isotropy", "--trials", "5"], 0),
     # 1,100 trials span two isotropy blocks of 1,024 rows per tensor.
     "verify-isotropy-blocks": (["verify", "isotropy", "--trials", "1100", "--seed", "7"], 0),
+    # The argv of the benchmark's isotropy workload, at a fixed seed.
+    "verify-isotropy-trials10": (["verify", "isotropy", "--trials", "10", "--seed", "1234567"], 0),
     "verify-witnesses": (["verify", "witnesses"], 0),
     "verify-all": (["verify", "all", "--trials", "5"], 0),
     "solve-smith-bao-j6": (["solve", "smith-bao-j6"], 0),
@@ -109,8 +111,8 @@ def test_every_stderr_golden_has_a_case():
 
 @pytest.mark.parametrize("name", ["invariants-exact-json", "invariants-float-json", "rotate-exact",
                                   "rotate-float", "verify-isotropy", "verify-isotropy-blocks",
-                                  "verify-witnesses", "solve-j8-root", "solve-mixed-j6",
-                                  "solve-smith-bao-j6", "rotate-overflow"])
+                                  "verify-isotropy-trials10", "verify-witnesses", "solve-j8-root",
+                                  "solve-mixed-j6", "solve-smith-bao-j6", "rotate-overflow"])
 def test_optimized_run_matches_golden(name):
     """Under ``python -O`` the debug-only trace check is gone; exact, float and witness output,
     and the error of an overflowing rotation, keep their bytes."""

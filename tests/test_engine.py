@@ -12,6 +12,8 @@ rebuilt from its words one value at a time, with numpy ufuncs on
 import importlib
 import math
 import re
+import sys
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -36,7 +38,8 @@ from harmonic4 import (
     rotate,
 )
 from harmonic4 import rotations
-from harmonic4.invariants import invariants_float, invariants_of_views, pair_view_float
+from harmonic4.invariants import (_FORM_COLS, _IK, _JK, _W, invariants_float,
+                                  invariants_of_views, pair_view_float)
 from harmonic4.rotations import haar_matrices, rotate_float, trial_seeds
 from harmonic4.tensor import (INDEPENDENT_SLOTS, _random_components, _seed_stream, expand_float,
                               slots_float)
@@ -152,6 +155,90 @@ class TestBatchedInvariants:
             for start in (0, len(comps) - n):
                 rows = invariants_float(comps[start:start + n]).tolist()
                 assert rows == alone[start:start + n], n
+
+
+def assigned_invariants_of_views(d) -> np.ndarray:
+    """``invariants_of_views`` as it was before its ``out=`` forms: y and the eight
+    Gram entries assigned from temporaries."""
+    n = len(d)
+    dw = d * _W
+    c = dw @ d.transpose(0, 2, 1)
+    p = np.empty((n, 4, 6))
+    b = c[:, _IK, _JK].sum(axis=1, out=p[:, 0])
+    (b[:, _IK] * b[:, _JK]).sum(axis=1, out=p[:, 1])
+    p[:, 2:] = (p[:, :2] * _W) @ d
+    g = (p * _W) @ p.transpose(0, 2, 1)
+    out = np.empty((n, 10))
+    out[:, 0] = b[:, 0] + b[:, 3] + b[:, 5]
+    out[:, 1] = (c * dw * _W[:, None]).sum(axis=(1, 2))
+    out[:, 2:] = np.take(g.reshape(n, 16), _FORM_COLS, axis=1)
+    return out
+
+
+def hexes(values) -> list:
+    return [v.hex() for v in np.asarray(values).ravel().tolist()]
+
+
+class TestEngineOutForms:
+    @pytest.mark.parametrize("n", [1, 2, 7, 14, 28, 220, 1024, 2048])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-80, 1e-40, 1e60, 1e150])
+    def test_equal_the_assigned_forms(self, n, scale):
+        comps = _random_components(range(n)) * scale
+        # Signed zeros in single components, and whole rows of them.
+        comps[::3, 2], comps[1::3, 2], comps[::5, 4], comps[2::7, 7] = 0.0, -0.0, -0.0, 0.0
+        comps[n // 2] = -0.0
+        comps[-1] = 0.0 if n > 1 else comps[-1]
+        views = pair_view_float(comps)
+        with np.errstate(all="ignore"):
+            got, want = invariants_of_views(views), assigned_invariants_of_views(views)
+        assert hexes(got) == hexes(want)
+
+
+def seeded_norms(count) -> list:
+    """``count`` norms log-uniform over [1e-40, 1e40], then the k-th roots of the largest
+    binary64 number, k = 2..10, and 40 neighbours on each side of each."""
+    u = (_seed_stream([2024], 0, count) >> np.uint64(11)).astype(float)[0] * 2.0**-53
+    norms = (10.0 ** (80.0 * u - 40.0)).tolist()
+    for k in range(2, 11):
+        root = np.float64(sys.float_info.max ** (1 / k))
+        for step in range(-40, 41):
+            norms.append(float(root + step * np.spacing(root)))
+    return norms
+
+
+def python_pow(x, k):
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
+class TestDegreeScales:
+    def test_python_pow_equals_numpy_scalar_pow(self):
+        norms = seeded_norms(10**4)
+        overflowed = 0
+        with np.errstate(over="ignore"):
+            for k in range(2, 11):
+                for x in norms:
+                    want = float(np.float64(x) ** k).hex()
+                    assert python_pow(x, float(k)).hex() == python_pow(x, k).hex() == want, (x, k)
+                    overflowed += want == "inf"
+        assert overflowed > 0
+
+    def test_overflowing_scale_is_inf_without_warnings(self):
+        # ||D||_F = 1e31, so ||D||_F^10 is past binary64 while J10 itself is
+        # finite: J10's scale is inf and its deviations are exactly 0.
+        d = random_harmonic(21, backend=FLOAT)
+        d = d.scale(1e31 / float(d.frobenius_norm_sq()) ** 0.5)
+        own = invariants(d).j10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = isotropy_check(d, trials=5, seed=3)
+            moved = [invariants(rotate(d, random_rotation(s))).j10 for s in trial_seeds(3, 5)]
+        assert math.isfinite(own) and float(d.frobenius_norm_sq()) ** 0.5 > 1.35e30
+        assert any(math.isfinite(v) and v != own for v in moved)
+        assert report.deviations["J10"] == 0.0
+        assert 0.0 < report.deviations["J9"] < 1e-15 and report.passed
 
 
 #: binary64 unit roundoff.
@@ -614,3 +701,63 @@ class TestBatchedSuite:
     def test_needs_a_tensor(self, num_tensors):
         with pytest.raises(ValueError, match="at least one tensor"):
             isotropy_suite(num_tensors=num_tensors, trials=1)
+
+
+#: Each isotropy entry point with one count left open.
+COUNTED = {
+    "suite trials": lambda v: isotropy_suite(num_tensors=1, trials=v),
+    "suite tensors": lambda v: isotropy_suite(num_tensors=v, trials=1),
+    "check trials": lambda v: isotropy_check(random_harmonic(1, backend=FLOAT), v, 1),
+    "verdict trials": lambda v: rotations.isotropy_verdict(num_tensors=1, trials=v),
+    "verdict tensors": lambda v: rotations.isotropy_verdict(num_tensors=v, trials=1),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("call", sorted(COUNTED))
+    @pytest.mark.parametrize("value, error, match", [
+        (True, TypeError, "boolean"), (False, TypeError, "boolean"),
+        (2.5, TypeError, "integer"), ("3", TypeError, "integer"),
+        (np.float64(3.0), TypeError, "integer"),
+        (0, ValueError, "at least one"), (np.int64(-2), ValueError, "at least one"),
+    ])
+    def test_bad_counts_raise(self, call, value, error, match):
+        with pytest.raises(error, match=match):
+            COUNTED[call](value)
+
+    def test_numpy_ints_become_python_ints(self):
+        passed, reports = isotropy_suite(num_tensors=np.int64(2), trials=np.uint8(3), seed=5)
+        assert (passed, reports) == isotropy_suite(num_tensors=2, trials=3, seed=5)
+        assert [type(r.trials) for r in reports] == [int, int]
+        report = isotropy_check(random_harmonic(1, backend=FLOAT), np.int32(3), 5)
+        assert type(report.trials) is int and report.trials == 3
+        assert rotations.isotropy_verdict(np.int64(2), np.int64(3), 5)[1] == 2
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("trials", [1, 10, 1100])
+    def test_equals_the_reports(self, trials):
+        passed, reports = isotropy_suite(num_tensors=4, trials=trials, seed=8)
+        got = rotations.isotropy_verdict(num_tensors=4, trials=trials, seed=8)
+        worst = {name: max(r.deviations[name] for r in reports) for name in INVARIANT_NAMES}
+        assert got == (passed, 4, worst)
+        assert type(got[0]) is bool and all(type(v) is float for v in got[2].values())
+
+    @pytest.mark.parametrize("planted", [0, 3, 6])
+    def test_planted_nan_row_keeps_pythons_max_order(self, monkeypatch, planted):
+        # J2 of the planted tensor overflows, so all its deviations are NaN;
+        # Python's max keeps a NaN only when it comes first.
+        def draw(seeds):
+            comps = _random_components(seeds)
+            comps[planted] = [1e200] + [0.0] * 8
+            return comps
+
+        monkeypatch.setattr(importlib.import_module("harmonic4.tensor"), "_random_components",
+                            draw)
+        passed, reports = isotropy_suite(num_tensors=7, trials=4, seed=3)
+        got_passed, tensors, worst = rotations.isotropy_verdict(num_tensors=7, trials=4, seed=3)
+        want = {name: max(r.deviations[name] for r in reports) for name in INVARIANT_NAMES}
+        assert math.isnan(reports[planted].deviations["J2"])
+        assert (got_passed, tensors) == (passed, 7) == (False, 7)
+        assert {k: v.hex() for k, v in worst.items()} == {k: v.hex() for k, v in want.items()}
+        assert math.isnan(worst["J2"]) == (planted == 0)
