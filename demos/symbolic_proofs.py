@@ -27,7 +27,7 @@ for line in j2.to_lines():
 # --- The cubic-trace invariant K6 is a linear combination of J2^3, J2*J4,
 #     J3^2 and J6.  The residual of that combination is the zero polynomial.
 residual = h4.verify_k6_identity()
-print("\nK6 - (-13/80 J2^3 + 33/40 J2 J4 - 1/24 J3^2 + 9/16 J6):",
+print("\n39 J2^3 + 10 J3^2 - 198 J2 J4 - 135 J6 + 240 K6:",
       residual, f" ({len(residual.terms)} terms)")
 
 # --- Numeric cross-check of the same identity at a rational point.

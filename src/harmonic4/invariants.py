@@ -80,6 +80,9 @@ _DEGREE_ORDER = tuple(INVARIANT_DEGREES[name] for name in INVARIANT_NAMES)
 ODD_INVARIANTS = ("J3", "J5", "J7", "J9")
 EVEN_INVARIANTS = ("J2", "J4", "J6", "K6", "J8", "J10")
 
+#: The K6 relation: 39 J2^3 + 10 J3^2 - 198 J2 J4 - 135 J6 + 240 K6 = 0.
+K6_RELATION = (39, 10, -198, -135, 240)
+
 #: The six sorted index pairs, the rows and columns of the pair view.
 _PAIRS = tuple(combinations_with_replacement((1, 2, 3), 2))
 #: Arrangement weight of each pair: the number of orders of its indices.
@@ -314,15 +317,16 @@ def invariants_oracle(d: Harmonic4) -> InvariantVector:
 
 
 def j4_from_mixed(j2, j3, j6, k6):
-    """Reconstruct the degree-4 invariant from {J2, J3, J6, K6}.
+    """Reconstruct the degree-4 invariant from {J2, J3, J6, K6} by :data:`K6_RELATION`.
 
     J4 = (39*J2^3 + 10*J3^2 - 135*J6 + 240*K6) / (198*J2) for J2 != 0;
     J2 = 0 forces D = 0 and hence J4 = 0.  Exact on Fraction input.
     """
     if j2 == 0:
         return j2
-    num = 39 * j2**3 + 10 * j3 * j3 - 135 * j6 + 240 * k6
-    den = 198 * j2
+    c_j2, c_j3, c_j4, c_j6, c_k6 = K6_RELATION
+    num = c_j2 * j2**3 + c_j3 * j3 * j3 + c_j6 * j6 + c_k6 * k6
+    den = -c_j4 * j2
     if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
     return num / den

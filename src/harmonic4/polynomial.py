@@ -27,6 +27,7 @@ from types import MappingProxyType
 from .invariants import (
     EVEN_INVARIANTS,
     INVARIANT_NAMES,
+    K6_RELATION,
     ODD_INVARIANTS,
     _invariants_generic,
 )
@@ -258,18 +259,14 @@ def symbolic_invariant(name: str) -> SparsePoly:
 def verify_k6_identity() -> SparsePoly:
     """Residual of the cubic-trace identity; must be the zero polynomial.
 
-    K6 + 13/80*J2^3 - 33/40*J2*J4 + 1/24*J3^2 - 9/16*J6 is returned as a
-    polynomial: an empty term map is a proof of the identity by exact
-    expansion.
+    The :data:`~harmonic4.invariants.K6_RELATION` combination of J2^3,
+    J3^2, J2*J4, J6 and K6 is returned as a polynomial: an empty term map
+    is a proof of the identity by exact expansion.
     """
     j2 = symbolic_invariant("J2")
-    combo = (
-        Fraction(-13, 80) * (j2 * j2 * j2)
-        + Fraction(33, 40) * (j2 * symbolic_invariant("J4"))
-        + Fraction(-1, 24) * (symbolic_invariant("J3") ** 2)
-        + Fraction(9, 16) * symbolic_invariant("J6")
-    )
-    return symbolic_invariant("K6") - combo
+    monomials = (j2 * j2 * j2, symbolic_invariant("J3") ** 2, j2 * symbolic_invariant("J4"),
+                 symbolic_invariant("J6"), symbolic_invariant("K6"))
+    return sum((c * m for c, m in zip(K6_RELATION, monomials)), SparsePoly())
 
 
 def verify_parity() -> dict:

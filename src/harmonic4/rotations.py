@@ -43,6 +43,7 @@ well: M^T M = den^2 I in Python ints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,7 +131,8 @@ def _require_orthogonal(m, tol, den=1):
     unit = den * den
     defect = _gram_defect(m, unit)
     if not defect <= tol * unit:
-        raise ValueError(f"matrix is not orthogonal: defect {defect / unit:.3e} > {tol}")
+        shown = math.inf if defect > unit * 10**308 else defect / unit  # no overflow, NaN kept
+        raise ValueError(f"matrix is not orthogonal: defect {shown:.3e} > {tol}")
 
 
 #: Places in Q, with a zero appended at 9, of the factors Q_ak, Q_bl, Q_al, Q_bk
@@ -162,7 +164,10 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     """
     backend = d.backend
     if backend == FLOAT:
-        m = q.to_array()
+        try:
+            m = q.to_array()
+        except OverflowError:  # an entry beyond binary64
+            raise ValueError("matrix is not orthogonal: an entry overflows binary64") from None
         _require_orthogonal(m.tolist(), ORTHO_TOL)
         rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))

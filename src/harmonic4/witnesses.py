@@ -15,16 +15,17 @@ give 18 such (basis, member) cells.
   :func:`check_pair`).
 * :func:`check_pair` is the one comparison every cell goes through, with
   agree = basis - {member}.  :func:`verify_witnesses` walks all 18 cells
-  in one pass: all float tensors in one float-engine stack, each distinct
-  exact tensor once, and each pair's cell-independent checks once.  It
+  in one pass, running each pair's cell-independent checks once.  It
   fails any cell without a passing witness.  :func:`witness_flags` reads
   only each cell's label and verdict off that same pass.
-* The tensors of the catalog and sign pairs are module constants, built
-  at import; each ``build()`` wraps them in a new :class:`WitnessPair`.
-  Only the J8 bisection and the two J6 Newton solves run on each call.
-  The two J6 solves run as one batch: each Newton round probes every open
-  run on a fixed 7-point stencil around its point, all in one float-engine
-  call, and each run takes the steps it takes alone.
+* The catalog and sign pairs are fixed: their tensors are module
+  constants, and their invariants are evaluated once, at import, in one
+  :func:`_table_values` call (float tensors in one float-engine stack,
+  each distinct exact tensor once) and kept with their rows.  Each
+  ``build()`` still wraps the tensors in a new :class:`WitnessPair`, and
+  every gate, printed-value and separation check runs on every call.
+  Only the J8 bisection and the two J6 Newton solves run on each call,
+  and only their three pairs are evaluated, as one float stack.
 
 The pairs come from three constructions:
 
@@ -183,15 +184,15 @@ class Witness:
 
     ``printed`` holds the invariant values the paper gives for the left and
     the right tensor.  The pair's gate follows from its tensors; see
-    :func:`check_pair`.  A solved row names its agreement system in
-    ``matched``: :func:`verify_witnesses` solves every such system in one
-    Newton batch, while ``build`` solves the row's system alone.
+    :func:`check_pair`.  ``values`` holds the (left, right) invariants of a
+    fixed pair, evaluated once at import; it is None for a pair that is
+    built, and so evaluated, on each call.
     """
 
     label: str
     build: Callable[[], WitnessPair]
     printed: tuple = ({}, {})
-    matched: tuple = ()
+    values: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -470,20 +471,10 @@ def solve_agreement_system(matched) -> SolveResult:
     convergence tolerance :data:`SOLVE_TOL` is meaningful across degrees
     2..10.  The printed solution digits seed the two known systems; a
     coarse grid search seeds any other, and its seeds are tried one after
-    another until one converges.  This is the batch of one of
-    :func:`_solve_systems`, which gives each system the same result it
-    reaches alone.  Non-convergence (including collapse onto the trivial
-    delta=0 manifold) is reported in the result, never raised.  A name given
-    twice counts once.  ``ValueError`` is raised on unknown names and
-    unless exactly three names are live (not J2, not odd).
-    """
-    return _solve_systems([matched])[0]
-
-
-def _system(matched) -> tuple:
-    """``matched`` without repeats, its live positions and its Newton seeds.
-
-    Raises ``ValueError`` as :func:`solve_agreement_system` says.
+    another until one converges.  Non-convergence (including collapse onto
+    the trivial delta=0 manifold) is reported in the result, never raised.
+    A name given twice counts once.  ``ValueError`` is raised on unknown
+    names and unless exactly three names are live (not J2, not odd).
     """
     matched = tuple(matched)
     if unknown := [name for name in matched if name not in INVARIANT_NAMES]:
@@ -495,24 +486,11 @@ def _system(matched) -> tuple:
     if len(live) != 3:
         raise ValueError(f"{matched} is not square: {len(live)} live equations in 3 unknowns")
     guess = _PAPER_GUESS.get(frozenset(matched))
-    return matched, live, [guess] if guess else _grid_seeds(matched)
-
-
-def _solve_systems(systems) -> list:
-    """The :class:`SolveResult` of each agreement system, their Newton runs batched.
-
-    Each system tries its seeds in order until one converges; the k-th
-    seeds of the systems not yet solved run as one batch of :func:`_newton`.
-    """
-    plans = [_system(matched) for matched in systems]
-    results = [None] * len(plans)
-    for k in range(max((len(seeds) for _, _, seeds in plans), default=0)):
-        todo = [i for i, (_, _, seeds) in enumerate(plans)
-                if k < len(seeds) and not (results[i] and results[i].converged)]
-        runs = [(seeds[k], matched, live) for matched, live, seeds in map(plans.__getitem__, todo)]
-        for i, result in zip(todo, _newton(runs)):
-            results[i] = result
-    return results
+    for seed in [guess] if guess else _grid_seeds(matched):
+        result = _newton(seed, matched, live)
+        if result.converged:
+            break
+    return result
 
 
 def _grid_seeds(matched) -> list:
@@ -535,48 +513,17 @@ def _cramer(a, b) -> list:
     return [det([row[:j] + [v] + row[j + 1:] for row, v in zip(a, b)]) / d for j in range(3)]
 
 
-def _newton(runs) -> list:
-    """Damped Newton on each (start, matched, live) run; one float-engine call per round.
+def _newton(x, matched, live) -> SolveResult:
+    """Damped Newton from ``x``: the norm covers ``matched``, the step its ``live`` columns.
 
-    Each round stacks the 7-point stencils of every open run into one
-    :func:`_system_residuals` call over the union of the matched names, and
-    sends each run its own rows.  A run leaves the batch when it converges
-    or fails.  The engine's rows do not depend on the stack, so every run
-    takes the steps, halvings and stopping rule it takes alone.
+    Every probe, a halved retry too, is one float-engine call on the
+    7-point stencil around its point.
     """
-    names = tuple(dict.fromkeys(name for _, matched, _ in runs for name in matched))
-    steps = []
-    for start, matched, live in runs:
-        cols = np.array([names.index(name) for name in matched], dtype=np.intp)
-        steps.append(_damped_newton(list(start), cols, cols[live]))
-    points = [next(step) for step in steps]
-    results, open_runs = [None] * len(runs), range(len(runs))
-    while open_runs:
-        stencils = np.array([points[i] for i in open_runs])[:, None] + _STENCIL
-        rows = _system_residuals(stencils.reshape(-1, 3), names).reshape(len(open_runs), 7, -1)
-        still_open = []
-        for i, block in zip(open_runs, rows):
-            try:
-                points[i] = steps[i].send(block)
-                still_open.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-        open_runs = still_open
-    return results
+    def probe(point):  # sqrt(r . r) is np.linalg.norm's own formula, bit for bit
+        rows = _system_residuals(point + _STENCIL, matched)
+        return math.sqrt(rows[0].dot(rows[0])), rows.T.take(live, 0).tolist()
 
-
-def _damped_newton(x, cols, live):
-    """One run of :func:`_newton`: the norm covers ``cols``, the step the ``live`` columns.
-
-    It yields each point to probe and is sent the residuals of the point's
-    7-point stencil, one row per stencil point and one column per name of
-    the batch; it returns the run's :class:`SolveResult`.
-    """
-    def probe(rows):  # sqrt(r . r) is np.linalg.norm's own formula, bit for bit
-        centre = rows[0].take(cols)
-        return math.sqrt(centre.dot(centre)), rows.T.take(live, 0).tolist()
-
-    r_norm, r_live = probe((yield x))
+    r_norm, r_live = probe(x)
     history = [r_norm]
     iterations, message = 0, ""
     while r_norm > SOLVE_TOL and iterations < MAX_ITER:
@@ -588,7 +535,7 @@ def _damped_newton(x, cols, live):
         iterations += 1
         for _ in range(30):
             candidate = [a + s for a, s in zip(x, step)]
-            new_norm, new_live = probe((yield candidate))
+            new_norm, new_live = probe(candidate)
             if new_norm < r_norm:
                 x, r_norm, r_live = candidate, new_norm, new_live
                 history.append(r_norm)
@@ -627,25 +574,43 @@ def _j8_pair() -> WitnessPair:
     })
 
 
+def _table_values(tensors) -> list:
+    """Each tensor's invariants as a dict: float tensors in one stack, each exact object once."""
+    floats = [t.indep for t in tensors if t.backend == FLOAT]
+    rows = iter(invariants_float(np.array(floats, dtype=float)).tolist() if floats else ())
+    exact = {id(t): t for t in tensors if t.backend != FLOAT}
+    exact = {key: invariants(t).as_dict() for key, t in exact.items()}
+    return [dict(zip(INVARIANT_NAMES, next(rows))) if t.backend == FLOAT else exact[id(t)]
+            for t in tensors]
+
+
+def _with_values(rows) -> list:
+    """The fixed ``rows`` with their pairs' values, from one :func:`_table_values` call."""
+    pairs = [row.build() for row in rows]
+    values = iter(_table_values([t for pair in pairs for t in (pair.left, pair.right)]))
+    return [replace(row, values=(next(values), next(values))) for row in rows]
+
+
 WITNESSES = {w.label: w for w in (
-    _fixed("j2-separation", _D1, _D2, (_D1_PRINTED, _D2_PRINTED)),
-    _fixed("j4-separation", _D1, _D3, (_D1_PRINTED, _D3_PRINTED)),
-    _fixed("mixed-j2-separation", _M1, _M2, (_M1_PRINTED, _M2_PRINTED)),
-    _fixed("j10-separation", *_j10_tensors(), _j10_printed()),
-    _sign_witness("j3-sign-pair", from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),
-                  {"J3": -6480, "J5": 0, "J7": 0, "J9": 0}),
-    _sign_witness("j5-sign-pair", _j5_witness(), {"J3": 0, "J5": 12.5, "J7": 0, "J9": 0}),
-    _sign_witness("j7-sign-pair", _j7_witness(),
-                  {"J3": 0, "J5": 0,
-                   "J7": (6384263 - 55933 * math.sqrt(13033)) / 884736, "J9": 0}),
-    _sign_witness("j9-sign-pair",
-                  from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0),
-                                   backend=EXACT),
-                  {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
+    *_with_values([
+        _fixed("j2-separation", _D1, _D2, (_D1_PRINTED, _D2_PRINTED)),
+        _fixed("j4-separation", _D1, _D3, (_D1_PRINTED, _D3_PRINTED)),
+        _fixed("mixed-j2-separation", _M1, _M2, (_M1_PRINTED, _M2_PRINTED)),
+        _fixed("j10-separation", *_j10_tensors(), _j10_printed()),
+        _sign_witness("j3-sign-pair", from_independent((8, 0, 0, -4, 0, 5, 5, 3, 0), backend=EXACT),
+                      {"J3": -6480, "J5": 0, "J7": 0, "J9": 0}),
+        _sign_witness("j5-sign-pair", _j5_witness(), {"J3": 0, "J5": 12.5, "J7": 0, "J9": 0}),
+        _sign_witness("j7-sign-pair", _j7_witness(),
+                      {"J3": 0, "J5": 0,
+                       "J7": (6384263 - 55933 * math.sqrt(13033)) / 884736, "J9": 0}),
+        _sign_witness("j9-sign-pair",
+                      from_independent((0, 1, 0, 0, 0, Fraction(-3, 4), Fraction(1, 4), 1, 0),
+                                       backend=EXACT),
+                      {"J3": 0, "J5": 0, "J7": 0, "J9": Fraction(45, 8)}),
+    ]),
     Witness("j8-separation", _j8_pair),
     *(Witness(f"{which}-j6-separation",
-              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)),
-              matched=matched)
+              lambda matched=matched: pair_from_solution(solve_agreement_system(matched)))
       for which, matched in J6_SYSTEMS.items()),
 )}
 
@@ -659,16 +624,6 @@ def all_cells() -> list:
     return [(basis, member) for basis, members in BASES.items() for member in members]
 
 
-def _table_values(tensors) -> list:
-    """Each tensor's invariants as a dict: float tensors in one stack, each exact object once."""
-    stack = np.array([t.indep for t in tensors if t.backend == FLOAT], dtype=float)
-    rows = iter(invariants_float(stack.reshape(-1, 9)).tolist())
-    exact = {id(t): t for t in tensors if t.backend != FLOAT}
-    exact = {key: invariants(t).as_dict() for key, t in exact.items()}
-    return [dict(zip(INVARIANT_NAMES, next(rows))) if t.backend == FLOAT else exact[id(t)]
-            for t in tensors]
-
-
 def _copy_notes(notes: dict) -> dict:
     """A copy of ``notes``, nested dicts of scalars, that shares no dict with it."""
     return {k: _copy_notes(v) if isinstance(v, dict) else v for k, v in notes.items()}
@@ -677,28 +632,26 @@ def _copy_notes(notes: dict) -> dict:
 def _cell_pass(cells):
     """The one check of ``cells``: yield each cell, its label, agree, passed and pair entry.
 
-    One pass over the table (see the module docstring): the agreement
-    systems of the solved rows are solved in one batch, every other pair is
-    built, and each pair is evaluated, gated and checked against its printed
-    values once.  The pair entry is (pair, left values, right values, gaps),
-    or None for a cell with no witness, which fails.
+    One pass over the table (see the module docstring): every pair is
+    built, the pairs without import-time values are evaluated in one
+    :func:`_table_values` call, and each pair is gated and checked against
+    its printed values once.  The pair entry is (pair, left values, right
+    values, gaps), or None for a cell with no witness, which fails.
     """
     labels = dict.fromkeys(CELLS.get(cell) for cell in cells)
     rows = [WITNESSES[label] for label in labels if label in WITNESSES]
-    systems = [row.matched for row in rows if row.matched]
-    solved = dict(zip(systems, _solve_systems(systems)))
-    pairs = {row.label: pair_from_solution(solved[row.matched]) if row.matched else row.build()
-             for row in rows}
-    values = iter(_table_values([t for p in pairs.values() for t in (p.left, p.right)]))
+    pairs = [row.build() for row in rows]
+    fresh = iter(_table_values([t for row, pair in zip(rows, pairs) if row.values is None
+                                for t in (pair.left, pair.right)]))
     checked = {}
-    for label, pair in pairs.items():
-        witness, lv, rv = WITNESSES[label], next(values), next(values)
+    for row, pair in zip(rows, pairs):
+        lv, rv = row.values or (next(fresh), next(fresh))
         vanish, flip = _gate(pair)
         pair_ok = pair.solved and all(
             _reproduces(got[n], want, vanish)
-            for got, printed in zip((lv, rv), witness.printed) for n, want in printed.items())
+            for got, printed in zip((lv, rv), row.printed) for n, want in printed.items())
         gaps, separates = _pair_check(lv, rv, vanish, flip)
-        checked[label] = (pair_ok, separates, (pair, lv, rv, gaps))
+        checked[row.label] = (pair_ok, separates, (pair, lv, rv, gaps))
     for basis, member in cells:
         agree = tuple(n for n in BASES[basis] if n != member)
         label = CELLS.get((basis, member))

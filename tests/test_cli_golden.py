@@ -69,10 +69,14 @@ CASES = {
     "invariants-overflow": (["invariants", *_inline(["1e200"] + ["0"] * 8)], 2),
     "rotate-overflow": (["rotate", *_inline(["1.7e308", "1.7e308"] + ["0"] * 7),
                          "--matrix", "0.6", "0.8", "0", "-0.8", "0.6", "0", "0", "0", "1"], 2),
+    # A matrix entry whose exact defect has no binary64 value: still not orthogonal.
+    "rotate-huge-matrix": (["rotate", "--backend", "exact", *_inline(["1"] + ["0"] * 8),
+                            "--matrix", "1e400", "0", "0", "0", "1", "0", "0", "0", "1"], 2),
 }
 
 #: Cases whose standard error is pinned too, in ``<name>.stderr``.
-STDERR_CASES = ("invariants-nan", "invariants-overflow", "rotate-overflow")
+STDERR_CASES = ("invariants-nan", "invariants-overflow", "rotate-overflow",
+                "rotate-huge-matrix")
 
 
 def run_case(argv) -> tuple:
@@ -112,7 +116,8 @@ def test_every_stderr_golden_has_a_case():
 @pytest.mark.parametrize("name", ["invariants-exact-json", "invariants-float-json", "rotate-exact",
                                   "rotate-float", "verify-isotropy", "verify-isotropy-blocks",
                                   "verify-isotropy-trials10", "verify-witnesses", "solve-j8-root",
-                                  "solve-mixed-j6", "solve-smith-bao-j6", "rotate-overflow"])
+                                  "solve-mixed-j6", "solve-smith-bao-j6", "rotate-overflow",
+                                  "rotate-huge-matrix"])
 def test_optimized_run_matches_golden(name):
     """Under ``python -O`` the debug-only trace check is gone; exact, float and witness output,
     and the error of an overflowing rotation, keep their bytes."""

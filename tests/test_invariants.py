@@ -286,6 +286,16 @@ class TestJ4Reconstruction:
         assert j4_from_mixed(0, 0, 0, 0) == 0
         assert j4_from_mixed(0.0, 0.0, 0.0, 0.0) == 0.0
 
+    def test_float_results_keep_their_bits(self):
+        # the formula as it was written out before it read K6_RELATION
+        for seed in range(25):
+            vec = invariants(random_harmonic(seed))
+            j2, j3, j6, k6 = vec.j2, vec.j3, vec.j6, vec.k6
+            want = (39 * j2**3 + 10 * j3 * j3 - 135 * j6 + 240 * k6) / (198 * j2)
+            assert j4_from_mixed(j2, j3, j6, k6).hex() == want.hex()
+            assert j4_from_mixed(j2, -j3, -j6, k6).hex() == (
+                (39 * j2**3 + 10 * j3 * j3 + 135 * j6 + 240 * k6) / (198 * j2)).hex()
+
     def test_reconstructs_j4_exactly(self):
         for seed in range(25):
             vec = invariants(random_harmonic(seed, backend=EXACT))

@@ -26,6 +26,7 @@ from harmonic4 import (
     verify_parity,
     verify_restriction_lemma,
 )
+from harmonic4.cli import main as cli_main
 from harmonic4.polynomial import RESTRICTED_INDICES, parity_expected
 
 monomials = st.tuples(*([st.integers(min_value=0, max_value=2)] * 9))
@@ -200,6 +201,22 @@ class TestSymbolicInvariants:
 class TestIdentity:
     def test_residual_is_identically_zero(self):
         assert verify_k6_identity().is_zero()
+
+    def test_relation_is_the_identity_times_240(self):
+        # K6 = -13/80 J2^3 + 33/40 J2 J4 - 1/24 J3^2 + 9/16 J6, on (J2^3, J3^2, J2 J4, J6, K6)
+        stated = (Fraction(13, 80), Fraction(1, 24), Fraction(-33, 40), Fraction(-9, 16), 1)
+        assert poly_mod.K6_RELATION == tuple(240 * c for c in stated)
+        assert all(type(c) is int for c in poly_mod.K6_RELATION)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_a_perturbed_coefficient_fails_the_suite(self, k, monkeypatch, capsys):
+        assert cli_main(["verify", "identity"]) == 0
+        perturbed = list(poly_mod.K6_RELATION)
+        perturbed[k] += 1
+        monkeypatch.setattr(poly_mod, "K6_RELATION", tuple(perturbed))
+        assert not verify_k6_identity().is_zero()
+        assert cli_main(["verify", "identity"]) == 1
+        assert '"passed": false' in capsys.readouterr().out
 
     def test_numeric_cross_check_at_unit_d1111(self):
         point = (1, 0, 0, 0, 0, 0, 0, 0, 0)

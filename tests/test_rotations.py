@@ -97,6 +97,14 @@ class TestRotate:
         with pytest.raises(ValueError, match="not orthogonal"):
             rotate(D1_FLOAT, q)
 
+    @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)])
+    @pytest.mark.parametrize("d", [D1_EXACT, D1_FLOAT], ids=[EXACT, FLOAT])
+    def test_rejects_an_entry_beyond_binary64(self, d, huge):
+        # the exact defect, about 1e800, and the entry itself have no float
+        q = Orthogonal3(((huge, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="^matrix is not orthogonal"):
+            rotate(d, q)
+
     def test_float_matrix_with_integer_entries_is_cast_to_float(self):
         c = math.cos(math.pi / 4)
         d = random_harmonic(5)

@@ -1,6 +1,5 @@
 """The witness table over the 18 basis cells, root finding, and the solved witnesses."""
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -44,6 +43,10 @@ from harmonic4.witnesses import (
     pair_from_solution,
     relative_gap,
 )
+
+
+#: The catalog and sign pairs: built of module tensors, evaluated once at import.
+FIXED_PAIRS = w.CATALOG_PAIRS + w.SIGN_PAIRS
 
 
 def witness_values(label):
@@ -295,7 +298,7 @@ class TestAgreementSystems:
     def test_far_guess_reports_non_convergence(self):
         # where a start this far away ends follows the float engine's last bits
         live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
-        result, = w._newton([([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)])
+        result = w._newton([40.0, 55.0, -38.0], J6_SYSTEMS["smith_bao"], live)
         assert not result.converged
         assert result.message
 
@@ -304,7 +307,7 @@ class TestAgreementSystems:
     def test_start_near_the_trivial_solution_collapses(self, start):
         # (D1123, delta, D2223) with delta = D1223 + 1/4 small: left and right nearly equal
         live = [1, 2, 3]  # J4, J8, J10 of ("J2", "J4", "J8", "J10")
-        result, = w._newton([(start, J6_SYSTEMS["smith_bao"], live)])
+        result = w._newton(start, J6_SYSTEMS["smith_bao"], live)
         assert not result.converged
         assert result.message == "collapsed onto the trivial (left == right) solution"
         assert result.residual_norm <= w.SOLVE_TOL
@@ -368,6 +371,23 @@ class TestAgreementSystems:
         assert result.converged
         assert abs(result.solution["D1223"] + 0.25) > 1e-3
 
+    def test_seeds_are_tried_in_order_until_one_converges(self, monkeypatch):
+        # ("J2", "J4", "K6", "J8") fails from all eight grid seeds; the grid solve
+        # converges from its first seed
+        starts, newton = [], w._newton
+
+        def counting(x, matched, live):
+            starts.append(tuple(x))
+            return newton(x, matched, live)
+
+        monkeypatch.setattr(w, "_newton", counting)
+        for matched, tried in ((("J2", "J4", "K6", "J8"), 8), (("J2", "J4", "J6", "J10"), 1)):
+            starts.clear()
+            result = solve_agreement_system(matched)
+            assert starts == w._grid_seeds(matched)[:tried]
+            assert result.converged == (tried == 1)
+            assert result == newton(starts[-1], matched, [1, 2, 3])  # the last run's result
+
     @pytest.mark.parametrize("which,order", [
         ("smith_bao", ("J4", "J2", "J8", "J10")),
         ("smith_bao", ("J10", "J8", "J4", "J2")),
@@ -411,21 +431,22 @@ SINGULAR = (5000.0, 1.0, 1.0)
 
 
 def newton_runs() -> dict:
-    """(start, matched, live) runs that end in every way a run can end."""
-    runs = {}
-    for name, matched in (("smith_bao", SMITH_BAO), ("mixed", MIXED)):
-        matched, live, (guess,) = w._system(matched)
-        runs[name] = (guess, matched, live)
-    matched, live, seeds = w._system(("J2", "J4", "J6", "J10"))
-    runs["grid"] = (seeds[0], matched, live)
-    runs["far"] = ([40.0, 55.0, -38.0], SMITH_BAO, [1, 2, 3])
-    runs["collapse"] = ((-0.4, 0.01, 1.1), SMITH_BAO, [1, 2, 3])
-    runs["singular"] = (SINGULAR, MIXED, [1, 2, 3])
-    return runs
+    """(start, matched, live) runs of :func:`w._newton` that end in every way a run can end."""
+    live = [1, 2, 3]  # each system below lists J2 first
+    grid = ("J2", "J4", "J6", "J10")
+    return {
+        "smith_bao": (w._PAPER_GUESS[frozenset(SMITH_BAO)], SMITH_BAO, live),
+        "mixed": (w._PAPER_GUESS[frozenset(MIXED)], MIXED, live),
+        "grid": (w._grid_seeds(grid)[0], grid, live),
+        "capped": (w._grid_seeds(grid)[0], grid, live),  # run with MAX_ITER = 3
+        "far": ([40.0, 55.0, -38.0], SMITH_BAO, live),
+        "collapse": ((-0.4, 0.01, 1.1), SMITH_BAO, live),
+        "singular": (SINGULAR, MIXED, live),
+    }
 
 
-class TestNewtonBatch:
-    """Runs solved together take, field for field, the steps they take alone."""
+class TestNewton:
+    """One damped Newton run per start: how each run ends, and what each probe costs."""
 
     @pytest.fixture
     def rounds(self, monkeypatch):
@@ -441,68 +462,45 @@ class TestNewtonBatch:
         monkeypatch.setattr(w, "_system_residuals", patched)
         return sizes
 
-    @pytest.fixture
-    def lone(self, rounds):
-        """Each run of :func:`newton_runs` alone: its result and its number of probes."""
-        runs = newton_runs()
-        results = {}
-        for name, run in runs.items():
+    def test_runs_end_every_way(self, rounds, monkeypatch):
+        results, probes = {}, {}
+        for name, run in newton_runs().items():
             rounds.clear()
-            results[name] = w._newton([run])[0], len(rounds)
+            with monkeypatch.context() as m:
+                if name == "capped":
+                    m.setattr(w, "MAX_ITER", 3)
+                results[name] = w._newton(*run)
             assert rounds == [7] * len(rounds)
-        rounds.clear()
-        return runs, results
-
-    def test_lone_runs_end_every_way(self, lone):
-        _, results = lone
-        ends = {name: (r.converged, r.iterations, r.message) for name, (r, _) in results.items()}
+            probes[name] = len(rounds)
+        ends = {name: (r.converged, r.iterations, r.message) for name, r in results.items()}
         converged, _, message = ends.pop("far")  # its end follows the engine's last bits
         assert not converged and message
+        converged, iterations, message = ends.pop("capped")
+        assert (converged, iterations) == (False, 3) and message.startswith("residual ")
         assert ends == {
             "smith_bao": (True, 2, ""), "mixed": (True, 2, ""), "grid": (True, 31, ""),
             "collapse": (False, 5, "collapsed onto the trivial (left == right) solution"),
             "singular": (False, 0, "singular Jacobian"),
         }
-        probes = {name: p for name, (_, p) in results.items()}
-        halvings = {name: probes[name] - r.iterations - 1 for name, (r, _) in results.items()}
+        halvings = {name: probes[name] - r.iterations - 1 for name, r in results.items()}
         assert halvings["grid"] > 0 == halvings["smith_bao"] == halvings["collapse"]
         assert len({probes[name] for name in ("smith_bao", "grid", "collapse", "singular")}) == 4
 
-    @pytest.mark.parametrize("names", [
-        *itertools.combinations(["smith_bao", "mixed", "grid", "far", "collapse", "singular"], 2),
-        ("smith_bao", "mixed", "grid", "far", "collapse", "singular"),
-        ("singular", "collapse", "far", "grid", "mixed", "smith_bao"),
-    ])
-    def test_batched_runs_equal_lone_runs(self, names, lone, rounds):
-        runs, results = lone
-        batched = w._newton([runs[name] for name in names])
-        assert [repr(r) for r in batched] == [repr(results[name][0]) for name in names]
-        # each round probes the runs still open; a run leaves after its last lone probe
-        probes = [results[name][1] for name in names]
-        assert rounds == [7 * sum(p > k for p in probes) for k in range(max(probes))]
-
-    def test_systems_solved_together_equal_lone_solves(self):
-        # ("J2", "J4", "K6", "J8") fails from all eight grid seeds, so its later
-        # seeds run in batches of their own after the first
-        systems = [SMITH_BAO, ("J2", "J4", "K6", "J8"), ("J2", "J4", "J6", "J10"), MIXED]
-        together = w._solve_systems(systems)
-        assert [r.converged for r in together] == [True, False, True, True]
-        assert together == [solve_agreement_system(m) for m in systems]
-
-    def test_verify_reports_the_lone_solves(self):
+    def test_verify_reports_the_solves(self):
         reports = verify_witnesses()
         for which, matched in J6_SYSTEMS.items():
             assert reports[which, "J6"].notes["solver"] == (
                 solve_agreement_system(matched).to_json_dict())
 
     @pytest.mark.parametrize("argv, sizes", [
-        (["verify", "witnesses"], [28, 28, 28, 16]),
+        (["verify", "witnesses"], [14, 14, 14, 14, 14, 14, 6]),
         (["solve", "smith-bao-j6"], [14, 14, 14, 2]),
         (["solve", "mixed-j6"], [14, 14, 14, 2]),
         (["solve", "j8-root"], [2]),
     ])
     def test_float_engine_calls(self, argv, sizes, monkeypatch, capsys):
-        # the J6 solves of verify share each round's call: 2 runs x 7 points x 2 tensors
+        # each J6 probe is 7 points x 2 tensors; the last call evaluates the
+        # pairs built on this call, the J8 and J6 pairs, and no fixed pair
         calls, engine = [], w.invariants_float
 
         def counting(components):
@@ -586,7 +584,7 @@ class TestReports:
     def test_gates_follow_from_the_pairs(self):
         # the vanish bound is 0 exactly for the pairs on the restricted
         # slice, and the flip test runs exactly for the (D, -D) pairs
-        assert [f.name for f in fields(w.Witness)] == ["label", "build", "printed", "matched"]
+        assert [f.name for f in fields(w.Witness)] == ["label", "build", "printed", "values"]
         pairs = {label: row.build() for label, row in WITNESSES.items()}
         gates = {label: w._gate(pair) for label, pair in pairs.items()}
         assert {label for label, (vanish, _) in gates.items() if vanish == 0.0} == {
@@ -762,7 +760,8 @@ class TestTablePass:
                         v.hex() for v in alone[start + k][0].tolist()]
 
     def test_each_build_and_each_exact_tensor_runs_once(self, monkeypatch):
-        # a solved row is solved in the batch, not built: one of the two per row
+        # each row is built once per call, and each exact tensor is evaluated
+        # once per process, when the fixed rows get their values at import
         builds, evaluated = Counter(), Counter()
 
         def counted(row):
@@ -771,27 +770,36 @@ class TestTablePass:
                 return row.build()
             return replace(row, build=build)
 
-        table = {label: counted(row) for label, row in WITNESSES.items()}
-        monkeypatch.setattr(w, "WITNESSES", table)
-        solve_systems = w._solve_systems
-
-        def counting_solves(systems):
-            builds.update(label for label, row in WITNESSES.items() if row.matched in systems)
-            return solve_systems(systems)
-
-        monkeypatch.setattr(w, "_solve_systems", counting_solves)
-
         def counting(t):
             evaluated[t] += 1
             return invariants(t)
 
+        table = {label: counted(row) for label, row in WITNESSES.items()}
+        monkeypatch.setattr(w, "WITNESSES", table)
         monkeypatch.setattr(w, "invariants", counting)
         reports = verify_witnesses()
         assert all(r.passed for r in reports.values())
         assert builds == Counter(set(CELLS.values()))
+        assert not evaluated  # no generic-engine evaluation per call
+        w._with_values([WITNESSES[label] for label in FIXED_PAIRS])
         assert all(t.backend == EXACT for t in evaluated)
         assert len(evaluated) == 5  # D1 is in two pairs; two sign pairs hold the rest
         assert set(evaluated.values()) == {1}
+
+    def test_the_fixed_rows_are_the_catalog_and_sign_pairs(self):
+        fixed = {label for label, row in WITNESSES.items() if row.values is not None}
+        assert fixed == set(FIXED_PAIRS)
+
+    @pytest.mark.parametrize("label", FIXED_PAIRS)
+    def test_import_time_values_equal_a_fresh_evaluation(self, label):
+        # floats compared in hex, exact values as Fractions
+        row = WITNESSES[label]
+        pair = row.build()
+        fresh = w._table_values([pair.left, pair.right])
+        assert [hexed(v) for v in row.values] == [hexed(v) for v in fresh]
+        for values, t in zip(row.values, (pair.left, pair.right)):
+            assert list(values) == list(INVARIANT_NAMES)
+            assert {type(v) for v in values.values()} == {Fraction if t.backend == EXACT else float}
 
     def test_reports_own_their_values(self):
         reports = verify_witnesses()
@@ -860,9 +868,6 @@ class TestGaps:
                     basis, member, n)
 
 
-FIXED_PAIRS = w.CATALOG_PAIRS + w.SIGN_PAIRS
-
-
 class TestFixedPairs:
     """The catalog and sign pairs are built once; the J6 and J8 pairs on each call."""
 
@@ -899,20 +904,18 @@ class TestFixedPairs:
 
     def test_solved_rows_solve_on_each_call(self, monkeypatch):
         calls = Counter()
-        solve, bisect = w._solve_systems, w.bisect_root
+        solve, bisect = w.solve_agreement_system, w.bisect_root
 
-        def counting_solve(systems):
-            calls.update(map(tuple, systems))
-            calls["batch"] += 1
-            return solve(systems)
+        def counting_solve(matched):
+            calls[tuple(matched)] += 1
+            return solve(matched)
 
         def counting_bisect(*args):
             calls["bisect"] += 1
             return bisect(*args)
 
-        monkeypatch.setattr(w, "_solve_systems", counting_solve)
+        monkeypatch.setattr(w, "solve_agreement_system", counting_solve)
         monkeypatch.setattr(w, "bisect_root", counting_bisect)
         for n in (1, 2):
             assert all(r.passed for r in verify_witnesses().values())
-            assert calls == {J6_SYSTEMS["smith_bao"]: n, J6_SYSTEMS["mixed"]: n, "bisect": n,
-                             "batch": n}
+            assert calls == {J6_SYSTEMS["smith_bao"]: n, J6_SYSTEMS["mixed"]: n, "bisect": n}
