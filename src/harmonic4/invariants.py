@@ -38,6 +38,10 @@ pair views (:func:`invariants_of_views`); one float tensor is the N = 1
 case.  The generic engine forms the eight entries on lists over any
 commutative ring, 334 ring products in all: symbolic tensors
 expand in sparse polynomials, and exact tensors run in Python integers.
+Each six-term dot product is written out where it is consumed: C over a
+list of pairs (p, q), all 21 for the invariants and :func:`quartic_C` and
+the 15 that B reads for :func:`bilinear_B`; y1 and y2 as the rows of D
+times one vector; J3 and the Gram entries as dot products of pairs.
 Its ring contract: sums, binary and unary differences and products of
 ring elements, and the product 2 * x with the int 2 at the weight-2 pairs.
 No sum starts from int 0 and no entry is multiplied by the weight 1, so
@@ -87,8 +91,6 @@ K6_RELATION = (39, 10, -198, -135, 240)
 _PAIRS = tuple(combinations_with_replacement((1, 2, 3), 2))
 #: Arrangement weight of each pair: the number of orders of its indices.
 _WEIGHTS = tuple(multiplicity(p) for p in _PAIRS)
-#: The pairs of weight 2, whose entries ``_weighted`` doubles.
-_DOUBLED = tuple(p for p, w in enumerate(_WEIGHTS) if w == 2)
 #: Row of the 15-slot tuple (independent, then dependent) behind D_(p),(q).
 _PAIR_ROWS = tuple(tuple(_SLOT_ROW[tuple(sorted(p + q))] for q in _PAIRS) for p in _PAIRS)
 #: One getter per pair-view row, reading its six slots at once.
@@ -97,6 +99,9 @@ _ROW_GETTERS = tuple(itemgetter(*row) for row in _PAIR_ROWS)
 _ROW_PAIRS = tuple(tuple(_PAIRS.index(tuple(sorted(pair)))
                          for k in (1, 2, 3) for pair in ((i, k), (j, k)))
                    for i, j in _PAIRS)
+#: The entries (p, q), p <= q, of the symmetric C: all 21, and the 15 that B reads.
+_UPPER = tuple(combinations_with_replacement(range(6), 2))
+_B_PAIRS = tuple(sorted({tuple(sorted(row[k:k + 2])) for row in _ROW_PAIRS for k in (0, 2, 4)}))
 #: J4, J5, J6, K6, J7, J8, J9 and J10 as entries (i, j) of the weighted Gram
 #: matrix G_ij = sum_r w_r p_i,r p_j,r of p = (b, b2, D Wb, D Wb2).
 _FORMS = ((0, 0), (0, 2), (2, 2), (0, 1), (0, 3), (2, 3), (1, 3), (3, 3))
@@ -123,29 +128,35 @@ def _pair_view(indep) -> list:
 
 
 def _weighted(x) -> list:
-    """W x: x_p where w_p = 1 and 2 x_p where w_p = 2, over the six pairs."""
-    wx = list(x)
-    for p in _DOUBLED:
-        wx[p] = 2 * wx[p]
-    return wx
+    """W x: x_p where w_p = 1 and 2 x_p where w_p = 2, over the pairs 11, 12, 13, 22, 23, 33."""
+    a, b, c, e, f, g = x
+    return [a, 2 * b, 2 * c, e, 2 * f, g]
 
 
-def _dot(x, y):
-    """x_0 y_0 + ... + x_5 y_5: six products and five sums, with no zero to start from."""
-    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3] + x[4] * y[4] + x[5] * y[5]
+def _dots(pairs) -> list:
+    """x_0 y_0 + ... + x_5 y_5 for each pair (x, y) of 6-vectors: no zero to start from."""
+    return [a * x + b * y + c * z + e * u + f * v + g * w
+            for (a, b, c, e, f, g), (x, y, z, u, v, w) in pairs]
 
 
-def _quartic(d) -> tuple:
+def _products(rows, x) -> list:
+    """Each row of ``rows`` dotted with the 6-vector ``x``, row first: D x for the pair view D."""
+    x0, x1, x2, x3, x4, x5 = x
+    return [a * x0 + b * x1 + c * x2 + e * x3 + f * x4 + g * x5 for a, b, c, e, f, g in rows]
+
+
+def _quartic(d, pairs) -> tuple:
     """The weighted rows DW = D diag(w) of the pair view ``d``, and C_pq = sum_r w_r D_pr D_qr.
 
-    C is a symmetric 6x6 list, each entry one dot product of a row of DW
-    with a row of D.
+    C is a symmetric 6x6 list holding the entries (p, q) of ``pairs`` and
+    their mirrors, each a row of DW dotted with a row of D; the rest are None.
     """
     dw = [_weighted(row) for row in d]
     c = [[None] * 6 for _ in range(6)]
-    for p in range(6):
-        for q in range(p, 6):
-            c[p][q] = c[q][p] = _dot(dw[p], d[q])
+    for p, q in pairs:
+        a, b, e, f, g, h = dw[p]
+        x, y, z, u, v, w = d[q]
+        c[p][q] = c[q][p] = a * x + b * y + e * z + f * u + g * v + h * w
     return dw, c
 
 
@@ -159,26 +170,26 @@ def _square(b) -> tuple:
     return tuple(b[p] * b[q] + b[r] * b[s] + b[t] * b[u] for p, q, r, s, t, u in _ROW_PAIRS)
 
 
-def _quartic_of(d: Harmonic4) -> tuple:
-    """C of ``d``, run on qD in integers when exact, and the map back: C(D) = C(qD) / q^2."""
+def _quartic_of(d: Harmonic4, pairs) -> tuple:
+    """C of ``d`` at ``pairs``, run on qD in integers when exact, and the map C(qD) / q^2 back."""
     if d.backend == FLOAT:
         # 0.0 + v turns a -0.0 from six -0.0 terms into 0.0, as a sum started from 0 gave.
-        return _quartic(_pair_view(d.indep))[1], lambda v: 0.0 + v
+        return _quartic(_pair_view(d.indep), pairs)[1], lambda v: 0.0 + v
     if d.backend != EXACT:
-        return _quartic(_pair_view(d.indep))[1], lambda v: v
+        return _quartic(_pair_view(d.indep), pairs)[1], lambda v: v
     indep, q = clear_denominators(d.indep)
-    return _quartic(_pair_view(indep))[1], lambda v: Fraction(v, q * q)
+    return _quartic(_pair_view(indep), pairs)[1], lambda v: Fraction(v, q * q)
 
 
 def quartic_C(d: Harmonic4) -> list:
     """C_ijkl = D_ijmn D_klmn on the sorted pairs: 6x6, C[p][q] = C_(p),(q)."""
-    c, unscale = _quartic_of(d)
+    c, unscale = _quartic_of(d, _UPPER)
     return [[unscale(v) for v in row] for row in c]
 
 
 def bilinear_B(d: Harmonic4) -> tuple:
     """B_ij = D_iklm D_jklm on the sorted pairs: (B11, B12, B13, B22, B23, B33)."""
-    c, unscale = _quartic_of(d)
+    c, unscale = _quartic_of(d, _B_PAIRS)
     return tuple(unscale(v) for v in _partial_trace(c))
 
 
@@ -215,16 +226,16 @@ def _invariants_generic(indep) -> InvariantVector:
     intermediate polynomial products small on the symbolic path.
     """
     d = _pair_view(indep)
-    dw, c = _quartic(d)
+    dw, c = _quartic(d, _UPPER)
     b = _partial_trace(c)
     b2 = _square(b)
     wb, wb2 = _weighted(b), _weighted(b2)
-    y1, y2 = [_dot(row, wb) for row in d], [_dot(row, wb2) for row in d]
+    y1, y2 = _products(d, wb), _products(d, wb2)
     p, wp = (b, b2, y1, y2), (wb, wb2, _weighted(y1), _weighted(y2))
     return InvariantVector(
         b[0] + b[3] + b[5],  # J2 = tr B, at the pairs 11, 22 and 33
-        reduce(add, _weighted([_dot(cp, dwp) for cp, dwp in zip(c, dw)])),  # J3
-        *[_dot(wp[i], p[j]) for i, j in _FORMS],
+        reduce(add, _weighted(_dots(zip(c, dw)))),  # J3
+        *_dots((wp[i], p[j]) for i, j in _FORMS),
     )
 
 

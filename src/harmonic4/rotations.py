@@ -51,7 +51,7 @@ import numpy as np
 
 from . import tensor as tc
 from .invariants import (_DEGREE_ORDER, _PAIR_COLS, _PAIRS, INVARIANT_DEGREES, INVARIANT_NAMES,
-                         _pair_view, invariants_of_views, pair_view_float)
+                         _dots, _pair_view, invariants_of_views, pair_view_float)
 from .tensor import EXACT, FLOAT, Harmonic4, clear_denominators
 
 #: Entrywise tolerance on Q^T Q - I for float matrices.
@@ -168,6 +168,10 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
             m = q.to_array()
         except OverflowError:  # an entry beyond binary64
             raise ValueError("matrix is not orthogonal: an entry overflows binary64") from None
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0].tolist()
+            raise ValueError(f"matrix is not orthogonal: entry Q{i + 1}{j + 1} = {m[i, j]} "
+                             "is not finite")
         _require_orthogonal(m.tolist(), ORTHO_TOL)
         rotated = rotate_float([d.indep], m[None])
         return Harmonic4(tuple(rotated[0].tolist()))
@@ -180,8 +184,8 @@ def rotate(d: Harmonic4, q: Orthogonal3) -> Harmonic4:
     out = _contract(indep, m)
     divisor = scale * den**4
     if backend == EXACT:
-        return Harmonic4(tuple(Fraction(v, divisor) for v in out))
-    return Harmonic4(tuple(v * Fraction(1, divisor) for v in out))
+        return Harmonic4._normal(tuple(Fraction(v, divisor) for v in out))
+    return Harmonic4._normal(tuple(v * Fraction(1, divisor) for v in out))
 
 
 def _contract(indep, m) -> tuple:
@@ -192,25 +196,20 @@ def _contract(indep, m) -> tuple:
     builds the six dependent slots must equal their trace completion.
     """
     flat = [v for row in m for v in row]
-    k = [tuple(flat[ak] * flat[bl] if al == 9 else flat[ak] * flat[bl] + flat[al] * flat[bk]
-               for ak, bl, al, bk in row)
+    k = [[flat[ak] * flat[bl] if al == 9 else flat[ak] * flat[bl] + flat[al] * flat[bk]
+          for ak, bl, al, bk in row]
          for row in _K_ROWS]
     d = _pair_view(indep)
     kd = {}
     for p in _READ_ROWS:
         a, b, c, e, f, g = k[p]
         kd[p] = [a * x + b * y + c * z + e * u + f * v + g * w for x, y, z, u, v, w in d]
-
-    def entry(row, col):
-        a, b, c, e, f, g = kd[row]
-        x, y, z, u, v, w = k[col]
-        return a * x + b * y + c * z + e * u + f * v + g * w
-
-    out = tuple(entry(row, col) for row, col in _SLOT_PLACES[:9])
+    places = _SLOT_PLACES if __debug__ else _SLOT_PLACES[:9]
+    entries = _dots([(kd[row], k[col]) for row, col in places])
+    out = tuple(entries[:9])
     if __debug__:
-        completed = tc._dependents(*out)
-        for slot, (row, col), value in zip(tc.DEPENDENT_SLOTS, _SLOT_PLACES[9:], completed):
-            assert entry(row, col) == value, f"rotated tensor lost tracelessness at {slot}"
+        for slot, value, completed in zip(tc.DEPENDENT_SLOTS, entries[9:], tc._dependents(*out)):
+            assert value == completed, f"rotated tensor lost tracelessness at {slot}"
     return out
 
 

@@ -368,14 +368,17 @@ def _random_components(seeds) -> np.ndarray:
 
     Box-Muller on stream words 0-9: the uniforms (u, v) of words 2p and
     2p + 1 give sqrt(-2 log(1 - u)) * (cos, sin)(2 pi v) as components 2p
-    and 2p + 1; the tenth normal is not used.
+    and 2p + 1; the tenth normal is not used.  The logs are libm's
+    ``math.log1p``, one radius at a time: numpy's log1p loop depends on the
+    CPU's SIMD level and may differ in the last bit.
     """
     u = _uniforms(_seed_stream(seeds, 0, 10))
     angles = 2 * np.pi * u[:, 1::2]
     out = np.empty((len(u), 5, 2))
     np.cos(angles, out=out[:, :, 0])
     np.sin(angles, out=out[:, :, 1])
-    out *= np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))[:, :, None]
+    logs = np.fromiter(map(math.log1p, (-u[:, 0::2]).ravel().tolist()), float).reshape(-1, 5)
+    out *= np.sqrt(-2.0 * logs)[:, :, None]
     return out.reshape(-1, 10)[:, :9]
 
 

@@ -72,11 +72,14 @@ CASES = {
     # A matrix entry whose exact defect has no binary64 value: still not orthogonal.
     "rotate-huge-matrix": (["rotate", "--backend", "exact", *_inline(["1"] + ["0"] * 8),
                             "--matrix", "1e400", "0", "0", "0", "1", "0", "0", "0", "1"], 2),
+    # The same entry is inf in binary64: named before any orthogonality check.
+    "rotate-nonfinite-matrix": (["rotate", *_inline(["1"] + ["0"] * 8),
+                                 "--matrix", "1e400", "0", "0", "0", "1", "0", "0", "0", "1"], 2),
 }
 
 #: Cases whose standard error is pinned too, in ``<name>.stderr``.
 STDERR_CASES = ("invariants-nan", "invariants-overflow", "rotate-overflow",
-                "rotate-huge-matrix")
+                "rotate-huge-matrix", "rotate-nonfinite-matrix")
 
 
 def run_case(argv) -> tuple:
@@ -117,7 +120,7 @@ def test_every_stderr_golden_has_a_case():
                                   "rotate-float", "verify-isotropy", "verify-isotropy-blocks",
                                   "verify-isotropy-trials10", "verify-witnesses", "solve-j8-root",
                                   "solve-mixed-j6", "solve-smith-bao-j6", "rotate-overflow",
-                                  "rotate-huge-matrix"])
+                                  "rotate-huge-matrix", "rotate-nonfinite-matrix"])
 def test_optimized_run_matches_golden(name):
     """Under ``python -O`` the debug-only trace check is gone; exact, float and witness output,
     and the error of an overflowing rotation, keep their bytes."""

@@ -387,7 +387,7 @@ def scalar_components(seed):
     u = [uniform(w) for w in stream_words(seed, 10)]
     out = []
     for p in range(5):
-        radius = ufunc(np.sqrt, -2 * ufunc(np.log1p, -u[2 * p]))
+        radius = ufunc(np.sqrt, -2 * math.log1p(-u[2 * p]))
         out += (radius * ufunc(f, 2 * np.pi * u[2 * p + 1]) for f in (np.cos, np.sin))
     return tuple(out[:9])
 

@@ -12,6 +12,9 @@ D Wb2.  ``Counted`` integers bound the ring operations of both kernels, and
 ``Strict`` integers hold both to the engine's ring contract.
 ``nine_entry_defect`` is the Gram check over all nine entries of M^T M
 that ``rotate`` ran before it read only the six distinct ones.
+``dot_kernel`` is the generic engine as it was with one ``reference_dot``
+call per six-term dot product, and ``Expr`` a hash-consed expression ring
+in which two values are the same node only if they are the same circuit.
 """
 
 import copy
@@ -19,7 +22,8 @@ import json
 import math
 import random
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -42,7 +46,9 @@ from harmonic4 import (
 )
 from harmonic4 import rotations
 from harmonic4 import tensor as tc
-from harmonic4.invariants import _PAIR_ROWS, _WEIGHTS, _invariants_generic, bilinear_B, quartic_C
+from harmonic4.invariants import (_B_PAIRS, _FORMS, _PAIR_ROWS, _ROW_PAIRS, _UPPER, _WEIGHTS,
+                                  _invariants_generic, _pair_view, _partial_trace, _quartic,
+                                  bilinear_B, quartic_C)
 from harmonic4.tensor import ALL_SLOTS, INDEPENDENT_SLOTS, clear_denominators
 
 
@@ -394,6 +400,16 @@ class TestRingOperations:
         assert products <= 334
         assert sums <= 273
 
+    def test_bilinear_B_forms_only_the_C_entries_it_reads(self):
+        # From the pair view on: 15 entries of C (90 products) and 18 weight doublings.
+        d = _pair_view(tuple(Counted(v) for v in self.INDEP))
+        b, products, sums = count_operations(lambda d: _partial_trace(_quartic(d, _B_PAIRS)[1]), d)
+        assert b == bilinear_B(Harmonic4(self.INDEP))
+        assert (products, sums) == (108, 87)
+        # quartic_C keeps all 21 entries: 126 products and the same 18 doublings.
+        _, products, _ = count_operations(_quartic, d, _UPPER)
+        assert products == 144
+
     def test_contract(self):
         m = ((1, 2, 2), (2, 1, -2), (2, -2, 1))  # 3 Q, Q orthogonal
         counted_m = tuple(tuple(Counted(v) for v in row) for row in m)
@@ -434,6 +450,137 @@ class TestRingContract:
                    lambda: x * 2, lambda: 3 * x, lambda: x - 0, lambda: 0 - x):
             with pytest.raises(TypeError):
                 op()
+
+
+def reference_dot(x, y):
+    """x_0 y_0 + ... + x_5 y_5, the six-term dot product the generic engine called per entry."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3] + x[4] * y[4] + x[5] * y[5]
+
+
+def reference_weighted(x) -> list:
+    """W x: a copy of x with the entries of weight 2 in ``_WEIGHTS`` doubled."""
+    wx = list(x)
+    for p, w in enumerate(_WEIGHTS):
+        if w == 2:
+            wx[p] = 2 * wx[p]
+    return wx
+
+
+def dot_kernel(indep, dot=reference_dot) -> tuple:
+    """The generic engine with one ``dot`` call per dot product: (C, B, the ten invariants)."""
+    d = _pair_view(indep)
+    dw = [reference_weighted(row) for row in d]
+    c = [[None] * 6 for _ in range(6)]
+    for p in range(6):
+        for q in range(p, 6):
+            c[p][q] = c[q][p] = dot(dw[p], d[q])
+    b = tuple(c[p][q] + c[r][s] + c[t][u] for p, q, r, s, t, u in _ROW_PAIRS)
+    b2 = tuple(b[p] * b[q] + b[r] * b[s] + b[t] * b[u] for p, q, r, s, t, u in _ROW_PAIRS)
+    wb, wb2 = reference_weighted(b), reference_weighted(b2)
+    y1, y2 = [dot(row, wb) for row in d], [dot(row, wb2) for row in d]
+    p, wp = (b, b2, y1, y2), (wb, wb2, reference_weighted(y1), reference_weighted(y2))
+    return c, b, (b[0] + b[3] + b[5],
+                  reduce(add, reference_weighted([dot(cp, dwp) for cp, dwp in zip(c, dw)])),
+                  *[dot(wp[i], p[j]) for i, j in _FORMS])
+
+
+class Expr:
+    """A hash-consed expression over the ring contract: ``node`` is the id of (op, left, right).
+
+    Equal circuits intern to the same node, so a reassociated sum or a
+    swapped operand gives another node.  Anything outside the contract,
+    a sum with 0 or a product with 1 included, raises ``TypeError``.
+    """
+
+    __slots__ = ("node",)
+    nodes: dict = {}
+
+    def __init__(self, node):
+        self.node = node
+
+    @classmethod
+    def make(cls, op, left, right=None):
+        return cls(cls.nodes.setdefault((op, left, right), len(cls.nodes)))
+
+    @staticmethod
+    def _of(other):
+        if type(other) is not Expr:
+            raise TypeError(f"{other!r} is not an Expr")
+        return other.node
+
+    def __add__(self, other):
+        return Expr.make("+", self.node, self._of(other))
+
+    def __sub__(self, other):
+        return Expr.make("-", self.node, self._of(other))
+
+    def __mul__(self, other):
+        return Expr.make("*", self.node, self._of(other))
+
+    def __rmul__(self, other):
+        if type(other) is not int or other != 2:
+            raise TypeError(f"product with {other!r}: only the int 2 may multiply an Expr")
+        return Expr.make("2*", self.node)
+
+    def __neg__(self):
+        return Expr.make("neg", self.node)
+
+
+def expr_tensor() -> tuple:
+    """The nine independent components as leaf nodes."""
+    return tuple(Expr.make("leaf", "D" + "".join(map(str, slot))) for slot in INDEPENDENT_SLOTS)
+
+
+def nodes(values) -> list:
+    return [v.node for v in values]
+
+
+def planted_float_tensor(rng) -> tuple:
+    """Nine normal components at a scale in [1e-150, 1e150], about a third of them +-0.0."""
+    scale = 10.0 ** rng.uniform(-150, 150)
+    return tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.gauss(0, 1) * scale
+                 for _ in range(9))
+
+
+class TestSameCircuit:
+    """The engine without per-product calls forms every value as ``dot_kernel`` did."""
+
+    def test_every_invariant_is_the_same_node(self):
+        indep = expr_tensor()
+        _, _, want = dot_kernel(indep)
+        assert nodes(_invariants_generic(indep).as_dict().values()) == nodes(want)
+
+    def test_bilinear_B_and_its_15_C_entries_are_the_same_nodes(self):
+        indep = expr_tensor()
+        c, b, _ = dot_kernel(indep)
+        got = _quartic(_pair_view(indep), _B_PAIRS)[1]
+        assert len(_B_PAIRS) == 15
+        assert [got[p][q].node for p, q in _B_PAIRS] == [c[p][q].node for p, q in _B_PAIRS]
+        assert nodes(bilinear_B(Harmonic4(indep))) == nodes(b)
+        assert [nodes(row) for row in quartic_C(Harmonic4(indep))] == [nodes(row) for row in c]
+
+    @pytest.mark.parametrize("dot", [
+        lambda x, y: reference_dot(y, x),
+        lambda x, y: (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]) + (x[3] * y[3] + x[4] * y[4]
+                                                                   + x[5] * y[5]),
+    ], ids=["swapped-operands", "reassociated-sum"])
+    def test_the_ring_tells_another_circuit_apart(self, dot):
+        indep = expr_tensor()
+        _, _, mutated = dot_kernel(indep, dot)
+        got = nodes(_invariants_generic(indep).as_dict().values())
+        assert all(g != m for g, m in zip(got, nodes(mutated)))
+
+    def test_python_floats_agree_bit_for_bit(self):
+        rng = random.Random(20261022)
+        for _ in range(240):
+            indep = planted_float_tensor(rng)
+            c, b, want = dot_kernel(indep)
+            got = _invariants_generic(indep).as_dict().values()
+            assert [v.hex() for v in got] == [v.hex() for v in want], indep
+            entries = _quartic(_pair_view(indep), _B_PAIRS)[1]
+            assert ([entries[p][q].hex() for p, q in _B_PAIRS]
+                    == [c[p][q].hex() for p, q in _B_PAIRS])
+            assert [v.hex() for v in bilinear_B(Harmonic4(indep))] == [(0.0 + v).hex() for v in b]
 
 
 def nine_entry_defect(rows, unit=1):

@@ -97,6 +97,13 @@ class TestRotate:
         with pytest.raises(ValueError, match="not orthogonal"):
             rotate(D1_FLOAT, q)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_names_a_non_finite_entry(self, value):
+        q = Orthogonal3(((1.0, 0.0, 0.0), (0.0, 1.0, value), (0.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=f"^matrix is not orthogonal: entry Q23 = {value} "
+                                             "is not finite$"):
+            rotate(D1_FLOAT, q)
+
     @pytest.mark.parametrize("huge", [10**400, Fraction(10**400, 3)])
     @pytest.mark.parametrize("d", [D1_EXACT, D1_FLOAT], ids=[EXACT, FLOAT])
     def test_rejects_an_entry_beyond_binary64(self, d, huge):
